@@ -372,13 +372,19 @@ def iter_runs(spec, workers=1, cache_dir=None, cache=True):
         yield (cell, result)
 
 
-def _progress_note(spec, completed, store):
-    note = ("experiment grid aborted after {}/{} cells".format(
-        completed, spec.cell_count()))
+def _progress_note(spec, merged, store, stores_before):
+    """Where an aborted grid got to.  ``merged`` counts the cells the
+    grid-order merge had yielded; a parallel run may have finished and
+    stored cells beyond that point, so the cells this run stored in the
+    cache (its store count past ``stores_before``) are reported beside
+    it."""
+    note = ("experiment grid aborted after {}/{} cells merged in grid "
+            "order".format(merged, spec.cell_count()))
     if store is not None:
-        note += ("; completed cells are cached under {} — re-running "
-                 "with the same cache_dir resumes from them".format(
-                     store.directory))
+        note += ("; {} cells were stored in the cache under {} — "
+                 "re-running with the same cache_dir resumes from "
+                 "them".format(store.stores - stores_before,
+                               store.directory))
     return note
 
 
@@ -393,12 +399,13 @@ def run(spec, workers=1, cache_dir=None, cache=True):
     """
     spec = _coerce(spec)
     store = _open_cache(cache_dir, cache)
+    stores_before = store.stores if store is not None else 0
     pairs = []
     try:
         for pair in iter_runs(spec, workers=workers, cache_dir=store,
                               cache=cache):
             pairs.append(pair)
     except BaseException as exc:
-        exc.add_note(_progress_note(spec, len(pairs), store))
+        exc.add_note(_progress_note(spec, len(pairs), store, stores_before))
         raise
     return ResultSet(spec, pairs)

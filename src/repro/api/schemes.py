@@ -42,7 +42,7 @@ from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.errors import SimulationError
 from repro.sim import (ExecutionMode, GPUSimulator, QueuedRequest,
-                       fast_path_enabled)
+                       SteppedSession, fast_path_enabled)
 from repro.workloads.parboil import profile_by_name
 
 
@@ -83,7 +83,7 @@ class RequestRecord:
             self.name, self.arrival, self.turnaround)
 
 
-class GpuOpenSession:
+class GpuOpenSession(SteppedSession):
     """One device's incremental open-system session (simulator-backed).
 
     The device-session protocol of
@@ -115,10 +115,19 @@ class GpuOpenSession:
         return self._sim.open_peek()
 
     def step(self):
-        time = self._sim.open_step()
+        return self._sim.open_step(), self._newly_finished()
+
+    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = self._sim.open_advance(limit, inclusive, stop_on_finish)
+        return None if time is None else (time, self._newly_finished())
+
+    def advance_before(self, time):
+        self._sim.open_advance_before(time)
+
+    def _newly_finished(self):
         finished = self._sim.finished_requests - self._finished_seen
         self._finished_seen = self._sim.finished_requests
-        return time, finished
+        return finished
 
     @property
     def events_processed(self):
@@ -176,7 +185,7 @@ class GpuOpenSession:
         return out
 
 
-class ElasticOpenSession:
+class ElasticOpenSession(SteppedSession):
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
     The incremental form of

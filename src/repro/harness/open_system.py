@@ -183,18 +183,13 @@ class OpenSystemExperiment:
                        key=lambda i: (arrivals[i].time, i))
         for i in order:
             arrival = arrivals[i]
-            while True:
-                next_time = session.peek()
-                if next_time is None or next_time >= arrival.time:
-                    break
-                session.step()
+            session.advance_before(arrival.time)
             self._drain_attributed(session, pending, records, ledger)
             session.submit(i, arrival, arrival.time)
             ledger.submit(i, arrival.name, arrival.tenant, 0, arrival.time,
                           isolated_time(arrival.name, self.device))
             pending[i] = arrival
-        while session.peek() is not None:
-            session.step()
+        session.advance()
         self._drain_attributed(session, pending, records, ledger)
         if pending:
             raise SimulationError(
@@ -258,11 +253,7 @@ class OpenSystemExperiment:
             last_time = arrival.time
             # advance strictly before the arrival (the arrival-first tie
             # rule of run_open), then absorb whatever finished
-            while True:
-                next_time = session.peek()
-                if next_time is None or next_time >= arrival.time:
-                    break
-                session.step()
+            session.advance_before(arrival.time)
             self._harvest_into(session, pending, sink, ledger)
             session.submit(position, arrival, arrival.time)
             if ledger is not None:
@@ -273,8 +264,7 @@ class OpenSystemExperiment:
             position += 1
         if position == 0:
             raise SimulationError("empty arrival stream")
-        while session.peek() is not None:
-            session.step()
+        session.advance()
         self._harvest_into(session, pending, sink, ledger)
         if pending:
             raise SimulationError(

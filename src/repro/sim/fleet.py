@@ -185,16 +185,47 @@ class DeviceFleet:
 #   submit(key, arrival, effective_time)  one request enters this device
 #   peek() -> float | None                next event time (None = drained)
 #   step() -> (time, finished_delta)      process exactly one event
+#   advance(limit, inclusive,             step() until the next event lies
+#           stop_on_finish)               past limit (None = drain), or
+#     -> (time, finished_delta) | None    after the first finishing event;
+#                                         the last event's time and the
+#                                         requests finished, None if idle
+#   advance_before(time)                  step() every event before time
 #   queued() -> [QueuedRequest]           withdrawable (not-yet-started)
 #   withdraw(key) -> float                remove a queued request, return
 #                                         its old effective arrival time
 #   backlog_seconds(now) -> float         live outstanding estimated work
 #   active_count() -> int                 admitted & unfinished requests
 #
+# SteppedSession derives advance/advance_before from peek/step; a session
+# that can batch events (GpuOpenSession) overrides them.
+#
 # Placement-policy protocol: the online protocol of
 # repro.accelos.placement (reset / observe_arrival / choose /
 # migration_penalty / placed / rebalance).  Legacy offline policies are
 # adapted there, never here.
+
+
+class SteppedSession:
+    """The batched calls of the device-session protocol, one
+    ``peek``/``step`` pair per event (subclasses supply both)."""
+
+    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = None
+        finished = 0
+        while True:
+            next_time = self.peek()
+            if next_time is None or (limit is not None and (
+                    next_time > limit if inclusive else next_time >= limit)):
+                break
+            time, delta = self.step()
+            finished += delta
+            if stop_on_finish and delta:
+                break
+        return None if time is None else (time, finished)
+
+    def advance_before(self, time):
+        self.advance(time)
 
 
 class QueuedRequest:
@@ -495,22 +526,42 @@ class FleetSimulator:
     def _advance_before(self, time):
         """Process all device events strictly before ``time`` (None =
         drain everything), in global time order, firing the re-balance
-        hook after completions and idle transitions."""
+        hook after completions and idle transitions.
+
+        The event order is one event at a time from the earliest device,
+        ties to the lower fleet index.  Devices only interact through the
+        re-balance hook, so the earliest device runs in one batched
+        ``advance`` up to its horizon: the arrival (exclusive) and every
+        other device's next event — inclusive when that device has the
+        higher fleet index, since the tie is then ours — stopping at the
+        first finished request, where the hook may fire.
+        """
+        sessions = self.sessions
+        rebalance = self._rebalance_enabled
+        nexts = [session.peek() for session in sessions]
         while True:
             best = None
             best_time = None
-            for j, session in enumerate(self.sessions):
-                next_time = session.peek()
-                if next_time is None:
-                    continue
-                if best_time is None or next_time < best_time:
+            for j, next_time in enumerate(nexts):
+                if next_time is not None and (best_time is None
+                                              or next_time < best_time):
                     best, best_time = j, next_time
             if best is None or (time is not None and best_time >= time):
                 return
-            event_time, finished = self.sessions[best].step()
-            if self._rebalance_enabled \
-                    and (finished or self.sessions[best].peek() is None):
+            # scanning in index order, an equal time seen later never
+            # loosens the bound: the arrival and lower indices come first
+            limit, inclusive = time, False
+            for j, next_time in enumerate(nexts):
+                if j != best and next_time is not None \
+                        and (limit is None or next_time < limit):
+                    limit, inclusive = next_time, j > best
+            session = sessions[best]
+            event_time, finished = session.advance(limit, inclusive,
+                                                   rebalance)
+            nexts[best] = session.peek()
+            if rebalance and (finished or nexts[best] is None):
                 self._maybe_rebalance(event_time)
+                nexts = [session.peek() for session in sessions]
 
     # -- live state & re-balancing -----------------------------------------
 

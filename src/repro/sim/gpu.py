@@ -55,8 +55,10 @@ mid-chunk; every admitted request finishes or the run raises.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from contextlib import contextmanager
+from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.sim.contention import BandwidthTracker
@@ -399,26 +401,112 @@ class GPUSimulator:
         return self.events.peek_time()
 
     def open_step(self):
-        """Process exactly one event; returns its simulation time."""
-        time, payload = self.events.pop()
+        """Process exactly one event; returns its simulation time.
+
+        An accelOS chunk completion that draws the slot's next chunk is
+        nearly every event of a stream, so it is handled in this one
+        frame: the pop, the chunk draw, the bandwidth stretch and the
+        push are :meth:`EventQueue.pop`, :meth:`_draw_chunk`,
+        :meth:`BandwidthTracker.stretch_resident` and
+        :meth:`EventQueue.push` inlined, with the same arithmetic and the
+        same checks.  Arrivals, retires, shrinks and hardware events go
+        through their helpers.
+        """
+        # the queue's own heap and counter (same package): a pop and a
+        # push here are EventQueue.pop and EventQueue.push, checks included
+        events = self.events
+        heap = events._heap
+        if not heap:
+            raise SimulationError("pop from empty event queue")
+        time, _tier, _seq, payload = heappop(heap)
+        now = events.now
+        if time > now:
+            now = events.now = time
         self.events_processed += 1
         if self._open_mode == ExecutionMode.HARDWARE:
             self._process_hw_event(payload)
-        else:
+            return time
+        if payload is None or payload[0] != "chunk":
             self._process_software_event(payload, self._software_mode)
+            return time
+        _, run, cu, slot_index, done = payload
+        run.completed += done
+        base = run.next_vgroup
+        total = run.total
+        if base >= total or run.shrink_slots > 0:
+            # the slot retires (queue drained, or a pending shrink)
+            self._draw_chunk(run, cu, ExecutionMode.ACCELOS, slot_index)
+            return time
+        end = base + run.chunk_size
+        if end > total:
+            end = total
+        run.next_vgroup = end
+        sums = run.chunk_sums
+        if sums is None:
+            work = float(run.costs[base:end].sum())
+        else:
+            work = sums.get((base, end))
+            if work is None:
+                work = float(run.costs[base:end].sum())
+                sums[(base, end)] = work
+        rate = run.slot_rate[slot_index]
+        bandwidth = self.bandwidth
+        demand = bandwidth.demand
+        capacity = bandwidth.capacity
+        resident = bandwidth.resident
+        if demand <= capacity or resident == 0 \
+                or rate <= capacity / resident:
+            stretch = 1.0
+        else:
+            stretch = demand / capacity
+        at = now + (work * run.slot_occ[slot_index] * stretch + run.overhead)
+        if math.isnan(at):
+            raise SimulationError("event scheduled at NaN time")
+        if at < now - 1e-12:
+            raise SimulationError(
+                "event scheduled in the past ({} < {})".format(at, now))
+        heappush(heap, (at, 1, next(events._counter),
+                        ("chunk", run, cu, slot_index, end - base)))
+        return time
+
+    def open_advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        """Process events one :meth:`open_step` at a time up to ``limit``.
+
+        An event at exactly ``limit`` is processed only when
+        ``inclusive``; ``limit=None`` runs until the device drains.  With
+        ``stop_on_finish`` the call returns right after the first event
+        that finishes a request (a fleet's re-balance point).  Returns
+        the time of the last event processed, or None if there was none.
+        """
+        heap = self.events._heap
+        step = self.open_step
+        finished = self.finished_requests
+        time = None
+        while heap:
+            next_time = heap[0][0]
+            if limit is not None and (next_time > limit if inclusive
+                                      else next_time >= limit):
+                break
+            time = step()
+            if stop_on_finish and self.finished_requests != finished:
+                break
         return time
 
     def open_advance_before(self, time):
         """Process every event strictly before ``time`` (the causality
-        boundary of a fleet co-simulation: a device may not run ahead of
-        an arrival that could still be placed on it)."""
-        while self.events and self.events.peek_time() < time:
-            self.open_step()
+        boundary of an arrival: a device may not run ahead of a request
+        that could still be submitted to it)."""
+        heap = self.events._heap
+        step = self.open_step
+        while heap and heap[0][0] < time:
+            step()
 
     def open_drain(self):
         """Process all remaining events (no further submissions)."""
-        while self.events:
-            self.open_step()
+        heap = self.events._heap
+        step = self.open_step
+        while heap:
+            step()
 
     def open_trace(self):
         """The finished run's :class:`ExecutionTrace` (raises if any

@@ -9,10 +9,12 @@ in calibration errors, partial progress surfaced on mid-grid failure).
 """
 
 import concurrent.futures
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,8 @@ import pytest
 from repro.api import ExperimentSpec, ResultCache, cell_key, run, warm_caches
 from repro.api import driver as driver_mod
 from repro.api.cache import CACHE_FORMAT
-from repro.api.driver import (build_stream, build_stream_iter, iter_runs,
-                              stream_seed)
+from repro.api.driver import (_grid_cells, build_stream, build_stream_iter,
+                              iter_runs, stream_seed)
 from repro.api.kernels import _iso_cache
 from repro.api.results import validate_result_surface
 from repro.api.spec import Cell
@@ -261,6 +263,40 @@ def test_failure_without_cache_still_notes_progress(monkeypatch):
     notes = "\n".join(getattr(excinfo.value, "__notes__", []))
     assert "0/2" in notes
     assert "cache" not in notes  # no cache => no resume hint
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method(allow_none=False) != "fork",
+    reason="the failing cell is injected by patching the parent before "
+           "the pool forks")
+def test_parallel_failure_note_counts_cells_stored_beyond_the_merge(
+        tmp_path, monkeypatch):
+    """Under workers=2 the merge stops at the first failed cell in grid
+    order, but the pool has already finished and stored later cells: the
+    note reports both numbers."""
+    spec = ExperimentSpec(**dict(EXACT_SPEC, seeds=(7, 8)))  # 4 cells
+    failing = _grid_cells(spec)[1]
+    store = ResultCache(tmp_path / "cache")
+    original = driver_mod._SpecRunner.run_cell
+
+    def fails_after_the_others_are_stored(self, cell):
+        if cell != failing:
+            return original(self, cell)
+        # the other three cells run on the second worker; wait until the
+        # parent has flushed them to the cache, then fail
+        deadline = time.monotonic() + 120
+        while len(store) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise RuntimeError("device fell off the bus")
+
+    monkeypatch.setattr(driver_mod._SpecRunner, "run_cell",
+                        fails_after_the_others_are_stored)
+    with pytest.raises(RuntimeError) as excinfo:
+        run(spec, workers=2, cache_dir=store)
+    notes = "\n".join(getattr(excinfo.value, "__notes__", []))
+    assert "after 1/4 cells merged in grid order" in notes
+    assert "3 cells were stored in the cache" in notes
+    assert store.stores == 3 and len(store) == 3
 
 
 # -- calibration-error caller name (bugfix) ------------------------------------
