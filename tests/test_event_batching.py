@@ -229,11 +229,9 @@ def single_cases(draw):
             trace_arrivals(entries))
 
 
-@settings(max_examples=40, deadline=None)
-@given(single_cases())
-def test_run_stream_matches_the_per_event_loop(case):
-    scheme, arrivals = case
-    device = nvidia_k20m()
+def _check_run_stream(device, scheme, arrivals):
+    """``run_stream`` observes the step loop's harvest in its order and
+    processes as many engine events."""
     expected, events = _stepwise_single(device, scheme, arrivals)
     sinks = []
 
@@ -250,6 +248,13 @@ def test_run_stream_matches_the_per_event_loop(case):
 
 @settings(max_examples=40, deadline=None)
 @given(single_cases())
+def test_run_stream_matches_the_per_event_loop(case):
+    scheme, arrivals = case
+    _check_run_stream(nvidia_k20m(), scheme, arrivals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_cases())
 def test_attributed_records_match_the_per_event_loop(case):
     scheme, arrivals = case
     device = nvidia_k20m()
@@ -261,6 +266,21 @@ def test_attributed_records_match_the_per_event_loop(case):
     timings = {key: (start, finish) for key, start, finish in expected}
     assert [(r.start, r.finish) for r in result.records] \
         == [timings[key] for key in range(len(arrivals))]
+
+
+def test_arrival_at_a_chunk_boundary_is_placed_first():
+    """A request arriving exactly when a chunk of an earlier one
+    completes is admitted before that completion is processed — the
+    arrival-first tie rule, which the exclusive bound of
+    ``advance_before`` keeps."""
+    device = nvidia_k20m()
+    probe = scheme_from_name("accelos").open_session(device)
+    first = trace_arrivals([("sgemm", 0.0, "t0")])
+    probe.submit(0, first[0], 0.0)
+    probe.step()                    # the arrival itself
+    boundary = probe.peek()         # the first chunk completion
+    _check_run_stream(device, "accelos",
+                      first + trace_arrivals([("bfs", boundary, "t1")]))
 
 
 # -- checks the inlined chunk-completion step keeps ----------------------------
