@@ -42,7 +42,7 @@ from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.errors import SimulationError
 from repro.sim import (ExecutionMode, GPUSimulator, QueuedRequest,
-                       SteppedSession, fast_path_enabled)
+                       fast_path_enabled)
 from repro.workloads.parboil import profile_by_name
 
 
@@ -83,7 +83,7 @@ class RequestRecord:
             self.name, self.arrival, self.turnaround)
 
 
-class GpuOpenSession(SteppedSession):
+class GpuOpenSession:
     """One device's incremental open-system session (simulator-backed).
 
     The device-session protocol of
@@ -185,7 +185,7 @@ class GpuOpenSession(SteppedSession):
         return out
 
 
-class ElasticOpenSession(SteppedSession):
+class ElasticOpenSession:
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
     The incremental form of
@@ -234,6 +234,23 @@ class ElasticOpenSession(SteppedSession):
             self._inflight_keys = []
             return time, finished
         return self._launch(), 0
+
+    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = None
+        finished = 0
+        while True:
+            next_time = self.peek()
+            if next_time is None or (limit is not None and (
+                    next_time > limit if inclusive else next_time >= limit)):
+                break
+            time, delta = self.step()
+            finished += delta
+            if stop_on_finish and delta:
+                break
+        return None if time is None else (time, finished)
+
+    def advance_before(self, time):
+        self.advance(time)
 
     def _launch(self):
         time = max(self._now, self._waiting[0][0])

@@ -26,14 +26,13 @@ from repro.sim.gpu import (GPUSimulator, fast_path_enabled, reference_path,
                            set_fast_path)
 from repro.sim.fleet import (DeviceFleet, DeviceStatus, FleetDevice,
                              FleetSimulator, FleetStatus, MigrationOrder,
-                             PlacedRequest, QueuedRequest, SteppedSession)
+                             PlacedRequest, QueuedRequest)
 from repro.sim.trace import ExecutionTrace, KernelInterval
 
 __all__ = [
     "EventQueue", "KernelExecSpec", "ExecutionMode", "GPUSimulator",
     "DeviceFleet", "FleetDevice", "FleetSimulator", "FleetStatus",
     "DeviceStatus", "MigrationOrder", "PlacedRequest", "QueuedRequest",
-    "SteppedSession",
     "ExecutionTrace", "KernelInterval",
     "fast_path_enabled", "reference_path", "set_fast_path",
 ]

@@ -197,35 +197,10 @@ class DeviceFleet:
 #   backlog_seconds(now) -> float         live outstanding estimated work
 #   active_count() -> int                 admitted & unfinished requests
 #
-# SteppedSession derives advance/advance_before from peek/step; a session
-# that can batch events (GpuOpenSession) overrides them.
-#
 # Placement-policy protocol: the online protocol of
 # repro.accelos.placement (reset / observe_arrival / choose /
 # migration_penalty / placed / rebalance).  Legacy offline policies are
 # adapted there, never here.
-
-
-class SteppedSession:
-    """The batched calls of the device-session protocol, one
-    ``peek``/``step`` pair per event (subclasses supply both)."""
-
-    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
-        time = None
-        finished = 0
-        while True:
-            next_time = self.peek()
-            if next_time is None or (limit is not None and (
-                    next_time > limit if inclusive else next_time >= limit)):
-                break
-            time, delta = self.step()
-            finished += delta
-            if stop_on_finish and delta:
-                break
-        return None if time is None else (time, finished)
-
-    def advance_before(self, time):
-        self.advance(time)
 
 
 class QueuedRequest:
