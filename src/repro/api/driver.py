@@ -372,19 +372,21 @@ def iter_runs(spec, workers=1, cache_dir=None, cache=True):
         yield (cell, result)
 
 
-def _progress_note(spec, merged, store, stores_before):
+def _progress_note(spec, merged, store, before):
     """Where an aborted grid got to.  ``merged`` counts the cells the
     grid-order merge had yielded; a parallel run may have finished and
-    stored cells beyond that point, so the cells this run stored in the
-    cache (its store count past ``stores_before``) are reported beside
-    it."""
+    stored cells beyond that point.  ``before`` is the cache's
+    ``(hits, stores)`` when the run began, so the note reports what this
+    run reused from the cache and what it added to it."""
     note = ("experiment grid aborted after {}/{} cells merged in grid "
             "order".format(merged, spec.cell_count()))
     if store is not None:
-        note += ("; {} cells were stored in the cache under {} — "
-                 "re-running with the same cache_dir resumes from "
-                 "them".format(store.stores - stores_before,
-                               store.directory))
+        hits_before, stores_before = before
+        note += ("; this run reused {} cached cells and stored {} more "
+                 "under {} — re-running with the same cache_dir resumes "
+                 "from every cached cell".format(
+                     store.hits - hits_before, store.stores - stores_before,
+                     store.directory))
     return note
 
 
@@ -399,13 +401,13 @@ def run(spec, workers=1, cache_dir=None, cache=True):
     """
     spec = _coerce(spec)
     store = _open_cache(cache_dir, cache)
-    stores_before = store.stores if store is not None else 0
+    before = (store.hits, store.stores) if store is not None else None
     pairs = []
     try:
         for pair in iter_runs(spec, workers=workers, cache_dir=store,
                               cache=cache):
             pairs.append(pair)
     except BaseException as exc:
-        exc.add_note(_progress_note(spec, len(pairs), store, stores_before))
+        exc.add_note(_progress_note(spec, len(pairs), store, before))
         raise
     return ResultSet(spec, pairs)

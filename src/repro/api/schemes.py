@@ -121,9 +121,6 @@ class GpuOpenSession:
         time = self._sim.open_advance(limit, inclusive, stop_on_finish)
         return None if time is None else (time, self._newly_finished())
 
-    def advance_before(self, time):
-        self._sim.open_advance_before(time)
-
     def _newly_finished(self):
         finished = self._sim.finished_requests - self._finished_seen
         self._finished_seen = self._sim.finished_requests
@@ -248,9 +245,6 @@ class ElasticOpenSession:
             if stop_on_finish and delta:
                 break
         return None if time is None else (time, finished)
-
-    def advance_before(self, time):
-        self.advance(time)
 
     def _launch(self):
         time = max(self._now, self._waiting[0][0])

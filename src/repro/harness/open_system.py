@@ -183,7 +183,7 @@ class OpenSystemExperiment:
                        key=lambda i: (arrivals[i].time, i))
         for i in order:
             arrival = arrivals[i]
-            session.advance_before(arrival.time)
+            session.advance(arrival.time)
             self._drain_attributed(session, pending, records, ledger)
             session.submit(i, arrival, arrival.time)
             ledger.submit(i, arrival.name, arrival.tenant, 0, arrival.time,
@@ -253,7 +253,7 @@ class OpenSystemExperiment:
             last_time = arrival.time
             # advance strictly before the arrival (the arrival-first tie
             # rule of run_open), then absorb whatever finished
-            session.advance_before(arrival.time)
+            session.advance(arrival.time)
             self._harvest_into(session, pending, sink, ledger)
             session.submit(position, arrival, arrival.time)
             if ledger is not None:

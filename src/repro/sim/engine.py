@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
+from heapq import heappop, heappush
+from math import isnan
 
 from repro.errors import SimulationError
 
@@ -39,19 +39,20 @@ class EventQueue:
         self.now = 0.0
 
     def push(self, time, payload, tier=1):
-        if math.isnan(time):
+        if isnan(time):
             raise SimulationError("event scheduled at NaN time")
         if time < self.now - 1e-12:
             raise SimulationError(
                 "event scheduled in the past ({} < {})".format(time, self.now))
-        heapq.heappush(self._heap, (time, tier, next(self._counter), payload))
+        heappush(self._heap, (time, tier, next(self._counter), payload))
 
     def pop(self):
         """Advance to and return the next event as ``(time, payload)``."""
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        time, _tier, _seq, payload = heapq.heappop(self._heap)
-        self.now = max(self.now, time)
+        time, _tier, _seq, payload = heappop(self._heap)
+        if time > self.now:
+            self.now = time
         return time, payload
 
     def peek_time(self):

@@ -190,7 +190,6 @@ class DeviceFleet:
 #     -> (time, finished_delta) | None    after the first finishing event;
 #                                         the last event's time and the
 #                                         requests finished, None if idle
-#   advance_before(time)                  step() every event before time
 #   queued() -> [QueuedRequest]           withdrawable (not-yet-started)
 #   withdraw(key) -> float                remove a queued request, return
 #                                         its old effective arrival time

@@ -55,10 +55,8 @@ mid-chunk; every admitted request finishes or the run raises.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from contextlib import contextmanager
-from heapq import heappop, heappush
 
 from repro.errors import SimulationError
 from repro.sim.contention import BandwidthTracker
@@ -403,70 +401,20 @@ class GPUSimulator:
     def open_step(self):
         """Process exactly one event; returns its simulation time.
 
-        An accelOS chunk completion that draws the slot's next chunk is
-        nearly every event of a stream, so it is handled in this one
-        frame: the pop, the chunk draw, the bandwidth stretch and the
-        push are :meth:`EventQueue.pop`, :meth:`_draw_chunk`,
-        :meth:`BandwidthTracker.stretch_resident` and
-        :meth:`EventQueue.push` inlined, with the same arithmetic and the
-        same checks.  Arrivals, retires, shrinks and hardware events go
-        through their helpers.
+        An accelOS chunk completion is nearly every event of a stream, so
+        it skips the generic dispatch and goes straight to
+        :meth:`_draw_chunk`.
         """
-        # the queue's own heap and counter (same package): a pop and a
-        # push here are EventQueue.pop and EventQueue.push, checks included
-        events = self.events
-        heap = events._heap
-        if not heap:
-            raise SimulationError("pop from empty event queue")
-        time, _tier, _seq, payload = heappop(heap)
-        now = events.now
-        if time > now:
-            now = events.now = time
+        time, payload = self.events.pop()
         self.events_processed += 1
         if self._open_mode == ExecutionMode.HARDWARE:
             self._process_hw_event(payload)
-            return time
-        if payload is None or payload[0] != "chunk":
+        elif payload is None or payload[0] != "chunk":
             self._process_software_event(payload, self._software_mode)
-            return time
-        _, run, cu, slot_index, done = payload
-        run.completed += done
-        base = run.next_vgroup
-        total = run.total
-        if base >= total or run.shrink_slots > 0:
-            # the slot retires (queue drained, or a pending shrink)
+        else:
+            _, run, cu, slot_index, done = payload
+            run.completed += done
             self._draw_chunk(run, cu, ExecutionMode.ACCELOS, slot_index)
-            return time
-        end = base + run.chunk_size
-        if end > total:
-            end = total
-        run.next_vgroup = end
-        sums = run.chunk_sums
-        if sums is None:
-            work = float(run.costs[base:end].sum())
-        else:
-            work = sums.get((base, end))
-            if work is None:
-                work = float(run.costs[base:end].sum())
-                sums[(base, end)] = work
-        rate = run.slot_rate[slot_index]
-        bandwidth = self.bandwidth
-        demand = bandwidth.demand
-        capacity = bandwidth.capacity
-        resident = bandwidth.resident
-        if demand <= capacity or resident == 0 \
-                or rate <= capacity / resident:
-            stretch = 1.0
-        else:
-            stretch = demand / capacity
-        at = now + (work * run.slot_occ[slot_index] * stretch + run.overhead)
-        if math.isnan(at):
-            raise SimulationError("event scheduled at NaN time")
-        if at < now - 1e-12:
-            raise SimulationError(
-                "event scheduled in the past ({} < {})".format(at, now))
-        heappush(heap, (at, 1, next(events._counter),
-                        ("chunk", run, cu, slot_index, end - base)))
         return time
 
     def open_advance(self, limit=None, inclusive=False, stop_on_finish=False):
@@ -496,17 +444,11 @@ class GPUSimulator:
         """Process every event strictly before ``time`` (the causality
         boundary of an arrival: a device may not run ahead of a request
         that could still be submitted to it)."""
-        heap = self.events._heap
-        step = self.open_step
-        while heap and heap[0][0] < time:
-            step()
+        self.open_advance(time)
 
     def open_drain(self):
         """Process all remaining events (no further submissions)."""
-        heap = self.events._heap
-        step = self.open_step
-        while heap:
-            step()
+        self.open_advance()
 
     def open_trace(self):
         """The finished run's :class:`ExecutionTrace` (raises if any
@@ -1119,7 +1061,9 @@ class GPUSimulator:
                 run.shrink_slots -= 1
                 self._retire_slot(run, cu, slot_index)
                 return
-            end = min(base + run.chunk_size, run.total)
+            end = base + run.chunk_size
+            if end > run.total:
+                end = run.total
             run.next_vgroup = end
             sums = run.chunk_sums
             if sums is None:

@@ -251,6 +251,32 @@ def test_mid_grid_failure_keeps_completed_cells_and_reports_progress(
     assert len(resumed) == spec.cell_count()
 
 
+def test_failure_on_a_resumed_grid_notes_the_cells_reused(
+        tmp_path, monkeypatch):
+    """Cells cached by an earlier run are cache hits, not stores: the
+    note of a resumed run that fails again counts them as reused."""
+    spec = ExperimentSpec(**EXACT_SPEC)  # 2 cells
+    failing = _grid_cells(spec)[1]
+    store = ResultCache(tmp_path / "cache")
+    original = driver_mod._SpecRunner.run_cell
+
+    def fails_on_the_second_cell(self, cell):
+        if cell == failing:
+            raise RuntimeError("device fell off the bus")
+        return original(self, cell)
+
+    monkeypatch.setattr(driver_mod._SpecRunner, "run_cell",
+                        fails_on_the_second_cell)
+    with pytest.raises(RuntimeError):
+        run(spec, cache_dir=store)
+    with pytest.raises(RuntimeError) as excinfo:
+        run(spec, cache_dir=store)
+    notes = "\n".join(getattr(excinfo.value, "__notes__", []))
+    assert "after 1/2 cells merged in grid order" in notes
+    assert "reused 1 cached cells and stored 0 more" in notes
+    assert (store.hits, store.stores) == (1, 1)
+
+
 def test_failure_without_cache_still_notes_progress(monkeypatch):
     spec = ExperimentSpec(**EXACT_SPEC)
 
@@ -295,7 +321,7 @@ def test_parallel_failure_note_counts_cells_stored_beyond_the_merge(
         run(spec, workers=2, cache_dir=store)
     notes = "\n".join(getattr(excinfo.value, "__notes__", []))
     assert "after 1/4 cells merged in grid order" in notes
-    assert "3 cells were stored in the cache" in notes
+    assert "reused 0 cached cells and stored 3 more" in notes
     assert store.stores == 3 and len(store) == 3
 
 
