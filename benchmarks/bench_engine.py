@@ -1,11 +1,13 @@
 """Event-engine fast-path regression bench: speedup with zero drift.
 
-PR 10 rebuilt the open-system event loop around incremental admission
-accounting, an allocation memo over the active requirement multiset,
-and indexed pending-slot bookkeeping (see ``docs/PERFORMANCE.md``).
-Every optimisation is switchable: ``repro.sim.reference_path()`` runs
-the original reference scans.  This bench pins two claims about that
-fast path on a **10^5-request** bursty multi-tenant stream:
+The open-system event loop runs on incremental admission accounting,
+an allocation memo over the active requirement multiset, and indexed
+pending-slot bookkeeping (see ``docs/PERFORMANCE.md``).  The original
+reference scans and the literal §3 allocator live on as a test-side
+oracle: ``tests.oracles.reference_engine()`` swaps them into the scheme
+layer.  This bench pins two claims about the engine (the fast path)
+against that oracle (the reference path) on a **10^5-request** bursty
+multi-tenant stream:
 
 * **zero behavioural drift** — the fast and reference paths produce
   *byte-identical* results (``repr(vars(result))`` equality, covering
@@ -39,12 +41,16 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if __package__ in (None, ""):  # CLI invocation: make src/ importable
     sys.path.insert(0, str(REPO_ROOT / "src"))
+if str(REPO_ROOT) not in sys.path:  # the tests.oracles package
+    sys.path.insert(0, str(REPO_ROOT))
 
 from repro.cl import derated_device, nvidia_k20m
 from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
                            format_table)
-from repro.sim import DeviceFleet, reference_path
+from repro.sim import DeviceFleet
 from repro.workloads import calibrated_model
+
+from tests.oracles import reference_engine
 
 FULL_COUNT = 100_000
 SMOKE_COUNT = 20_000
@@ -134,7 +140,7 @@ def ab_leg(label, runner, count, seed=SEED):
     """
     _warm_up()
     fast_result, fast_events, fast_wall = runner(count, seed)
-    with reference_path():
+    with reference_engine():
         ref_result, ref_events, ref_wall = runner(count, seed)
     identical = repr(vars(fast_result)) == repr(vars(ref_result))
     if fast_events != ref_events:

@@ -20,6 +20,8 @@ kernel executions until resource saturation").
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import SchedulingError
 
 
@@ -77,27 +79,26 @@ class Allocation:
             self.requirements.name, self.groups)
 
 
-def _fits(allocations, device, extra=None):
-    """Would the allocation set (plus ``extra`` as (req, +groups)) fit?"""
-    threads = sum(a.threads for a in allocations)
-    lmem = sum(a.local_mem for a in allocations)
-    regs = sum(a.registers for a in allocations)
-    if extra is not None:
-        req, delta = extra
-        threads += delta * req.wg_threads
-        lmem += delta * req.local_mem_bytes
-        regs += delta * req.registers_per_group
-    return (threads <= device.max_threads
-            and lmem <= device.total_local_mem
-            and regs <= device.total_registers)
-
-
 def compute_allocations(requirements, device, saturate=True, share_ratio=None):
     """Run the §3 algorithm; returns a list of :class:`Allocation`.
 
     ``share_ratio`` optionally weights kernels (§2.2: "This can easily be
     achieved by changing the sharing ratio"); ``None`` means equal sharing,
-    otherwise it is a list of positive weights, one per kernel.
+    otherwise it is a list of finite positive weights, one per kernel.
+
+    Three phases: per-kernel base shares (each weight's fraction of the
+    thread, local-memory and register budgets, clamped to ``[1,
+    total_groups]``); a shrink loop for mixes the clamp oversubscribes,
+    which takes one group at a time from the largest thread footprint
+    (ties to the smallest name); and, with ``saturate``, greedy growth one
+    group at a time to the kernel with the smallest weight-normalised
+    thread share ``(threads / weight, name)`` that still fits.  Running
+    thread/local-memory/register totals make each candidate check O(1).
+    Both tie rules go through the name, so the result does not depend on
+    the order of the requirements (for equal weights, and as long as equal
+    names mean equal requirements) — :class:`AllocationMemo` relies on
+    that.  tests/oracles/sharing.py holds the literal re-summing version
+    this must match.
     """
     if not requirements:
         return []
@@ -105,106 +106,19 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
     if share_ratio is None:
         weights = [1.0] * k
     else:
-        if len(share_ratio) != k or any(w <= 0 for w in share_ratio):
-            raise SchedulingError("share_ratio must list a positive weight "
-                                  "per kernel")
+        if len(share_ratio) != k or not all(
+                math.isfinite(w) and w > 0 for w in share_ratio):
+            raise SchedulingError("share_ratio must list a finite positive "
+                                  "weight per kernel")
         weights = [w * k / sum(share_ratio) for w in share_ratio]
-
-    allocations = []
-    for req, weight in zip(requirements, weights):
-        share = weight / k
-        x = int(device.max_threads * share // req.wg_threads)
-        if req.local_mem_bytes > 0:
-            y = int(device.total_local_mem * share // req.local_mem_bytes)
-        else:
-            y = req.total_groups
-        if req.registers_per_group > 0:
-            z = int(device.total_registers * share // req.registers_per_group)
-        else:
-            z = req.total_groups
-        groups = min(x, y, z, req.total_groups)
-        allocations.append(Allocation(req, max(1, groups)))
-
-    # The clamp to >= 1 group can oversubscribe pathological mixes; shrink
-    # the largest allocations until everything fits (never below 1).
-    guard = 0
-    while not _fits(allocations, device):
-        candidates = [a for a in allocations if a.groups > 1]
-        if not candidates:
-            # K kernels of 1 group each genuinely exceed the device: the
-            # scheduler should not have activated this many concurrently.
-            raise SchedulingError(
-                "cannot fit {} concurrent kernels on {}".format(
-                    k, device.name))
-        largest = max(candidates, key=lambda a: a.threads)
-        largest.groups -= 1
-        guard += 1
-        if guard > 10_000_000:
-            raise SchedulingError("allocation shrink loop did not converge")
-
-    if saturate:
-        _greedy_saturation(allocations, device, weights)
-    return allocations
-
-
-def _greedy_saturation(allocations, device, weights=None):
-    """Hand out remaining resources one work group at a time.
-
-    Each round picks the kernel with the smallest current *weight-normalised*
-    thread share (``threads / weight``) that can still grow (has ungranted
-    original groups and fits), keeping the shares as close to the requested
-    ratio as the integer granularity allows.  Growing by raw thread footprint
-    would erode any §2.2 ``share_ratio`` weighting the base allocation just
-    established.
-    """
-    if weights is None:
-        weights = [1.0] * len(allocations)
-    weight_of = {id(a): w for a, w in zip(allocations, weights)}
-    while True:
-        growable = [
-            a for a in allocations
-            if a.groups < a.requirements.total_groups
-            and _fits(allocations, device, extra=(a.requirements, 1))
-        ]
-        if not growable:
-            return
-        # id() below only keys the identity weight map built above; the
-        # *order* comes from the weight-normalised ratio, ties from the
-        # deterministic requirements.name
-        smallest = min(growable,  # lint: ignore[D104] -- identity-map key
-                       key=lambda a: (a.threads / weight_of[id(a)],
-                                      a.requirements.name))
-        smallest.groups += 1
-
-
-def _compute_allocations_incremental(requirements, device, saturate):
-    """Equal-weight :func:`compute_allocations` with incremental totals.
-
-    The §3 algorithm re-sums every allocation's footprint for each shrink
-    candidate and each greedy-growth candidate (``_fits`` is O(K), making
-    saturation O(K^2) per granted group).  This implementation keeps
-    running thread/local-mem/register totals and checks candidates in
-    O(1), while reproducing the reference selection rules *exactly*: the
-    same base-share arithmetic, the same first-max shrink victim (strict
-    ``>`` keeps the earliest), and the same ``(threads, name)`` greedy
-    minimum — all-integer comparisons that equal the reference's
-    ``threads / 1.0`` float keys exactly.  It exists for the hot
-    open-system re-plan path (:class:`AllocationMemo` misses); the
-    reference path and every ``share_ratio`` caller still run
-    :func:`compute_allocations`.  Equality is pinned per-call by
-    tests/test_engine_fastpath.py across random mixes.
-    """
-    if not requirements:
-        return []
-    k = len(requirements)
     max_threads = device.max_threads
     total_lmem = device.total_local_mem
     total_regs = device.total_registers
 
     allocations = []
     threads = lmem = regs = 0
-    for req in requirements:
-        share = 1.0 / k
+    for req, weight in zip(requirements, weights):
+        share = weight / k
         x = int(max_threads * share // req.wg_threads)
         if req.local_mem_bytes > 0:
             y = int(total_lmem * share // req.local_mem_bytes)
@@ -221,18 +135,22 @@ def _compute_allocations_incremental(requirements, device, saturate):
         lmem += groups * req.local_mem_bytes
         regs += groups * rpg
 
-    guard = 0
+    # The clamp to >= 1 group can oversubscribe pathological mixes; shrink
+    # the largest allocations until everything fits (never below 1).
     while not (threads <= max_threads and lmem <= total_lmem
                and regs <= total_regs):
         largest = None
-        largest_threads = -1
+        largest_key = None
         for a in allocations:
             if a.groups > 1:
-                t = a.groups * a.requirements.wg_threads
-                if t > largest_threads:
+                key = (-a.groups * a.requirements.wg_threads,
+                       a.requirements.name)
+                if largest is None or key < largest_key:
                     largest = a
-                    largest_threads = t
+                    largest_key = key
         if largest is None:
+            # K kernels of 1 group each genuinely exceed the device: the
+            # scheduler should not have activated this many concurrently.
             raise SchedulingError(
                 "cannot fit {} concurrent kernels on {}".format(
                     k, device.name))
@@ -241,33 +159,29 @@ def _compute_allocations_incremental(requirements, device, saturate):
         threads -= req.wg_threads
         lmem -= req.local_mem_bytes
         regs -= req.registers_per_group
-        guard += 1
-        if guard > 10_000_000:
-            raise SchedulingError("allocation shrink loop did not converge")
 
-    if saturate:
-        while True:
-            smallest = None
-            smallest_key = None
-            for a in allocations:
-                req = a.requirements
-                if a.groups >= req.total_groups:
-                    continue
-                if (threads + req.wg_threads > max_threads
-                        or lmem + req.local_mem_bytes > total_lmem
-                        or regs + req.registers_per_group > total_regs):
-                    continue
-                key = (a.groups * req.wg_threads, req.name)
-                if smallest is None or key < smallest_key:
-                    smallest = a
-                    smallest_key = key
-            if smallest is None:
-                break
-            req = smallest.requirements
-            smallest.groups += 1
-            threads += req.wg_threads
-            lmem += req.local_mem_bytes
-            regs += req.registers_per_group
+    while saturate:
+        smallest = None
+        smallest_key = None
+        for a, weight in zip(allocations, weights):
+            req = a.requirements
+            if a.groups >= req.total_groups:
+                continue
+            if (threads + req.wg_threads > max_threads
+                    or lmem + req.local_mem_bytes > total_lmem
+                    or regs + req.registers_per_group > total_regs):
+                continue
+            key = (a.groups * req.wg_threads / weight, req.name)
+            if smallest is None or key < smallest_key:
+                smallest = a
+                smallest_key = key
+        if smallest is None:
+            break
+        req = smallest.requirements
+        smallest.groups += 1
+        threads += req.wg_threads
+        lmem += req.local_mem_bytes
+        regs += req.registers_per_group
     return allocations
 
 
@@ -289,15 +203,15 @@ class AllocationMemo:
     completion, but a stream drawn from a small kernel corpus cycles
     through a small set of active multisets — so the re-plan is usually a
     repeat.  The memo keys on the canonical (sorted) multiset of
-    requirement keys: a lookup stable-sorts the requirements, computes (or
-    recalls) the allocation for the sorted set, and maps the group counts
-    back to the caller's order.
+    requirement keys: a lookup stable-sorts the requirements, recalls the
+    group counts of the sorted set (a miss runs
+    :func:`compute_allocations` on it), and maps them back to the
+    caller's order.
 
     Replay safety rests on the algorithm being *permutation-equivariant*
-    for equal weights: the base shares are per-kernel, the shrink loop's
-    ``max`` and the greedy loop's ``min`` break ties through
-    ``requirements.name``, and requirements sharing a full key are
-    symmetric under a stable sort.  That is only guaranteed for equal
+    for equal weights: the base shares are per-kernel, the shrink loop and
+    the greedy loop both break ties through ``requirements.name``, and
+    requirements sharing a full key are symmetric under a stable sort.  That is only guaranteed for equal
     sharing — a ``share_ratio`` attaches position-dependent weights whose
     ties resolve by list order — so the memo deliberately has no
     ``share_ratio`` parameter; weighted plans must call
@@ -344,9 +258,9 @@ class AllocationMemo:
         if groups is None:
             self.misses += 1
             requirements = build_requirements()
-            allocations = _compute_allocations_incremental(
+            allocations = compute_allocations(
                 [requirements[i] for i in order], self.device,
-                self.saturate)
+                saturate=self.saturate)
             groups = tuple(a.groups for a in allocations)
             self._groups_by_set[cache_key] = groups
         else:

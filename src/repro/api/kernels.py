@@ -27,11 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelos.adaptive import SchedulingPolicy
-from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
-                                   compute_allocations)
+from repro.accelos.sharing import AllocationMemo, KernelRequirements
 from repro.accelos.transform import AccelOSTransform
 from repro.errors import SimulationError
-from repro.sim import GPUSimulator, fast_path_enabled
+from repro.sim import GPUSimulator
 from repro.workloads.parboil import (PROFILE_NAMES, compiled_module,
                                      profile_by_name)
 
@@ -156,28 +155,16 @@ def requirements_from_spec(spec):
         total_groups=spec.total_groups)
 
 
-def sharing_allocator(device, saturate=True, memo=None):
+def sharing_allocator(device, saturate=True):
     """An allocator callback for :meth:`GPUSimulator.run_open`.
 
     Wraps the §3 sharing algorithm: given the specs of the currently-active
-    kernels, returns their physical-group targets.
-
-    ``memo=True`` routes repeats of an active multiset through an
-    order-insensitive :class:`~repro.accelos.sharing.AllocationMemo`
-    (bit-identical targets, see docs/PERFORMANCE.md); ``None`` follows the
-    engine fast-path default so :func:`repro.sim.gpu.reference_path` also
-    disables the memo for A/B baselines.  The memo object is exposed as
+    kernels, returns their physical-group targets.  Repeats of an active
+    multiset are answered by an order-insensitive
+    :class:`~repro.accelos.sharing.AllocationMemo` (the same targets as a
+    fresh computation, see docs/PERFORMANCE.md), exposed as
     ``allocate.memo`` for hit/miss instrumentation.
     """
-    use_memo = fast_path_enabled() if memo is None else bool(memo)
-    if not use_memo:
-        def allocate(specs):
-            requirements = [requirements_from_spec(s) for s in specs]
-            allocations = compute_allocations(requirements, device,
-                                              saturate=saturate)
-            return [a.groups for a in allocations]
-        return allocate
-
     memo_obj = AllocationMemo(device, saturate=saturate)
 
     def allocate(specs):

@@ -41,8 +41,7 @@ from repro.api.kernels import (base_spec, chunk_for_profile, detailed_spec,
 from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.errors import SimulationError
-from repro.sim import (ExecutionMode, GPUSimulator, QueuedRequest,
-                       fast_path_enabled)
+from repro.sim import ExecutionMode, GPUSimulator, QueuedRequest
 from repro.workloads.parboil import profile_by_name
 
 
@@ -498,17 +497,11 @@ class AccelOSScheme(SchedulingScheme):
                      saturate=True):
         # admission_spec is a pure function of the kernel name for a
         # fixed (device, policy, saturate) — everything but the arrival
-        # time.  The fast path memoises it per name so repeat requests
-        # skip the solo allocation + chunk derivation; the reference
-        # path rebuilds every spec, as the original code did.  Decided
-        # at session construction, like every other fast/ref gate.
-        spec_cache = {} if fast_path_enabled() else None
+        # time — so it is memoised per name: repeat requests skip the
+        # solo allocation + chunk derivation.
+        spec_cache = {}
 
         def build(arrival, time):
-            if spec_cache is None:
-                return self.admission_spec(arrival, device, policy=policy,
-                                           saturate=saturate) \
-                           .with_arrival(time)
             spec = spec_cache.get(arrival.name)
             if spec is None:
                 spec = self.admission_spec(arrival, device, policy=policy,

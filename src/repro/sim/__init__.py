@@ -22,8 +22,7 @@ overlap and throughput.
 
 from repro.sim.engine import EventQueue
 from repro.sim.spec import KernelExecSpec, ExecutionMode
-from repro.sim.gpu import (GPUSimulator, fast_path_enabled, reference_path,
-                           set_fast_path)
+from repro.sim.gpu import GPUSimulator
 from repro.sim.fleet import (DeviceFleet, DeviceStatus, FleetDevice,
                              FleetSimulator, FleetStatus, MigrationOrder,
                              PlacedRequest, QueuedRequest)
@@ -34,5 +33,4 @@ __all__ = [
     "DeviceFleet", "FleetDevice", "FleetSimulator", "FleetStatus",
     "DeviceStatus", "MigrationOrder", "PlacedRequest", "QueuedRequest",
     "ExecutionTrace", "KernelInterval",
-    "fast_path_enabled", "reference_path", "set_fast_path",
 ]

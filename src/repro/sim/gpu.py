@@ -56,7 +56,6 @@ mid-chunk; every admitted request finishes or the run raises.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 
 from repro.errors import SimulationError
 from repro.sim.contention import BandwidthTracker
@@ -73,45 +72,6 @@ _REFERENCE_CU_RATE = 384 * 706.0
 # windows (grid setup, channel switch).  This is why even two small kernels
 # that would fit together mostly serialise on the standard stack.
 KERNEL_HANDOFF_LATENCY = 90e-6
-
-
-# Engine fast path: incremental admission totals, the live-active run set,
-# per-run pending-slot counters and the chunk-cost caches.  The fast path is
-# bit-identical to the reference scans by construction (every structure is a
-# running copy of what the reference path recomputes per event) and is pinned
-# by the A/B suite (tests/test_engine_fastpath.py) and benchmarks/
-# bench_engine.py.  The module default exists so A/B harnesses can flip whole
-# stacks — sessions, fleets, allocators — without threading a flag through
-# every constructor.
-_FAST_PATH_DEFAULT = True
-
-
-def fast_path_enabled():
-    """The module-wide default for :class:`GPUSimulator` ``fast_path``."""
-    return _FAST_PATH_DEFAULT
-
-
-def set_fast_path(enabled):
-    """Set the fast-path default; returns the previous value."""
-    global _FAST_PATH_DEFAULT
-    previous = _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reference_path():
-    """Run the enclosed block on the unoptimised reference engine path.
-
-    Simulators and allocators *created inside* the block use the original
-    per-event scans (and no allocation memo) — the A/B baseline for
-    tests/test_engine_fastpath.py and benchmarks/bench_engine.py.
-    """
-    previous = set_fast_path(False)
-    try:
-        yield
-    finally:
-        set_fast_path(previous)
 
 
 def device_cost_scale(device):
@@ -140,7 +100,7 @@ class _KernelRun:
                  chunk_sums=None):
         self.index = index
         self.spec = spec
-        # ``costs``/``chunk_sums`` let the open-system fast path share one
+        # ``costs``/``chunk_sums`` let open-system submits share one
         # scaled cost array (and its chunk-sum memo) across every run of
         # the same profile; both default to per-run state.
         self.costs = spec.wg_costs * cost_scale if costs is None else costs
@@ -169,19 +129,18 @@ class _KernelRun:
         self.active = False            # has the request arrived yet?
         self.shrink_slots = 0          # live slots to retire at chunk bounds
         self.withdrawn = False         # migrated away before starting
-        # running copies of the _pending_slots scans (kept exact in both
-        # engine paths; only the fast path reads them)
+        # per-run view of _pending_slots, kept instead of scanning it
         self.pending_slots = 0         # live queued-slot entries of this run
         self.pending_drop = 0          # queued entries tombstoned by a shrink
         # per-WG residency footprint, computed once (registers_per_group is
-        # a derived property) — read by the fast-path placement loops
+        # a derived property) — read by the placement loops
         self.footprint = (spec.wg_threads, spec.registers_per_group,
                           spec.local_mem_per_wg)
-        # chunk-draw constants, hoisted for the fast path's dequeue loop
+        # chunk-draw constants, hoisted for the dequeue loop
         self.chunk_size = spec.chunk
         self.overhead = spec.sched_overhead
-        # occupancy_factor(k) per co-residency k, filled by the fast path
-        # (the factor depends only on k for a fixed spec)
+        # occupancy_factor(k) per co-residency k, filled on slot
+        # activation (the factor depends only on k for a fixed spec)
         self.occ_cache = {}
 
     @property
@@ -224,17 +183,10 @@ class GPUSimulator:
     set on every arrival and completion.
     """
 
-    def __init__(self, device, hardware_scheduler=None, rebalance=False,
-                 fast_path=None):
+    def __init__(self, device, hardware_scheduler=None, rebalance=False):
         self.device = device
         self.hardware_scheduler = hardware_scheduler or scheduler_for(device)
         self.rebalance = rebalance
-        # ``fast_path`` switches the per-event decision procedures between
-        # the incremental structures and the original reference scans (same
-        # decisions either way — see module docstring); None follows the
-        # module default so A/B harnesses can flip whole stacks at once.
-        self.fast_path = (fast_path_enabled() if fast_path is None
-                          else bool(fast_path))
         self._open = False
         self._allocator = None
 
@@ -350,7 +302,7 @@ class GPUSimulator:
         first = self._live_submissions == 0
         self._live_submissions += 1
         run_index = index if index is not None else len(self.runs)
-        if self.fast_path and jitter == 1.0:
+        if jitter == 1.0:
             # Streams re-submit the same profile (one shared wg_costs array
             # per kernel) thousands of times; scale it once per simulator
             # and share the scaled array — and its chunk-sum memo — across
@@ -551,12 +503,10 @@ class GPUSimulator:
         self._cost_scale = scale
         self.finished_requests = 0
         # events popped off the queue — the denominator of events/sec in
-        # benchmarks/bench_engine.py (identical across engine paths: the
-        # fast path changes per-event cost, never the event sequence)
+        # benchmarks/bench_engine.py
         self.events_processed = 0
-        # fast-path running state; maintained exactly in both paths, read
-        # only when self.fast_path (so the reference path stays the
-        # original per-event scans)
+        # running state the per-event decisions read instead of scanning
+        # self.runs and _pending_slots
         self._adm_threads = 0          # admission footprint of active,
         self._adm_lmem = 0             # unfinished software runs
         self._adm_regs = 0
@@ -746,23 +696,14 @@ class GPUSimulator:
         return admitted
 
     def _admission_fits(self, candidate):
+        # running int totals of the admitted, unfinished footprint
+        # (updated on admit and finish)
         spec = candidate.spec
-        if self.fast_path:
-            # the running totals are exact int copies of the sums below
-            # (updated on admit and finish), so the comparison is identical
-            return (self._adm_threads + spec.wg_threads
-                    <= self.device.max_threads
-                    and (self._adm_lmem + spec.local_mem_per_wg
-                         <= self.device.total_local_mem)
-                    and (self._adm_regs + spec.registers_per_group
-                         <= self.device.total_registers))
-        specs = [run.spec for run in self.runs
-                 if run.active and run.finish_time is None]
-        specs.append(spec)
-        return (sum(s.wg_threads for s in specs) <= self.device.max_threads
-                and (sum(s.local_mem_per_wg for s in specs)
+        return (self._adm_threads + spec.wg_threads
+                <= self.device.max_threads
+                and (self._adm_lmem + spec.local_mem_per_wg
                      <= self.device.total_local_mem)
-                and (sum(s.registers_per_group for s in specs)
+                and (self._adm_regs + spec.registers_per_group
                      <= self.device.total_registers))
 
     def _check_software_drained(self):
@@ -827,15 +768,9 @@ class GPUSimulator:
         shrinking lazily at chunk boundaries, since resident work groups
         are never preempted mid-chunk.
         """
-        if self.fast_path:
-            # the live-active set is the admission-ordered running copy of
-            # the filter below (finished runs left at finish time, and
-            # finished implies mode_done for accelOS runs)
-            active = [run for run in self._live_active
-                      if not run.mode_done()]
-        else:
-            active = [run for run in self.runs
-                      if run.active and not run.mode_done()]
+        # the live-active set holds the admitted runs in admission order,
+        # which is self.runs order (finished runs leave it at finish time)
+        active = [run for run in self._live_active if not run.mode_done()]
         if not active:
             return
         targets = self._allocator([run.spec for run in active])
@@ -843,14 +778,10 @@ class GPUSimulator:
             raise SimulationError(
                 "allocator returned {} targets for {} active kernels".format(
                     len(targets), len(active)))
-        fast = self.fast_path
         for run, target in zip(active, targets):
             remaining = run.total - run.next_vgroup
             target = max(1, min(int(target), remaining))
-            if fast:
-                pending = run.pending_slots
-            else:
-                pending = sum(1 for r, _ in self._pending_slots if r is run)
+            pending = run.pending_slots
             effective = run.live_slots - run.shrink_slots + pending
             if target > effective:
                 self._grow_run(run, target - effective)
@@ -887,30 +818,14 @@ class GPUSimulator:
     def _shrink_run(self, run, count, pending):
         # drop queued (never-placed) slots first: they hold no resources
         if pending:
-            if self.fast_path:
-                # Tombstone instead of rebuilding the deque: the run's
-                # earliest queued entries are discarded when they are next
-                # popped — the same entries the rebuild below removes
-                # eagerly, since both take them in FIFO order.
-                dropped = min(count, run.pending_slots)
-                run.pending_slots -= dropped
-                run.pending_drop += dropped
-                count -= dropped
-                if dropped:
-                    self._pending_dec(run, dropped)
-            else:
-                dropped = 0
-                kept = deque()
-                while self._pending_slots:
-                    entry = self._pending_slots.popleft()
-                    if entry[0] is run and dropped < count:
-                        dropped += 1
-                        run.pending_slots -= 1
-                        self._pending_dec(run)
-                    else:
-                        kept.append(entry)
-                self._pending_slots = kept
-                count -= dropped
+            # Tombstone instead of rebuilding the deque: the run's earliest
+            # queued entries are discarded when they are next popped.
+            dropped = min(count, run.pending_slots)
+            run.pending_slots -= dropped
+            run.pending_drop += dropped
+            count -= dropped
+            if dropped:
+                self._pending_dec(run, dropped)
         # retire the rest at chunk boundaries; never shrink the last live
         # slot while the virtual-group queue is undrained
         run.shrink_slots = min(run.shrink_slots + count,
@@ -920,60 +835,44 @@ class GPUSimulator:
 
     def _activate_slot(self, run, slot_index, cu):
         k = run.cu_resident[cu.index]
-        if self.fast_path:
-            # occupancy_factor(k) is a pure function of k for a fixed
-            # spec; memoise it per run (k is bounded by k_max)
-            occ = run.occ_cache.get(k)
-            if occ is None:
-                occ = run.occupancy_factor(k)
-                run.occ_cache[k] = occ
-        else:
+        # occupancy_factor(k) is a pure function of k for a fixed spec;
+        # memoise it per run (k is bounded by k_max)
+        occ = run.occ_cache.get(k)
+        if occ is None:
             occ = run.occupancy_factor(k)
+            run.occ_cache[k] = occ
         rate = run.spec.mem_rate_per_wg / occ
         run.slot_occ[slot_index] = occ
         run.slot_rate[slot_index] = rate
         self.bandwidth.add_rate(rate)
 
     def _try_place_slot(self, run, slot_index, mode):
-        if self.fast_path:
-            # fused scan-and-admit: same selection as _freest_cu (max
-            # threads_free among fitting CUs, earliest index on ties),
-            # with the footprint read once from the run and the admit-time
-            # fits() recheck dropped — the scan just proved the fit
-            threads, regs, lmem = run.footprint
-            cu = None
-            best_free = -1
-            for cand in self.cus:
-                free = cand.threads_free
-                if (free > best_free and free >= threads
-                        and cand.slots_free >= 1
-                        and cand.registers_free >= regs
-                        and cand.local_mem_free >= lmem):
-                    cu = cand
-                    best_free = free
-            if cu is None:
-                return False
-            cu.threads_free = best_free - threads
-            cu.registers_free -= regs
-            cu.local_mem_free -= lmem
-            cu.slots_free -= 1
-            run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
-            run.resident += 1
-            run.live_slots += 1
-            if run.start_time is None:   # inlined mark_start
-                run.start_time = self.events.now
-            self._activate_slot(run, slot_index, cu)
-            self._draw_chunk(run, cu, mode, slot_index)
-            return True
-        else:
-            cu = self._freest_cu(run.spec)
-            if cu is None:
-                return False
-            cu.admit(run.spec)
+        # fused scan-and-admit: same selection as _freest_cu (max
+        # threads_free among fitting CUs, earliest index on ties), with
+        # the footprint read once from the run and the admit-time fits()
+        # recheck dropped — the scan just proved the fit
+        threads, regs, lmem = run.footprint
+        cu = None
+        best_free = -1
+        for cand in self.cus:
+            free = cand.threads_free
+            if (free > best_free and free >= threads
+                    and cand.slots_free >= 1
+                    and cand.registers_free >= regs
+                    and cand.local_mem_free >= lmem):
+                cu = cand
+                best_free = free
+        if cu is None:
+            return False
+        cu.threads_free = best_free - threads
+        cu.registers_free -= regs
+        cu.local_mem_free -= lmem
+        cu.slots_free -= 1
         run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
         run.resident += 1
         run.live_slots += 1
-        run.mark_start(self.events.now)
+        if run.start_time is None:   # inlined mark_start
+            run.start_time = self.events.now
         self._activate_slot(run, slot_index, cu)
         self._draw_chunk(run, cu, mode, slot_index)
         return True
@@ -989,12 +888,10 @@ class GPUSimulator:
         # known-failing attempts: placement order and outcomes are
         # unchanged.
         unplaceable = set()
-        fast = self.fast_path
         while self._pending_slots:
             run, slot_index = self._pending_slots.popleft()
             if run.pending_drop:
-                # tombstoned by a fast-path shrink: the reference path
-                # removed this entry from the deque eagerly
+                # tombstoned by a shrink
                 run.pending_drop -= 1
                 continue
             if run.mode_done():
@@ -1008,7 +905,7 @@ class GPUSimulator:
             if not self._try_place_slot(run, slot_index, self._software_mode):
                 unplaceable.add(footprint)
                 still_pending.append((run, slot_index))
-                if fast and len(unplaceable) == len(self._pending_footprints):
+                if len(unplaceable) == len(self._pending_footprints):
                     # every live queued footprint is known-unplaceable:
                     # the rest of this pass could only skip or re-append
                     # entries unchanged, so keep them in place (tombstones
@@ -1022,30 +919,22 @@ class GPUSimulator:
         self._pending_slots = still_pending
 
     def _freest_cu(self, spec):
-        if self.fast_path:
-            # same selection as below — max threads_free among fitting
-            # CUs, earliest index on ties — with the spec's footprint
-            # hoisted and the fits() predicate inlined (it runs per CU
-            # per placement attempt, millions of times per stream)
-            threads = spec.wg_threads
-            regs = spec.registers_per_group
-            lmem = spec.local_mem_per_wg
-            best = None
-            best_free = -1
-            for cu in self.cus:
-                free = cu.threads_free
-                if (free > best_free and free >= threads
-                        and cu.slots_free >= 1
-                        and cu.registers_free >= regs
-                        and cu.local_mem_free >= lmem):
-                    best = cu
-                    best_free = free
-            return best
+        # max threads_free among CUs that fit the spec, earliest index on
+        # ties — with the spec's footprint hoisted and CUState.fits
+        # inlined (it runs per CU per placement attempt)
+        threads = spec.wg_threads
+        regs = spec.registers_per_group
+        lmem = spec.local_mem_per_wg
         best = None
+        best_free = -1
         for cu in self.cus:
-            if cu.fits(spec):
-                if best is None or cu.threads_free > best.threads_free:
-                    best = cu
+            free = cu.threads_free
+            if (free > best_free and free >= threads
+                    and cu.slots_free >= 1
+                    and cu.registers_free >= regs
+                    and cu.local_mem_free >= lmem):
+                best = cu
+                best_free = free
         return best
 
     def _draw_chunk(self, run, cu, mode, slot_index):
@@ -1094,15 +983,12 @@ class GPUSimulator:
         self.events.push(now + cost, ("chunk", run, cu, slot_index, done))
 
     def _retire_slot(self, run, cu, slot_index):
-        if self.fast_path:
-            # inlined cu.release(run.spec) via the cached footprint
-            threads, regs, lmem = run.footprint
-            cu.threads_free += threads
-            cu.registers_free += regs
-            cu.local_mem_free += lmem
-            cu.slots_free += 1
-        else:
-            cu.release(run.spec)
+        # inlined cu.release(run.spec) via the cached footprint
+        threads, regs, lmem = run.footprint
+        cu.threads_free += threads
+        cu.registers_free += regs
+        cu.local_mem_free += lmem
+        cu.slots_free += 1
         self.bandwidth.remove_rate(run.slot_rate[slot_index])
         run.cu_resident[cu.index] -= 1
         run.resident -= 1
@@ -1153,7 +1039,4 @@ class GPUSimulator:
         self._try_place_slot(starved, slot_index, self._software_mode)
 
     def _has_pending_work(self, run):
-        if self.fast_path:
-            return run.pending_slots > 0 and not run.mode_done()
-        return any(pending_run is run and not pending_run.mode_done()
-                   for pending_run, _ in self._pending_slots)
+        return run.pending_slots > 0 and not run.mode_done()

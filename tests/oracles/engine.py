@@ -1,0 +1,217 @@
+"""The reference open-system engine: the A/B oracle for ``GPUSimulator``.
+
+:class:`ReferenceGPUSimulator` overrides each per-event decision
+procedure of :class:`repro.sim.gpu.GPUSimulator` with the original scan
+that the engine's incremental structures replaced: admission re-sums
+the footprint of every admitted run, a re-allocation filters the whole
+run list and counts queued slots by scanning the pending deque, a shrink
+rebuilds that deque, placement goes through ``CUState.fits``/``admit``/
+``release``, and a pending-slot pass never stops early.  The engine's
+running state (admission totals, the live-active set, per-run pending
+counters, the footprint index) is still maintained by the inherited
+code, but nothing here reads it.  It also keeps no scaled-cost cache, so
+every run scales its own cost array and sums every chunk afresh.
+
+:func:`reference_engine` swaps this simulator and the memo-less literal
+§3 allocator (:mod:`tests.oracles.sharing`) into the scheme layer, so
+every session, fleet and spec run built inside the block runs on the
+oracle.  Both paths must produce bit-identical results on every stream.
+"""
+
+from collections import deque
+from contextlib import contextmanager
+
+import repro.api.kernels as kernels
+import repro.api.schemes as schemes
+from repro.api.kernels import requirements_from_spec
+from repro.errors import SimulationError
+from repro.sim.gpu import GPUSimulator
+from repro.sim.spec import ExecutionMode
+
+from tests.oracles.sharing import reference_allocations
+
+
+class _NoCache(dict):
+    """A cache that never holds an entry."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class ReferenceGPUSimulator(GPUSimulator):
+    """:class:`GPUSimulator` with the original per-event reference scans."""
+
+    def _setup(self, specs, cost_jitter):
+        super()._setup(specs, cost_jitter)
+        self._costs_cache = _NoCache()
+
+    def _admission_fits(self, candidate):
+        spec = candidate.spec
+        specs = [run.spec for run in self.runs
+                 if run.active and run.finish_time is None]
+        specs.append(spec)
+        return (sum(s.wg_threads for s in specs) <= self.device.max_threads
+                and (sum(s.local_mem_per_wg for s in specs)
+                     <= self.device.total_local_mem)
+                and (sum(s.registers_per_group for s in specs)
+                     <= self.device.total_registers))
+
+    def _reallocate(self):
+        active = [run for run in self.runs
+                  if run.active and not run.mode_done()]
+        if not active:
+            return
+        targets = self._allocator([run.spec for run in active])
+        if len(targets) != len(active):
+            raise SimulationError(
+                "allocator returned {} targets for {} active kernels".format(
+                    len(targets), len(active)))
+        for run, target in zip(active, targets):
+            remaining = run.total - run.next_vgroup
+            target = max(1, min(int(target), remaining))
+            pending = sum(1 for r, _ in self._pending_slots if r is run)
+            effective = run.live_slots - run.shrink_slots + pending
+            if target > effective:
+                self._grow_run(run, target - effective)
+            elif target < effective:
+                self._shrink_run(run, effective - target, pending)
+
+    def _shrink_run(self, run, count, pending):
+        # drop queued (never-placed) slots first: they hold no resources
+        if pending:
+            dropped = 0
+            kept = deque()
+            while self._pending_slots:
+                entry = self._pending_slots.popleft()
+                if entry[0] is run and dropped < count:
+                    dropped += 1
+                    run.pending_slots -= 1
+                    self._pending_dec(run)
+                else:
+                    kept.append(entry)
+            self._pending_slots = kept
+            count -= dropped
+        # retire the rest at chunk boundaries; never shrink the last live
+        # slot while the virtual-group queue is undrained
+        run.shrink_slots = min(run.shrink_slots + count,
+                               max(0, run.live_slots - 1))
+
+    def _activate_slot(self, run, slot_index, cu):
+        k = run.cu_resident[cu.index]
+        occ = run.occupancy_factor(k)
+        rate = run.spec.mem_rate_per_wg / occ
+        run.slot_occ[slot_index] = occ
+        run.slot_rate[slot_index] = rate
+        self.bandwidth.add_rate(rate)
+
+    def _try_place_slot(self, run, slot_index, mode):
+        cu = self._freest_cu(run.spec)
+        if cu is None:
+            return False
+        cu.admit(run.spec)
+        run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
+        run.resident += 1
+        run.live_slots += 1
+        run.mark_start(self.events.now)
+        self._activate_slot(run, slot_index, cu)
+        self._draw_chunk(run, cu, mode, slot_index)
+        return True
+
+    def _place_pending_slots(self):
+        if not self._pending_slots:
+            return
+        still_pending = deque()
+        unplaceable = set()
+        while self._pending_slots:
+            run, slot_index = self._pending_slots.popleft()
+            if run.mode_done():
+                run.pending_slots -= 1
+                self._pending_dec(run)
+                continue
+            footprint = run.footprint
+            if footprint in unplaceable:
+                still_pending.append((run, slot_index))
+                continue
+            if not self._try_place_slot(run, slot_index, self._software_mode):
+                unplaceable.add(footprint)
+                still_pending.append((run, slot_index))
+            else:
+                run.pending_slots -= 1
+                self._pending_dec(run)
+        self._pending_slots = still_pending
+
+    def _freest_cu(self, spec):
+        best = None
+        for cu in self.cus:
+            if cu.fits(spec):
+                if best is None or cu.threads_free > best.threads_free:
+                    best = cu
+        return best
+
+    def _retire_slot(self, run, cu, slot_index):
+        cu.release(run.spec)
+        self.bandwidth.remove_rate(run.slot_rate[slot_index])
+        run.cu_resident[cu.index] -= 1
+        run.resident -= 1
+        run.live_slots -= 1
+        self._place_pending_slots()
+        if self.rebalance and not self._open:
+            self._grant_freed_capacity()
+        finished = run.live_slots == 0 and not self._has_pending_work(run)
+        if finished and run.spec.mode == ExecutionMode.ACCELOS:
+            finished = run.next_vgroup >= run.total
+        if finished and run.finish_time is None:
+            run.finish_time = self.events.now
+            run.mark_dispatch_done(self.events.now)
+            self.finished_requests += 1
+            if self._open:
+                spec = run.spec
+                self._adm_threads -= spec.wg_threads
+                self._adm_lmem -= spec.local_mem_per_wg
+                self._adm_regs -= spec.registers_per_group
+                self._live_active.pop(run, None)
+                self._finished_runs.append(run)
+                self._admit_arrivals()
+                self._reallocate()
+
+    def _has_pending_work(self, run):
+        return any(pending_run is run and not pending_run.mode_done()
+                   for pending_run, _ in self._pending_slots)
+
+
+def reference_allocator(device, saturate=True):
+    """A memo-less :func:`repro.api.kernels.sharing_allocator`: every
+    re-plan runs the literal §3 algorithm on the active set as given."""
+    def allocate(specs):
+        requirements = [requirements_from_spec(s) for s in specs]
+        allocations = reference_allocations(requirements, device,
+                                            saturate=saturate)
+        return [a.groups for a in allocations]
+    return allocate
+
+
+@contextmanager
+def reference_engine():
+    """Run the enclosed block on the reference engine and allocator.
+
+    Sessions, fleets and spec runs built inside the block construct
+    :class:`ReferenceGPUSimulator` and :func:`reference_allocator`;
+    the scheme layer's own bindings are restored on exit.
+    """
+    swaps = [(module, name, replacement)
+             for module in (kernels, schemes)
+             for name, replacement in (("GPUSimulator", ReferenceGPUSimulator),
+                                       ("sharing_allocator",
+                                        reference_allocator))]
+    saved = [(module, name, getattr(module, name))
+             for module, name, _ in swaps]
+    try:
+        for module, name, replacement in swaps:
+            setattr(module, name, replacement)
+        yield
+    finally:
+        for module, name, original in saved:
+            setattr(module, name, original)

@@ -1,24 +1,25 @@
-"""A/B equivalence suite for the event-engine fast path (PR 10).
+"""A/B equivalence suite: the event engine against its reference oracle.
 
-The open-system engine has two switchable implementations of every
-per-event decision procedure: the optimised fast path (incremental
-admission totals, allocation memo, indexed pending slots — the
-default) and the original reference scans (``reference_path()``).
-The optimisation contract is **zero behavioural drift**: both paths
-must produce bit-identical traces, records, and metrics on *every*
-stream, not just the benchmarked one.  This suite pins that contract
+The open-system engine decides every event from incremental state
+(admission totals, the allocation memo, indexed pending slots).  The
+original per-event scans live on as a test-side oracle,
+``tests.oracles.reference_engine()``, which swaps a reference simulator
+and the memo-less literal §3 allocator into the scheme layer.  The
+contract is **zero behavioural drift**: the engine and the oracle must
+produce bit-identical traces, records, and metrics on *every* stream,
+not just the benchmarked one.  This suite pins that contract
 
-* against the four committed golden traces (each path must equal the
+* against the four committed golden traces (each must equal the
   fixture, not merely each other),
 * across randomised scenario x scheme x load draws (hypothesis),
-* through withdraw/migration interleavings (a work-stealing fleet,
+* through withdraw/migration interleavings (work-stealing fleets,
   where runs are withdrawn from one device mid-flight and replayed
   on another),
 * through the spec driver (``run(spec)`` on the committed smoke spec
-  must reproduce the committed result golden under *both* paths),
+  must reproduce the committed result golden on both),
 
-and pins the memo machinery itself: ``_compute_allocations_incremental``
-must equal ``compute_allocations`` on random requirement mixes, and
+and pins the allocator itself: ``compute_allocations`` must equal the
+literal oracle on random weighted and equal-weight mixes, and
 ``AllocationMemo`` must be order-insensitive with exact hit/miss
 bookkeeping.
 """
@@ -30,13 +31,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
-                                   _compute_allocations_incremental,
-                                   compute_allocations)
+                                   compute_allocations, requirement_key)
 from repro.api import ExperimentSpec, run
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
-from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
-from repro.sim import DeviceFleet, fast_path_enabled, reference_path
+from repro.errors import SchedulingError
+from repro.harness import OpenSystemExperiment
 from repro.workloads import from_name
+
+from tests.oracles import reference_allocations, reference_engine
+from tests.test_engine_goldens import work_stealing_result
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -53,14 +56,7 @@ def _trace_payload(device, scheme):
     return [[r.name, r.arrival, r.start, r.finish] for r in records]
 
 
-def test_fast_path_is_the_default():
-    assert fast_path_enabled()
-    with reference_path():
-        assert not fast_path_enabled()
-    assert fast_path_enabled()
-
-
-# -- the four committed golden traces, under both paths -----------------------
+# -- the four committed golden traces, on the engine and the oracle -----------
 
 @pytest.mark.parametrize("fixture, device_factory, scheme", [
     ("trace_fifo_baseline.json", nvidia_k20m, "baseline"),
@@ -71,12 +67,12 @@ def test_fast_path_is_the_default():
 def test_both_paths_reproduce_the_golden_trace(fixture, device_factory,
                                                scheme):
     stored = json.loads((GOLDEN_DIR / fixture).read_text(encoding="utf-8"))
-    fast = _trace_payload(device_factory(), scheme)
-    with reference_path():
+    engine = _trace_payload(device_factory(), scheme)
+    with reference_engine():
         reference = _trace_payload(device_factory(), scheme)
-    assert fast == stored, "fast path drifted from golden " + fixture
+    assert engine == stored, "engine drifted from golden " + fixture
     assert reference == stored, \
-        "reference path drifted from golden " + fixture
+        "reference oracle drifted from golden " + fixture
 
 
 # -- randomised scenario x scheme x load draws --------------------------------
@@ -93,21 +89,25 @@ def test_random_streams_are_path_invariant(scenario, scheme, load, seed):
     device = nvidia_k20m()
     stream = from_name(scenario, seed=seed, load=load, count=24,
                        device=device)
-    fast = OpenSystemExperiment(device).scheme_records(stream, scheme)
-    with reference_path():
+    engine = OpenSystemExperiment(device).scheme_records(stream, scheme)
+    with reference_engine():
         reference = OpenSystemExperiment(device).scheme_records(stream,
                                                                 scheme)
-    assert [(r.name, r.arrival, r.start, r.finish) for r in fast] \
+    assert [(r.name, r.arrival, r.start, r.finish) for r in engine] \
         == [(r.name, r.arrival, r.start, r.finish) for r in reference]
 
 
 # -- withdraw/migration interleavings -----------------------------------------
 
-def _stealing_fleet():
-    return DeviceFleet([
-        ("fast", nvidia_k20m()),
-        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.4)),
-    ])
+def _assert_fleet_runs_match(label, seed):
+    engine = work_stealing_result(seed, label)
+    with reference_engine():
+        reference = work_stealing_result(seed, label)
+    assert repr(vars(engine)) == repr(vars(reference))
+    assert engine.overall.antt == reference.overall.antt
+    assert engine.migrations == reference.migrations
+    assert engine.rebalances == reference.rebalances
+    return engine
 
 
 @pytest.mark.parametrize("seed", [2016, 7, 23])
@@ -115,19 +115,15 @@ def test_work_stealing_migrations_are_path_invariant(seed):
     """Work stealing withdraws queued runs from a busy device and
     replays them elsewhere — the interleaving that exercises
     ``open_withdraw`` tombstones against the indexed pending state."""
-    def one_run():
-        stream = from_name("multi-tenant", seed=seed, load=1.5, count=48,
-                           device=nvidia_k20m())
-        experiment = FleetOpenSystemExperiment(_stealing_fleet())
-        return experiment.run_stream(iter(stream), "accelos",
-                                     "least-loaded", mode="online",
-                                     rebalance="work-stealing")
-    fast = one_run()
-    with reference_path():
-        reference = one_run()
-    assert repr(vars(fast)) == repr(vars(reference))
-    assert fast.migrations == reference.migrations
-    assert fast.rebalances == reference.rebalances
+    _assert_fleet_runs_match("work-stealing", seed)
+
+
+def test_migrating_fleet_is_path_invariant():
+    """A quarter-size device far past saturation: its admission queue
+    is stolen from, and its 20-kernel active sets oversubscribe the
+    one-group clamp, so its re-plans take the allocator's shrink
+    loop."""
+    assert _assert_fleet_runs_match("migrating", 2016).migrations > 0
 
 
 # -- the committed smoke spec through the driver ------------------------------
@@ -145,14 +141,14 @@ def test_spec_smoke_golden_holds_under_both_paths():
                          for metric in metrics}
                 for scheme, metrics in expected.items()}
 
-    fast = metric_cells(run(spec, cache=False))
-    with reference_path():
+    engine = metric_cells(run(spec, cache=False))
+    with reference_engine():
         reference = metric_cells(run(spec, cache=False))
-    assert fast == expected
+    assert engine == expected
     assert reference == expected
 
 
-# -- the incremental allocator against the reference algorithm ----------------
+# -- the allocator against the literal §3 algorithm ---------------------------
 
 REQUIREMENT = st.builds(
     KernelRequirements,
@@ -164,21 +160,39 @@ REQUIREMENT = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def allocator_inputs(draw):
+    """A requirement mix, plus a ``share_ratio`` in two draws of three:
+    integer weights (ties between kernels) or arbitrary floats."""
+    requirements = draw(st.lists(REQUIREMENT, min_size=1, max_size=8))
+    weight = draw(st.sampled_from((
+        None,
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=0.05, max_value=20.0),
+    )))
+    if weight is None:
+        return requirements, None
+    return requirements, draw(st.lists(weight, min_size=len(requirements),
+                                       max_size=len(requirements)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    requirements=st.lists(REQUIREMENT, min_size=1, max_size=8),
+    inputs=allocator_inputs(),
     device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2)),
     saturate=st.booleans(),
 )
-def test_incremental_allocator_matches_reference(requirements,
-                                                 device_factory, saturate):
+def test_allocator_matches_the_literal_algorithm(inputs, device_factory,
+                                                 saturate):
+    requirements, share_ratio = inputs
     device = device_factory()
-    reference = compute_allocations(requirements, device, saturate=saturate)
-    incremental = _compute_allocations_incremental(requirements, device,
-                                                   saturate)
-    assert [a.groups for a in incremental] \
-        == [a.groups for a in reference]
-    assert [a.requirements is r for a, r in zip(incremental, requirements)]
+    expected = reference_allocations(requirements, device,
+                                     saturate=saturate,
+                                     share_ratio=share_ratio)
+    got = compute_allocations(requirements, device, saturate=saturate,
+                              share_ratio=share_ratio)
+    assert [a.groups for a in got] == [a.groups for a in expected]
+    assert all(a.requirements is r for a, r in zip(got, requirements))
 
 
 # -- the memo itself ----------------------------------------------------------
@@ -256,3 +270,78 @@ def test_memo_is_order_insensitive(requirements, shuffle_seed):
     # on the *shuffled* order would produce — replay is undetectable
     assert list(again) \
         == [a.groups for a in compute_allocations(shuffled, device)]
+
+
+def _quarter_k20m():
+    return derated_device(nvidia_k20m(), "K20m-quarter", clock_scale=0.5,
+                          cu_scale=0.25)
+
+
+# the active set behind the first memo/direct disagreement of the parent
+# allocator: 20 kernels on the quarter K20m of the "migrating" fleet
+# (name, wg_threads, local_mem_bytes, registers_per_thread, total_groups)
+QUARTER_MIX = [
+    ("bfs", 512, 0, 23, 256), ("mri-gridding_binning", 256, 0, 19, 256),
+    ("mri-gridding_splitRearrange", 256, 0, 21, 192),
+    ("mri-gridding_gridding", 256, 0, 29, 768),
+    ("histo_prescan", 128, 1024, 39, 64),
+    ("histo_intermediates", 512, 0, 17, 128), ("bfs", 512, 0, 23, 256),
+    ("histo_prescan", 128, 1024, 39, 64),
+    ("mri-gridding_reorder", 256, 0, 13, 256),
+    ("mri-gridding_splitSort", 256, 2048, 55, 384),
+    ("spmv", 256, 0, 21, 512), ("mri-gridding_binning", 256, 0, 19, 256),
+    ("mri-gridding_scan_inter1", 256, 0, 17, 8),
+    ("sad_larger_calc_16", 128, 0, 13, 32),
+    ("sad_larger_calc_8", 128, 0, 13, 64), ("sad_calc_8", 128, 0, 24, 384),
+    ("histo_final", 512, 0, 13, 64), ("histo_final", 512, 0, 13, 64),
+    ("mri-gridding_uniformAdd", 256, 0, 13, 96),
+    ("histo_main", 512, 0, 19, 96),
+]
+
+
+def test_shrink_ties_break_by_name():
+    """The clamp oversubscribes this mix, and the shrink loop's largest
+    footprints tie across names (two groups of 128 threads each).  Taking
+    the first in list order made the answer depend on the order, so the
+    memo (which computes on the sorted order) disagreed with a direct
+    call on the arrival order."""
+    device = _quarter_k20m()
+    mix = [KernelRequirements(*fields) for fields in QUARTER_MIX]
+    by_key = sorted(mix, key=requirement_key)
+
+    def groups(requirements):
+        return sorted((requirement_key(a.requirements), a.groups)
+                      for a in compute_allocations(requirements, device))
+    assert groups(mix) == groups(by_key)
+    assert list(AllocationMemo(device).groups_for(mix)) \
+        == [a.groups for a in compute_allocations(mix, device)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    requirements=st.lists(
+        st.sampled_from(sorted(set(QUARTER_MIX))).map(
+            lambda fields: KernelRequirements(*fields)),
+        min_size=10, max_size=30),
+    shuffle_seed=st.randoms(use_true_random=False),
+)
+def test_allocator_is_permutation_equivariant(requirements, shuffle_seed):
+    """Each requirement gets the same groups whatever the list order
+    (up to swapping requirements with equal keys).  Long mixes on the
+    small device oversubscribe the one-group clamp, so the shrink loop
+    runs into thread ties between different names — the memo answers
+    every permutation from one sorted computation."""
+    device = _quarter_k20m()
+    shuffled = list(requirements)
+    shuffle_seed.shuffle(shuffled)
+
+    def groups_by_requirement(mix):
+        try:
+            allocations = compute_allocations(mix, device)
+        except SchedulingError:
+            return None
+        return sorted((requirement_key(a.requirements), a.groups)
+                      for a in allocations)
+
+    assert groups_by_requirement(shuffled) \
+        == groups_by_requirement(requirements)

@@ -69,6 +69,16 @@ def _environment_hint():
                 recorded.get("numpy"), np.__version__))
 
 
+def record_numpy_version():
+    """Stamp the current numpy version into METADATA.json (other notes
+    there, such as which generator wrote each fixture, are kept)."""
+    recorded = (json.loads(METADATA.read_text(encoding="utf-8"))
+                if METADATA.exists() else {})
+    recorded["numpy"] = np.__version__
+    METADATA.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+
+
 def check_golden(name, payload, regen):
     """Compare ``payload`` against the stored fixture (or rewrite it)."""
     path = GOLDEN_DIR / name
@@ -76,9 +86,7 @@ def check_golden(name, payload, regen):
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-        METADATA.write_text(json.dumps({"numpy": np.__version__},
-                                       indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+        record_numpy_version()
     if not path.exists():
         pytest.fail("golden fixture {} missing — generate it with "
                     "--regen-goldens and commit it".format(name))

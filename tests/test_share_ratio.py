@@ -6,9 +6,11 @@ sharing ratio."
 """
 
 import numpy as np
+import pytest
 
 from repro.accelos import AccelOSRuntime
 from repro.cl import NDRange, nvidia_k20m
+from repro.errors import SchedulingError
 from repro.kernelc import types as T
 
 SOURCE = """
@@ -65,3 +67,14 @@ def test_equal_ratio_matches_default():
 
     assert [p.physical_groups for p in default_plans] == \
         [p.physical_groups for p in equal_plans]
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_drain_rejects_non_finite_share_ratio(weight):
+    """The ratio comes from outside the program: a NaN or infinite weight
+    is a scheduling error, not a crash in the allocator's arithmetic."""
+    runtime = AccelOSRuntime(nvidia_k20m())
+    _submit(runtime, "a")
+    _submit(runtime, "b")
+    with pytest.raises(SchedulingError, match="finite positive weight"):
+        runtime.drain(share_ratio=[1.0, weight])

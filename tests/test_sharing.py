@@ -116,6 +116,12 @@ def test_share_ratio_validation():
         compute_allocations([req("a")], dev, share_ratio=[1.0, 2.0])
     with pytest.raises(SchedulingError):
         compute_allocations([req("a")], dev, share_ratio=[-1.0])
+    # ``w <= 0`` is False for NaN, and an infinite weight turns into NaN
+    # through ``inf / inf``: both used to escape as a bare ValueError
+    for weight in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SchedulingError, match="finite positive weight"):
+            compute_allocations([req("a"), req("b")], dev,
+                                share_ratio=[1.0, weight])
 
 
 def test_weighted_saturation_preserves_ratio():

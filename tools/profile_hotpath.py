@@ -1,8 +1,8 @@
 """Profile the event-engine hot path of an open-system stream.
 
 The optimisation loop behind ``docs/PERFORMANCE.md`` is: run this
-harness, read the ranked hot-function table, gate the win behind
-``fast_path``, re-run the A/B bench.  It drives the same bursty
+harness, read the ranked hot-function table, make the change, re-run
+the A/B bench against the reference oracle.  It drives the same bursty
 multi-tenant stream as ``benchmarks/bench_engine.py`` through
 cProfile and prints the top functions by own-time (``tottime``) —
 the number that tells you where the interpreter actually spends its
@@ -11,8 +11,7 @@ up the stack inherits.
 
 Usage:
 
-    python tools/profile_hotpath.py                   # fast path, 10^4
-    python tools/profile_hotpath.py --reference       # reference path
+    python tools/profile_hotpath.py                   # 10^4 requests
     python tools/profile_hotpath.py --count 50000 --top 40
     python tools/profile_hotpath.py --fleet           # fleet leg
     python tools/profile_hotpath.py --sort cumtime    # callers' view
@@ -86,31 +85,23 @@ def build_runner(fleet):
     return make, run
 
 
-def profile_stream(count, fleet=False, reference=False, sort="tottime",
-                   top=25, output=None):
+def profile_stream(count, fleet=False, sort="tottime", top=25, output=None):
     """Profile one streaming run; returns the report text."""
-    from repro.sim import set_fast_path
-
     make, run = build_runner(fleet)
-    previous = set_fast_path(not reference)
-    try:
-        run(make(), WARMUP_COUNT)          # untraced cache warm-up
-        experiment = make()
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run(experiment, count)
-        profiler.disable()
-    finally:
-        set_fast_path(previous)
+    run(make(), WARMUP_COUNT)          # untraced cache warm-up
+    experiment = make()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run(experiment, count)
+    profiler.disable()
     if output:
         profiler.dump_stats(output)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(sort).print_stats(top)
     events = getattr(experiment, "events_processed", 0)
-    header = "{} leg, {} path, {} requests, {} engine events".format(
-        "fleet" if fleet else "single-device",
-        "reference" if reference else "fast", count, events)
+    header = "{} leg, {} requests, {} engine events".format(
+        "fleet" if fleet else "single-device", count, events)
     return header + "\n" + buffer.getvalue()
 
 
@@ -123,8 +114,6 @@ def main(argv=None):
     parser.add_argument("--fleet", action="store_true",
                         help="profile the fleet leg (placement + "
                              "per-device engines) instead of one device")
-    parser.add_argument("--reference", action="store_true",
-                        help="profile the unoptimised reference path")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -134,8 +123,7 @@ def main(argv=None):
                         help="also dump raw pstats here (for snakeviz "
                              "or pstats.Stats)")
     args = parser.parse_args(argv)
-    print(profile_stream(args.count, fleet=args.fleet,
-                         reference=args.reference, sort=args.sort,
+    print(profile_stream(args.count, fleet=args.fleet, sort=args.sort,
                          top=args.top, output=args.output))
     return 0
 
