@@ -20,6 +20,7 @@ kernel executions until resource saturation").
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from repro.errors import SchedulingError
@@ -92,8 +93,17 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
     which takes one group at a time from the largest thread footprint
     (ties to the smallest name); and, with ``saturate``, greedy growth one
     group at a time to the kernel with the smallest weight-normalised
-    thread share ``(threads / weight, name)`` that still fits.  Running
-    thread/local-memory/register totals make each candidate check O(1).
+    thread share ``(threads / weight, name)`` that still fits.
+
+    Both loops keep their candidates in a heap keyed by the selection key
+    plus the list index, so ties on the full key still go to the first in
+    list order, as a linear scan would.  The shrink heap holds the
+    allocations above one group; saturation pops a candidate for good
+    once it no longer fits (the running thread/local-memory/register
+    totals only grow, so it never fits again) or reaches its
+    ``total_groups``.  Each granted or taken group costs O(log K), not a
+    rescan of all K allocations.
+
     Both tie rules go through the name, so the result does not depend on
     the order of the requirements (for equal weights, and as long as equal
     names mean equal requirements) — :class:`AllocationMemo` relies on
@@ -137,51 +147,57 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
 
     # The clamp to >= 1 group can oversubscribe pathological mixes; shrink
     # the largest allocations until everything fits (never below 1).
+    heap = [(-a.groups * a.requirements.wg_threads, a.requirements.name, i)
+            for i, a in enumerate(allocations) if a.groups > 1]
+    heapq.heapify(heap)
     while not (threads <= max_threads and lmem <= total_lmem
                and regs <= total_regs):
-        largest = None
-        largest_key = None
-        for a in allocations:
-            if a.groups > 1:
-                key = (-a.groups * a.requirements.wg_threads,
-                       a.requirements.name)
-                if largest is None or key < largest_key:
-                    largest = a
-                    largest_key = key
-        if largest is None:
+        if not heap:
             # K kernels of 1 group each genuinely exceed the device: the
             # scheduler should not have activated this many concurrently.
             raise SchedulingError(
                 "cannot fit {} concurrent kernels on {}".format(
                     k, device.name))
+        _key, name, i = heap[0]
+        largest = allocations[i]
         req = largest.requirements
         largest.groups -= 1
         threads -= req.wg_threads
         lmem -= req.local_mem_bytes
         regs -= req.registers_per_group
+        if largest.groups > 1:
+            heapq.heapreplace(
+                heap, (-largest.groups * req.wg_threads, name, i))
+        else:
+            heapq.heappop(heap)
 
-    while saturate:
-        smallest = None
-        smallest_key = None
-        for a, weight in zip(allocations, weights):
-            req = a.requirements
-            if a.groups >= req.total_groups:
-                continue
-            if (threads + req.wg_threads > max_threads
-                    or lmem + req.local_mem_bytes > total_lmem
-                    or regs + req.registers_per_group > total_regs):
-                continue
-            key = (a.groups * req.wg_threads / weight, req.name)
-            if smallest is None or key < smallest_key:
-                smallest = a
-                smallest_key = key
-        if smallest is None:
-            break
+    if not saturate:
+        return allocations
+    # Saturation only ever adds to the running totals, so a candidate that
+    # does not fit now never fits again: it leaves the heap for good.
+    heap = [(a.groups * a.requirements.wg_threads / weight,
+             a.requirements.name, i)
+            for i, (a, weight) in enumerate(zip(allocations, weights))
+            if a.groups < a.requirements.total_groups]
+    heapq.heapify(heap)
+    while heap:
+        _key, name, i = heap[0]
+        smallest = allocations[i]
         req = smallest.requirements
+        if (threads + req.wg_threads > max_threads
+                or lmem + req.local_mem_bytes > total_lmem
+                or regs + req.registers_per_group > total_regs):
+            heapq.heappop(heap)
+            continue
         smallest.groups += 1
         threads += req.wg_threads
         lmem += req.local_mem_bytes
         regs += req.registers_per_group
+        if smallest.groups < req.total_groups:
+            heapq.heapreplace(
+                heap, (smallest.groups * req.wg_threads / weights[i], name, i))
+        else:
+            heapq.heappop(heap)
     return allocations
 
 

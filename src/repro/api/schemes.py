@@ -82,6 +82,26 @@ class RequestRecord:
             self.name, self.arrival, self.turnaround)
 
 
+class _IsolatedTimes(dict):
+    """One session's ``name -> isolated_time(name, device)`` table.
+
+    A session's device never changes, so the table keys on the kernel
+    name alone and skips :func:`isolated_time`'s full device-value key on
+    every backlog walk.  It lives on the session, not the module, so two
+    same-named devices with different specs never share entries.
+    """
+
+    __slots__ = ("device",)
+
+    def __init__(self, device):
+        super().__init__()
+        self.device = device
+
+    def __missing__(self, name):
+        value = self[name] = isolated_time(name, self.device)
+        return value
+
+
 class GpuOpenSession:
     """One device's incremental open-system session (simulator-backed).
 
@@ -97,6 +117,7 @@ class GpuOpenSession:
 
     def __init__(self, device, mode, build_spec, allocator=None):
         self.device = device
+        self._isolated = _IsolatedTimes(device)
         self._sim = GPUSimulator(device)
         self._sim.open_begin(mode, allocator=allocator)
         self._build = build_spec
@@ -156,12 +177,13 @@ class GpuOpenSession:
         return out
 
     def backlog_seconds(self, now):
+        isolated = self._isolated
         total = 0.0
         for arrival, run in self._entries.values():
             if run.finish_time is not None or run.total <= 0:
                 continue
             remaining = (run.total - run.completed) / run.total
-            total += isolated_time(arrival.name, self.device) * remaining
+            total += isolated[arrival.name] * remaining
         return total
 
     def active_count(self):
@@ -198,6 +220,7 @@ class ElasticOpenSession:
 
     def __init__(self, device):
         self.device = device
+        self._isolated = _IsolatedTimes(device)
         self._scheduler = ElasticKernelsScheduler(device)
         self._waiting = []            # sorted (effective, seq, key, arrival)
         self._seq = 0
@@ -277,7 +300,8 @@ class ElasticOpenSession:
             "request {} is not queued on {}".format(key, self.device.name))
 
     def backlog_seconds(self, now):
-        total = sum(isolated_time(arrival.name, self.device)
+        isolated = self._isolated
+        total = sum(isolated[arrival.name]
                     for _eff, _seq, _key, arrival in self._waiting)
         if self._busy_until is not None:
             total += max(0.0, self._busy_until - now)

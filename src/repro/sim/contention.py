@@ -17,11 +17,14 @@ This captures the two behaviours the evaluation depends on:
 
 from __future__ import annotations
 
+from repro.errors import SimulationError
+
 
 class BandwidthTracker:
     """Tracks aggregate bandwidth demand of resident work groups."""
 
     def __init__(self, device):
+        self.device_name = device.name
         self.capacity = device.mem_bw_gbs * 1e9  # bytes/s
         self.demand = 0.0
         self.resident = 0
@@ -41,7 +44,10 @@ class BandwidthTracker:
         # Guard against unbalanced add/remove while tolerating float drift
         # (demand sits at ~1e11 bytes/s, so the tolerance is relative).
         if self.demand < -1e-6 * self.capacity or self.resident < 0:
-            raise AssertionError("bandwidth demand went negative")
+            raise SimulationError(
+                "bandwidth demand went negative on {}: demand {!r} bytes/s "
+                "with {} resident work groups".format(
+                    self.device_name, self.demand, self.resident))
         if self.demand < 0:
             self.demand = 0.0
 

@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations, requirement_key)
@@ -161,10 +161,11 @@ REQUIREMENT = st.builds(
 
 
 @st.composite
-def allocator_inputs(draw):
+def allocator_inputs(draw, requirement=REQUIREMENT, min_size=1, max_size=8):
     """A requirement mix, plus a ``share_ratio`` in two draws of three:
     integer weights (ties between kernels) or arbitrary floats."""
-    requirements = draw(st.lists(REQUIREMENT, min_size=1, max_size=8))
+    requirements = draw(st.lists(requirement, min_size=min_size,
+                                 max_size=max_size))
     weight = draw(st.sampled_from((
         None,
         st.integers(min_value=1, max_value=4),
@@ -315,6 +316,47 @@ def test_shrink_ties_break_by_name():
     assert groups(mix) == groups(by_key)
     assert list(AllocationMemo(device).groups_for(mix)) \
         == [a.groups for a in compute_allocations(mix, device)]
+
+
+def _groups_or_error(allocate, requirements, device, saturate,
+                     share_ratio):
+    try:
+        allocations = allocate(requirements, device, saturate=saturate,
+                               share_ratio=share_ratio)
+    except SchedulingError:
+        return SchedulingError
+    return [a.groups for a in allocations]
+
+
+# fleet-scale draws: corpus footprints from the migrating fleet's active
+# sets mixed with arbitrary REQUIREMENT ones, so one name can carry two
+# footprints and tie with itself
+FLEET_REQUIREMENT = st.one_of(
+    st.sampled_from(sorted(set(QUARTER_MIX))).map(
+        lambda fields: KernelRequirements(*fields)),
+    REQUIREMENT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=allocator_inputs(FLEET_REQUIREMENT, min_size=10, max_size=30),
+    device_factory=st.sampled_from((_quarter_k20m, nvidia_k20m)),
+    saturate=st.booleans(),
+)
+@example(inputs=([KernelRequirements("histo_main", 512, 0, 19, 96)] * 30,
+                 None),
+         device_factory=_quarter_k20m, saturate=True)
+def test_allocator_matches_the_literal_algorithm_at_fleet_scale(
+        inputs, device_factory, saturate):
+    """10-30 kernels: hundreds of one-group grants and long shrink runs,
+    where the heap's tie order decides every step.  A mix the one-group
+    clamp oversubscribes must raise in both."""
+    requirements, share_ratio = inputs
+    device = device_factory()
+    assert _groups_or_error(compute_allocations, requirements, device,
+                            saturate, share_ratio) \
+        == _groups_or_error(reference_allocations, requirements, device,
+                            saturate, share_ratio)
 
 
 @settings(max_examples=200, deadline=None)

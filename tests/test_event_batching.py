@@ -25,7 +25,7 @@ from repro.harness import OpenSystemExperiment
 from repro.metrics.sketches import StreamingRecordSink
 from repro.sim import (DeviceFleet, ExecutionMode, FleetSimulator,
                        GPUSimulator, KernelExecSpec)
-from repro.workloads import trace_arrivals
+from repro.workloads import from_name, trace_arrivals
 
 KERNELS = ("sgemm", "bfs", "spmv", "stencil")
 # arrival slots are multiples of this, so many requests arrive together
@@ -176,6 +176,72 @@ def test_identical_devices_tie_and_steal_like_the_per_event_loop():
     assert batched == _fleet_run(StepwiseFleetSimulator, case)
     assert batched["migrations"]
     assert batched["events"] > 0
+
+
+# -- the re-balance hook's backlog walk -----------------------------------------
+
+def _recomputed_backlog(session, now):
+    """A session's outstanding isolated work, summed in the session's
+    own order through the module-level ``isolated_time``."""
+    if isinstance(session, GpuOpenSession):
+        total = 0.0
+        for arrival, run in session._entries.values():
+            if run.finish_time is None and run.total > 0:
+                remaining = (run.total - run.completed) / run.total
+                total += isolated_time(arrival.name, session.device) \
+                    * remaining
+        return total
+    total = sum(isolated_time(entry[3].name, session.device)
+                for entry in session._waiting)
+    if session._busy_until is not None:
+        total += max(0.0, session._busy_until - now)
+    return total
+
+
+@pytest.mark.parametrize("scheme", ["accelos", "ek"])
+def test_backlog_matches_isolated_time_along_a_migrating_run(scheme):
+    """The fleet-steal shape: a K20m and a quarter-size half-clock K20m
+    far past saturation, burst-aware placement and work stealing.  Every
+    backlog the re-balance hook reads equals the sum recomputed through
+    ``isolated_time``, bit for bit."""
+    fleet = _fleet(2, identical=False)
+    arrivals = from_name("multi-tenant", seed=2016, load=12.0, count=120,
+                         device=nvidia_k20m())
+    sessions = [scheme_from_name(scheme).open_session(member.device)
+                for member in fleet]
+    checked = []
+    for session in sessions:
+        original = session.backlog_seconds
+
+        def checked_backlog(now, session=session, original=original):
+            value = original(now)
+            assert value == _recomputed_backlog(session, now)
+            checked.append(value)
+            return value
+        session.backlog_seconds = checked_backlog
+    simulator = FleetSimulator(fleet, sessions,
+                               _policy("burst-aware", rebalance=True),
+                               estimator=isolated_time)
+    simulator.run(arrivals)
+    assert simulator.migrations
+    assert any(value > 0 for value in checked)
+
+
+@pytest.mark.parametrize("scheme", ["accelos", "ek"])
+def test_same_named_devices_keep_their_own_isolated_times(scheme):
+    """Two derated devices share a display name but not a clock: each
+    session prices the same queued request on its own device."""
+    arrival = trace_arrivals([("sgemm", 0.0, "t0")])[0]
+    backlogs = []
+    for clock_scale in (0.5, 0.25):
+        device = derated_device(nvidia_k20m(), "K20m-derated",
+                                clock_scale=clock_scale)
+        session = scheme_from_name(scheme).open_session(device)
+        session.submit(0, arrival, 0.0)
+        backlog = session.backlog_seconds(0.0)
+        assert backlog == isolated_time("sgemm", device)
+        backlogs.append(backlog)
+    assert backlogs[0] != backlogs[1]
 
 
 # -- the single-device harness -------------------------------------------------

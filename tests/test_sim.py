@@ -157,6 +157,29 @@ def test_bandwidth_light_wg_unthrottled():
     assert bw.stretch(0.5e9) == 1.0
 
 
+def test_bandwidth_unbalanced_remove_is_loud():
+    """Removing more demand than was added names the device, the
+    demand and the resident count instead of a bare assertion."""
+    bw = BandwidthTracker(nvidia_k20m())
+    bw.add_rate(4e9)
+    bw.remove_rate(4e9)
+    with pytest.raises(SimulationError) as excinfo:
+        bw.remove_rate(4e9)
+    message = str(excinfo.value)
+    assert nvidia_k20m().name in message
+    assert "-4000000000.0 bytes/s" in message
+    assert "-1 resident" in message
+
+
+def test_bandwidth_float_drift_is_tolerated():
+    bw = BandwidthTracker(nvidia_k20m())
+    bw.add_rate(0.1e9)
+    bw.add_rate(0.2e9)
+    bw.remove_rate(0.2e9 + 1e-3)
+    bw.remove_rate(0.1e9)        # 1e-3 bytes/s below zero: float drift
+    assert (bw.demand, bw.resident) == (0.0, 0)
+
+
 # -- hardware schedulers -----------------------------------------------------------
 
 def test_scheduler_for_devices():

@@ -14,12 +14,20 @@ Usage:
     python tools/profile_hotpath.py                   # 10^4 requests
     python tools/profile_hotpath.py --count 50000 --top 40
     python tools/profile_hotpath.py --fleet           # fleet leg
+    python tools/profile_hotpath.py --spec spec.json  # any ExperimentSpec
     python tools/profile_hotpath.py --sort cumtime    # callers' view
     python tools/profile_hotpath.py --output prof.out # pstats dump
 
 Warm-up (2000 requests, untraced) fills the interpreter-lifetime
 caches first, so the profile shows the steady-state engine, not
 first-touch kernel-profile loads.
+
+``--spec PATH`` profiles ``repro.api.run`` on an ``ExperimentSpec``
+JSON file instead (one process, no result cache), after an untraced
+``warm_caches(spec)``.  The ``--fleet`` leg is least-loaded placement
+without stealing, where the allocation memo mostly hits; a spec reaches
+any other regime, e.g. an overloaded work-stealing fleet where the
+memo mostly misses.  ``--count`` does not apply: the spec sets it.
 """
 
 from __future__ import annotations
@@ -94,14 +102,33 @@ def profile_stream(count, fleet=False, sort="tottime", top=25, output=None):
     profiler.enable()
     run(experiment, count)
     profiler.disable()
+    events = getattr(experiment, "events_processed", 0)
+    header = "{} leg, {} requests, {} engine events".format(
+        "fleet" if fleet else "single-device", count, events)
+    return _report(profiler, header, sort, top, output)
+
+
+def profile_spec(path, sort="tottime", top=25, output=None):
+    """Profile ``run(spec)`` on the spec JSON at ``path``; returns the
+    report text."""
+    from repro.api import ExperimentSpec, run, warm_caches
+    spec = ExperimentSpec.from_json(Path(path).read_text())
+    warm_caches(spec)                  # untraced calibration warm-up
+    profiler = cProfile.Profile()
+    profiler.enable()
+    results = run(spec, cache=False)
+    profiler.disable()
+    header = "spec leg {}, {} cells".format(path, len(results))
+    return _report(profiler, header, sort, top, output)
+
+
+def _report(profiler, header, sort, top, output):
+    """The ranked table under ``header``; raw pstats to ``output``."""
     if output:
         profiler.dump_stats(output)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(sort).print_stats(top)
-    events = getattr(experiment, "events_processed", 0)
-    header = "{} leg, {} requests, {} engine events".format(
-        "fleet" if fleet else "single-device", count, events)
     return header + "\n" + buffer.getvalue()
 
 
@@ -111,9 +138,13 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=DEFAULT_COUNT,
                         help="requests in the profiled stream "
                              "(default {})".format(DEFAULT_COUNT))
-    parser.add_argument("--fleet", action="store_true",
-                        help="profile the fleet leg (placement + "
-                             "per-device engines) instead of one device")
+    leg = parser.add_mutually_exclusive_group()
+    leg.add_argument("--fleet", action="store_true",
+                     help="profile the fleet leg (placement + "
+                          "per-device engines) instead of one device")
+    leg.add_argument("--spec", metavar="PATH",
+                     help="profile repro.api.run on this ExperimentSpec "
+                          "JSON instead of a built-in leg")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -123,8 +154,12 @@ def main(argv=None):
                         help="also dump raw pstats here (for snakeviz "
                              "or pstats.Stats)")
     args = parser.parse_args(argv)
-    print(profile_stream(args.count, fleet=args.fleet, sort=args.sort,
-                         top=args.top, output=args.output))
+    if args.spec:
+        print(profile_spec(args.spec, sort=args.sort, top=args.top,
+                           output=args.output))
+    else:
+        print(profile_stream(args.count, fleet=args.fleet, sort=args.sort,
+                             top=args.top, output=args.output))
     return 0
 
 
