@@ -114,6 +114,7 @@ class _KernelRun:
         self.dispatch_done_time = None
         # hardware mode: static round-robin CU queues of WG indices
         self.cu_queues = None
+        self.k_steady = None           # steady-state per-CU residency
         self.pending_count = self.total
         self.cu_resident = {}
         self.dispatch_ready_time = None
@@ -328,11 +329,11 @@ class GPUSimulator:
                 > spec.arrival_time:
             at -= 1
         self.runs.insert(at, run)
+        # a run inserted ahead of a dispatch cursor pulls it back
+        self._hw_head = min(self._hw_head, at)
+        self._hw_settled = min(self._hw_settled, at)
         if self._open_mode == ExecutionMode.HARDWARE:
-            num_cus = self.device.num_cus
-            run.cu_queues = [deque() for _ in range(num_cus)]
-            for wg in range(run.total):
-                run.cu_queues[wg % num_cus].append(wg)
+            self._build_cu_queues(run)
             if first:
                 # The first arrival finds an idle device: its grid is set
                 # up by its submission, so it dispatches at arrival
@@ -430,7 +431,7 @@ class GPUSimulator:
         harvested = []
         while self._finished_runs:
             run = self._finished_runs.popleft()
-            self.runs.remove(run)
+            self._remove_run(run)
             harvested.append(run)
         if harvested:
             self._harvested = True
@@ -468,7 +469,7 @@ class GPUSimulator:
                 "request {} cannot be withdrawn: it already started on "
                 "this device".format(run.spec.name))
         run.withdrawn = True
-        self.runs.remove(run)
+        self._remove_run(run)
         self._live_submissions -= 1
         if self._open_mode == ExecutionMode.HARDWARE:
             # a blocked successor may now own the dispatch window: kick
@@ -479,6 +480,16 @@ class GPUSimulator:
                 self._admission_queue.remove(run)
             if self._admit_arrivals():
                 self._reallocate()
+
+    def _remove_run(self, run):
+        """Drop ``run`` from the run list, keeping the dispatch cursors
+        on the runs they pointed at."""
+        at = self.runs.index(run)
+        del self.runs[at]
+        if at < self._hw_head:
+            self._hw_head -= 1
+        if at < self._hw_settled:
+            self._hw_settled -= 1
 
     # -- shared setup / teardown ----------------------------------------------
 
@@ -527,6 +538,14 @@ class GPUSimulator:
         # had no finished run been pruned; open_submit's first-arrival
         # rule keys on it so harvesting cannot change dispatch timing
         self._live_submissions = 0
+        # firmware dispatch cursors into self.runs: no run before
+        # _hw_head has pending groups, and no run before _hw_settled
+        # blocks its successors under the device's policy
+        self._hw_head = 0
+        self._hw_settled = 0
+        # the run whose dispatch pass ended the previous firmware event
+        # with groups still pending (None when that event ended otherwise)
+        self._hw_partial = None
 
     def _collect_trace(self, mode):
         intervals = []
@@ -544,16 +563,19 @@ class GPUSimulator:
     # -- hardware mode --------------------------------------------------------
 
     def _run_hardware(self):
-        self._build_cu_queues()
+        for run in self.runs:
+            self._build_cu_queues(run)
         self.runs[0].dispatch_ready_time = 0.0
         self._hw_loop()
 
-    def _build_cu_queues(self):
+    def _build_cu_queues(self, run):
+        """Assign ``run``'s WGs round-robin to static per-CU queues."""
         num_cus = self.device.num_cus
-        for run in self.runs:
-            run.cu_queues = [deque() for _ in range(num_cus)]
-            for wg in range(run.total):
-                run.cu_queues[wg % num_cus].append(wg)
+        run.cu_queues = [deque() for _ in range(num_cus)]
+        for wg in range(run.total):
+            run.cu_queues[wg % num_cus].append(wg)
+        # the kernel's steady-state per-CU residency (see _start_hw_wg)
+        run.k_steady = min(run.k_max, -(-run.total // num_cus))
 
     def _hw_loop(self):
         self._hw_dispatch()
@@ -563,17 +585,32 @@ class GPUSimulator:
             self._process_hw_event(payload)
 
     def _process_hw_event(self, payload):
-        if payload is not None:
+        if payload is None:
+            self._hw_dispatch()
+        else:
             run, cu, wg, rate = payload
             self._complete_hw_wg(run, cu, rate)
-        self._hw_dispatch()
+            self._hw_dispatch(cu)
 
-    def _hw_dispatch(self):
+    def _hw_dispatch(self, freed_cu=None):
+        """Start every WG the firmware policy lets start now.
+
+        ``freed_cu`` is the CU a WG completion just released.  When the
+        run that reaches the CU pass is the one whose previous pass
+        ended with groups still pending, every other CU either had no
+        queued WG of it or could not fit one then, and has only lost
+        capacity since; so only ``freed_cu`` is tried.
+        """
         now = self.events.now
-        for index, run in enumerate(self.runs):
+        runs = self.runs
+        head, settled = self._hw_cursors()
+        partial = self._hw_partial
+        self._hw_partial = None
+        for index in range(head, len(runs)):
+            run = runs[index]
             if run.pending_count == 0:
                 continue
-            if not self.hardware_scheduler.eligible(index, self.runs):
+            if not self.hardware_scheduler.eligible(index, runs, settled):
                 break  # kernel order is strict; later kernels are blocked too
             if now + 1e-15 < run.spec.arrival_time:
                 break  # not submitted yet; its arrival event will wake us
@@ -585,13 +622,35 @@ class GPUSimulator:
                 break
             if now + 1e-15 < run.dispatch_ready_time:
                 break
-            for cu in self.cus:
+            spec = run.spec
+            cus = self.cus
+            if run is partial and freed_cu is not None:
+                cus = (freed_cu,)
+            for cu in cus:
                 queue = run.cu_queues[cu.index]
-                while queue and cu.fits(run.spec):
+                while queue and cu.fits(spec):
                     wg = queue.popleft()
                     self._start_hw_wg(run, cu, wg, now)
             if run.pending_count > 0:
+                self._hw_partial = run
                 break  # this kernel still owns the dispatch window
+
+    def _hw_cursors(self):
+        """Move the dispatch cursors forward past every run that no
+        longer has pending groups (``_hw_head``) or no longer blocks its
+        successors (``_hw_settled``); returns ``(head, settled)``."""
+        runs = self.runs
+        count = len(runs)
+        head = self._hw_head
+        while head < count and runs[head].pending_count == 0:
+            head += 1
+        blocks = self.hardware_scheduler.blocks
+        settled = self._hw_settled
+        while settled < count and not blocks(runs[settled]):
+            settled += 1
+        self._hw_head = head
+        self._hw_settled = settled
+        return head, settled
 
     def _start_hw_wg(self, run, cu, wg, now):
         cu.admit(run.spec)
@@ -602,8 +661,10 @@ class GPUSimulator:
         # lifetime averages, so neither ramp-up nor drain-tail instants get
         # a transient speed boost — the software-scheduled modes rate their
         # slots the same way, keeping the comparison symmetric.
-        k_steady = min(run.k_max, -(-run.total // len(self.cus)))
-        occ = run.occupancy_factor(max(k, k_steady))
+        k = max(k, run.k_steady)
+        occ = run.occ_cache.get(k)
+        if occ is None:
+            occ = run.occ_cache[k] = run.occupancy_factor(k)
         rate = run.spec.mem_rate_per_wg / occ
         stretch = self.bandwidth.stretch(rate)
         self.bandwidth.add_rate(rate)

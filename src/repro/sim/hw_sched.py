@@ -10,6 +10,16 @@ resources".
   drain-tail overlap the paper measures (~21% for 2 kernels).
 * :class:`ExclusiveHardwareScheduler` (AMD-like): the next kernel starts
   only after the current one has fully *completed* (~0–4% overlap).
+
+Each policy is a **head predicate**: ``blocks(run)`` says whether a
+kernel holds back every kernel queued behind it.  The simulator keeps a
+settled cursor into its arrival-ordered run list (no kernel before it
+blocks; :meth:`repro.sim.gpu.GPUSimulator._hw_dispatch` advances it
+monotonically), so ``eligible(index, kernels, settled)`` only checks
+``kernels[settled:index]``.  Under FIFO the dispatcher reaches a kernel
+only after passing every earlier one for having no pending groups, so
+that slice never blocks; under the exclusive policy the check stops at
+its first element, the oldest unfinished kernel.
 """
 
 from __future__ import annotations
@@ -18,25 +28,45 @@ from __future__ import annotations
 class HardwareScheduler:
     """Decides which kernels are eligible to dispatch work groups."""
 
-    def eligible(self, index, kernels):
+    def blocks(self, run):
+        """Does ``run`` keep every later kernel from dispatching?"""
+        raise NotImplementedError
+
+    def eligible(self, index, kernels, settled):
+        """May ``kernels[index]`` dispatch?  No kernel before ``settled``
+        blocks, so only ``kernels[settled:index]`` is checked."""
         raise NotImplementedError
 
 
 class FifoHardwareScheduler(HardwareScheduler):
     name = "fifo"
 
-    def eligible(self, index, kernels):
+    def blocks(self, run):
+        """A kernel blocks while it has pending (undispatched) groups."""
+        return run.pending_count > 0
+
+    def eligible(self, index, kernels, settled):
         """Kernel ``index`` may dispatch iff all earlier kernels have no
         pending (undispatched) work groups."""
-        return all(k.pending_count == 0 for k in kernels[:index])
+        for i in range(settled, index):
+            if kernels[i].pending_count > 0:
+                return False
+        return True
 
 
 class ExclusiveHardwareScheduler(HardwareScheduler):
     name = "exclusive"
 
-    def eligible(self, index, kernels):
+    def blocks(self, run):
+        """A kernel blocks until it has fully completed."""
+        return not run.finished
+
+    def eligible(self, index, kernels, settled):
         """Kernel ``index`` may dispatch iff all earlier kernels finished."""
-        return all(k.finished for k in kernels[:index])
+        for i in range(settled, index):
+            if not kernels[i].finished:
+                return False
+        return True
 
 
 def scheduler_for(device):

@@ -6,10 +6,13 @@ that the engine's incremental structures replaced: admission re-sums
 the footprint of every admitted run, a re-allocation filters the whole
 run list and counts queued slots by scanning the pending deque, a shrink
 rebuilds that deque, placement goes through ``CUState.fits``/``admit``/
-``release``, and a pending-slot pass never stops early.  The engine's
-running state (admission totals, the live-active set, per-run pending
-counters, the footprint index) is still maintained by the inherited
-code, but nothing here reads it.  It also keeps no scaled-cost cache, so
+``release``, and a pending-slot pass never stops early.  The firmware
+dispatcher walks the run list from index 0 on every hardware event,
+checks the head of every run it reaches by scanning all earlier runs
+with the original FIFO/exclusive predicates, and tries every CU.  The
+engine's running state (admission totals, the live-active set, per-run
+pending counters, the footprint index, the dispatch cursors) is still
+maintained by the inherited code, but nothing here reads it.  It also keeps no scaled-cost cache, so
 every run scales its own cost array and sums every chunk afresh.
 
 :func:`reference_engine` swaps this simulator and the memo-less literal
@@ -25,7 +28,7 @@ import repro.api.kernels as kernels
 import repro.api.schemes as schemes
 from repro.api.kernels import requirements_from_spec
 from repro.errors import SimulationError
-from repro.sim.gpu import GPUSimulator
+from repro.sim.gpu import KERNEL_HANDOFF_LATENCY, GPUSimulator
 from repro.sim.spec import ExecutionMode
 
 from tests.oracles.sharing import reference_allocations
@@ -41,12 +44,68 @@ class _NoCache(dict):
         pass
 
 
+def fifo_eligible(index, kernels):
+    """NVIDIA-like FIFO: kernel ``index`` may dispatch iff all earlier
+    kernels have no pending (undispatched) work groups."""
+    return all(k.pending_count == 0 for k in kernels[:index])
+
+
+def exclusive_eligible(index, kernels):
+    """AMD-like exclusive: kernel ``index`` may dispatch iff all earlier
+    kernels finished."""
+    return all(k.finished for k in kernels[:index])
+
+
+FIRMWARE_ELIGIBLE = {"fifo": fifo_eligible, "exclusive": exclusive_eligible}
+
+
 class ReferenceGPUSimulator(GPUSimulator):
     """:class:`GPUSimulator` with the original per-event reference scans."""
 
     def _setup(self, specs, cost_jitter):
         super()._setup(specs, cost_jitter)
         self._costs_cache = _NoCache()
+
+    def _hw_dispatch(self, freed_cu=None):
+        eligible = FIRMWARE_ELIGIBLE[self.device.scheduler_policy]
+        now = self.events.now
+        for index, run in enumerate(self.runs):
+            if run.pending_count == 0:
+                continue
+            if not eligible(index, self.runs):
+                break
+            if now + 1e-15 < run.spec.arrival_time:
+                break
+            if run.dispatch_ready_time is None:
+                run.dispatch_ready_time = now + KERNEL_HANDOFF_LATENCY
+                self.events.push(run.dispatch_ready_time, None)
+                break
+            if now + 1e-15 < run.dispatch_ready_time:
+                break
+            for cu in self.cus:
+                queue = run.cu_queues[cu.index]
+                while queue and cu.fits(run.spec):
+                    wg = queue.popleft()
+                    self._start_hw_wg(run, cu, wg, now)
+            if run.pending_count > 0:
+                break
+
+    def _start_hw_wg(self, run, cu, wg, now):
+        cu.admit(run.spec)
+        k = run.cu_resident.get(cu.index, 0) + 1
+        run.cu_resident[cu.index] = k
+        k_steady = min(run.k_max, -(-run.total // len(self.cus)))
+        occ = run.occupancy_factor(max(k, k_steady))
+        rate = run.spec.mem_rate_per_wg / occ
+        stretch = self.bandwidth.stretch(rate)
+        self.bandwidth.add_rate(rate)
+        run.resident += 1
+        run.pending_count -= 1
+        run.mark_start(now)
+        if run.pending_count == 0:
+            run.mark_dispatch_done(now)
+        cost = float(run.costs[wg]) * occ * stretch
+        self.events.push(now + cost, (run, cu, wg, rate))
 
     def _admission_fits(self, candidate):
         spec = candidate.spec
@@ -194,18 +253,19 @@ def reference_allocator(device, saturate=True):
 
 
 @contextmanager
-def reference_engine():
-    """Run the enclosed block on the reference engine and allocator.
+def swapped_engine(simulator, allocator=None):
+    """Run the enclosed block on ``simulator`` (a ``GPUSimulator``
+    subclass) and, when given, the allocator factory ``allocator``.
 
-    Sessions, fleets and spec runs built inside the block construct
-    :class:`ReferenceGPUSimulator` and :func:`reference_allocator`;
-    the scheme layer's own bindings are restored on exit.
+    Sessions, fleets and spec runs built inside the block construct the
+    replacements; the scheme layer's own bindings are restored on exit.
     """
+    replacements = [("GPUSimulator", simulator)]
+    if allocator is not None:
+        replacements.append(("sharing_allocator", allocator))
     swaps = [(module, name, replacement)
              for module in (kernels, schemes)
-             for name, replacement in (("GPUSimulator", ReferenceGPUSimulator),
-                                       ("sharing_allocator",
-                                        reference_allocator))]
+             for name, replacement in replacements]
     saved = [(module, name, getattr(module, name))
              for module, name, _ in swaps]
     try:
@@ -215,3 +275,9 @@ def reference_engine():
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
+
+
+def reference_engine():
+    """Run the enclosed block on the reference engine and allocator
+    (:class:`ReferenceGPUSimulator`, :func:`reference_allocator`)."""
+    return swapped_engine(ReferenceGPUSimulator, reference_allocator)

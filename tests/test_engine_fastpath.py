@@ -11,15 +11,22 @@ not just the benchmarked one.  This suite pins that contract
 
 * against the four committed golden traces (each must equal the
   fixture, not merely each other),
-* across randomised scenario x scheme x load draws (hypothesis),
+* across randomised scenario x scheme x load draws (hypothesis), on a
+  FIFO (K20m) and an exclusive (R9 295X2) device,
+* through the firmware dispatcher's other entry points: baseline
+  closed batches, a harvesting baseline stream (finished runs pruned
+  from under the dispatch cursors), and baseline work-stealing fleets
+  (hardware-mode withdraws and sorted re-inserts),
 * through withdraw/migration interleavings (work-stealing fleets,
   where runs are withdrawn from one device mid-flight and replayed
   on another),
 * through the spec driver (``run(spec)`` on the committed smoke spec
   must reproduce the committed result golden on both),
 
-and pins the allocator itself: ``compute_allocations`` must equal the
-literal oracle on random weighted and equal-weight mixes, and
+pins the firmware dispatch cursors to a scan at every hardware event
+(``CursorCheckedSimulator``), and pins the allocator itself:
+``compute_allocations`` must equal the literal oracle on random
+weighted and equal-weight mixes, and
 ``AllocationMemo`` must be order-insensitive with exact hit/miss
 bookkeeping.
 """
@@ -33,12 +40,15 @@ from hypothesis import example, given, settings, strategies as st
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations, requirement_key)
 from repro.api import ExperimentSpec, run
+from repro.api.schemes import SCHEMES
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.errors import SchedulingError
-from repro.harness import OpenSystemExperiment
-from repro.workloads import from_name
+from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
+from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator
+from repro.workloads import PROFILE_NAMES, from_name
 
-from tests.oracles import reference_allocations, reference_engine
+from tests.oracles import (FIRMWARE_ELIGIBLE, reference_allocations,
+                           reference_engine, swapped_engine)
 from tests.test_engine_goldens import work_stealing_result
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -77,24 +87,192 @@ def test_both_paths_reproduce_the_golden_trace(fixture, device_factory,
 
 # -- randomised scenario x scheme x load draws --------------------------------
 
-@settings(max_examples=12, deadline=None)
-@given(
-    scenario=st.sampled_from(("steady", "bursty", "diurnal", "heavy-tailed",
-                              "heavy-lognormal", "multi-tenant")),
-    scheme=st.sampled_from(("baseline", "ek", "accelos")),
-    load=st.sampled_from((0.5, 0.9, 1.3)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_random_streams_are_path_invariant(scenario, scheme, load, seed):
-    device = nvidia_k20m()
+SCENARIO = st.sampled_from(("steady", "bursty", "diurnal", "heavy-tailed",
+                             "heavy-lognormal", "multi-tenant"))
+LOAD = st.sampled_from((0.5, 0.9, 1.3))
+SEED = st.integers(min_value=0, max_value=2**16)
+# the two firmware policies: FIFO drain-overlap and exclusive
+FIRMWARE_DEVICE = st.sampled_from((nvidia_k20m, amd_r9_295x2))
+
+
+def _stream_timings(device, stream, scheme):
+    records = OpenSystemExperiment(device).scheme_records(stream, scheme)
+    return [(r.name, r.arrival, r.start, r.finish) for r in records]
+
+
+@settings(max_examples=16, deadline=None)
+@given(scenario=SCENARIO, scheme=st.sampled_from(("baseline", "ek",
+                                                  "accelos")),
+       load=LOAD, seed=SEED, device_factory=FIRMWARE_DEVICE)
+def test_random_streams_are_path_invariant(scenario, scheme, load, seed,
+                                           device_factory):
+    device = device_factory()
     stream = from_name(scenario, seed=seed, load=load, count=24,
                        device=device)
-    engine = OpenSystemExperiment(device).scheme_records(stream, scheme)
+    engine = _stream_timings(device, stream, scheme)
     with reference_engine():
-        reference = OpenSystemExperiment(device).scheme_records(stream,
-                                                                scheme)
-    assert [(r.name, r.arrival, r.start, r.finish) for r in engine] \
-        == [(r.name, r.arrival, r.start, r.finish) for r in reference]
+        reference = _stream_timings(device, stream, scheme)
+    assert engine == reference
+
+
+# -- the firmware dispatcher's other entry points -----------------------------
+
+class CursorCheckedSimulator(GPUSimulator):
+    """Recomputes both firmware dispatch cursors by scanning the run
+    list, at every hardware event's dispatch and after every submit,
+    withdraw and harvest; after every dispatch pass, checks that the run
+    left owning the dispatch window has no queued WG that fits a CU.
+    Failures name the device, the time and the run index.  ``checks``
+    counts the dispatch-time cursor comparisons."""
+
+    checks = 0
+
+    def _scan(self):
+        """``(first run with pending groups, first blocking run)``."""
+        eligible = FIRMWARE_ELIGIBLE[self.device.scheduler_policy]
+        runs = self.runs
+        head = next((i for i, run in enumerate(runs)
+                     if run.pending_count > 0), len(runs))
+        # a run blocks iff a kernel queued right behind it may not
+        # dispatch
+        settled = next((i for i, run in enumerate(runs)
+                        if not eligible(1, (run,))), len(runs))
+        return head, settled
+
+    def _fail(self, cursor, got, want, when):
+        raise AssertionError(
+            "{} on {} at t={!r} ({}): cursor at run index {}, a scan of "
+            "{} runs finds run index {}".format(
+                cursor, self.device.name, self.events.now, when, got,
+                len(self.runs), want))
+
+    def _hw_cursors(self):
+        head, settled = super()._hw_cursors()
+        want_head, want_settled = self._scan()
+        if head != want_head:
+            self._fail("_hw_head", head, want_head, "dispatch")
+        if settled != want_settled:
+            self._fail("_hw_settled", settled, want_settled, "dispatch")
+        type(self).checks += 1
+        return head, settled
+
+    def _hw_dispatch(self, freed_cu=None):
+        super()._hw_dispatch(freed_cu)
+        # the run left owning the dispatch window (after a full or a
+        # freed-CU pass) can start no queued WG on any CU
+        run = self._hw_partial
+        if run is None:
+            return
+        for cu in self.cus:
+            if run.cu_queues[cu.index] and cu.fits(run.spec):
+                raise AssertionError(
+                    "{} at t={!r}: run index {} ({}) left WGs queued on "
+                    "CU {} that fit there (freed CU {})".format(
+                        self.device.name, self.events.now,
+                        self.runs.index(run), run.spec.name, cu.index,
+                        None if freed_cu is None else freed_cu.index))
+
+    def _check_bounds(self, when):
+        """Between events the cursors may lag, but never lead, the scan."""
+        if self._open_mode != ExecutionMode.HARDWARE:
+            return
+        want_head, want_settled = self._scan()
+        if self._hw_head > want_head:
+            self._fail("_hw_head", self._hw_head, want_head, when)
+        if self._hw_settled > want_settled:
+            self._fail("_hw_settled", self._hw_settled, want_settled, when)
+
+    def open_submit(self, spec, jitter=1.0, index=None):
+        run = super().open_submit(spec, jitter=jitter, index=index)
+        self._check_bounds("submit " + spec.name)
+        return run
+
+    def open_withdraw(self, run):
+        super().open_withdraw(run)
+        self._check_bounds("withdraw " + run.spec.name)
+
+    def open_harvest(self):
+        harvested = super().open_harvest()
+        self._check_bounds("harvest")
+        return harvested
+
+
+def _on_all_engines(thunk):
+    """``thunk()`` on the engine, the reference oracle and the cursor-
+    checked engine; asserts all three agree and the checks ran."""
+    engine = thunk()
+    with reference_engine():
+        reference = thunk()
+    checks = CursorCheckedSimulator.checks
+    with swapped_engine(CursorCheckedSimulator):
+        checked = thunk()
+    assert CursorCheckedSimulator.checks > checks
+    assert reference == engine
+    assert checked == engine
+    return engine
+
+
+@settings(max_examples=16, deadline=None)
+@given(scenario=SCENARIO, load=LOAD, seed=SEED,
+       device_factory=FIRMWARE_DEVICE)
+def test_dispatch_cursors_match_a_scan(scenario, load, seed,
+                                       device_factory):
+    device = device_factory()
+    stream = from_name(scenario, seed=seed, load=load, count=24,
+                       device=device)
+    _on_all_engines(lambda: _stream_timings(device, stream, "baseline"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(PROFILE_NAMES), min_size=1, max_size=6),
+    jittered=st.booleans(),
+    device_factory=FIRMWARE_DEVICE,
+)
+def test_baseline_closed_batches_are_path_invariant(names, jittered,
+                                                    device_factory):
+    device = device_factory()
+    jitter = ([1.0 + 0.05 * (i % 3 - 1) for i in range(len(names))]
+              if jittered else None)
+    baseline = SCHEMES.from_name("baseline")
+    _on_all_engines(lambda: baseline.run_closed(names, device,
+                                                jitter=jitter))
+
+
+@pytest.mark.parametrize("device_factory", [nvidia_k20m, amd_r9_295x2])
+def test_harvesting_baseline_stream_is_path_invariant(device_factory):
+    """Streaming metrics harvest finished runs, so ``open_harvest``
+    removes runs from in front of the dispatch cursors."""
+    device = device_factory()
+    stream = from_name("bursty", seed=2016, load=1.3, count=60,
+                       device=device)
+    _on_all_engines(lambda: repr(vars(OpenSystemExperiment(
+        device).run_stream(iter(stream), "baseline"))))
+
+
+@pytest.mark.parametrize("entry", ["run", "run_stream"])
+@pytest.mark.parametrize("device_factory", [nvidia_k20m, amd_r9_295x2])
+def test_baseline_work_stealing_fleet_is_path_invariant(device_factory,
+                                                        entry):
+    """Round-robin placement overloads a quarter-size device, so work
+    stealing withdraws queued baseline requests from its firmware queue
+    and re-inserts them into the other device's run list by arrival."""
+    def fleet_run():
+        base = device_factory()
+        fleet = DeviceFleet([
+            ("fast", base),
+            ("slow", derated_device(base, "quarter", clock_scale=0.5,
+                                    cu_scale=0.25)),
+        ])
+        stream = from_name("multi-tenant", seed=2016, load=1.5, count=48,
+                           device=base)
+        arrivals = iter(stream) if entry == "run_stream" else stream
+        return getattr(FleetOpenSystemExperiment(fleet), entry)(
+            arrivals, "baseline", "round-robin", mode="online",
+            rebalance="work-stealing")
+    result = fleet_run()
+    assert result.migrations > 0
+    _on_all_engines(lambda: repr(vars(fleet_run())))
 
 
 # -- withdraw/migration interleavings -----------------------------------------

@@ -14,6 +14,7 @@ Usage:
     python tools/profile_hotpath.py                   # 10^4 requests
     python tools/profile_hotpath.py --count 50000 --top 40
     python tools/profile_hotpath.py --fleet           # fleet leg
+    python tools/profile_hotpath.py --scheme baseline # firmware dispatch
     python tools/profile_hotpath.py --spec spec.json  # any ExperimentSpec
     python tools/profile_hotpath.py --sort cumtime    # callers' view
     python tools/profile_hotpath.py --output prof.out # pstats dump
@@ -21,6 +22,10 @@ Usage:
 Warm-up (2000 requests, untraced) fills the interpreter-lifetime
 caches first, so the profile shows the steady-state engine, not
 first-touch kernel-profile loads.
+
+``--scheme`` picks the scheme the built-in legs stream through
+(default ``accelos``): ``baseline`` profiles the firmware dispatch path
+(FIFO on the K20m legs), ``ek`` the Elastic Kernels session.
 
 ``--spec PATH`` profiles ``repro.api.run`` on an ``ExperimentSpec``
 JSON file instead (one process, no result cache), after an untraced
@@ -49,7 +54,8 @@ SEED = 2016
 LOAD = 0.8
 BURST_FACTOR = 1.4
 SCENARIO = "multi-tenant"
-SCHEME = "accelos"
+SCHEMES = ("baseline", "ek", "accelos")
+DEFAULT_SCHEME = "accelos"
 PLACEMENT = "least-loaded"
 SMALL_KERNELS = (
     "mri-gridding_scan_inter1", "mri-q_ComputePhiMag",
@@ -65,8 +71,8 @@ def arrival_iter(count, seed=SEED):
     return model.iter_arrivals(rate * BURST_FACTOR, count, seed=seed)
 
 
-def build_runner(fleet):
-    """``(warm, run)`` thunk pair for the chosen leg."""
+def build_runner(fleet, scheme=DEFAULT_SCHEME):
+    """``(make, run)`` thunk pair for the chosen leg and scheme."""
     if fleet:
         from repro.cl import derated_device, nvidia_k20m
         from repro.harness import FleetOpenSystemExperiment
@@ -79,7 +85,7 @@ def build_runner(fleet):
             ]))
 
         def run(experiment, count):
-            return experiment.run_stream(arrival_iter(count), SCHEME,
+            return experiment.run_stream(arrival_iter(count), scheme,
                                          PLACEMENT)
     else:
         from repro.cl import nvidia_k20m
@@ -89,13 +95,14 @@ def build_runner(fleet):
             return OpenSystemExperiment(nvidia_k20m())
 
         def run(experiment, count):
-            return experiment.run_stream(arrival_iter(count), SCHEME)
+            return experiment.run_stream(arrival_iter(count), scheme)
     return make, run
 
 
-def profile_stream(count, fleet=False, sort="tottime", top=25, output=None):
+def profile_stream(count, fleet=False, scheme=DEFAULT_SCHEME, sort="tottime",
+                   top=25, output=None):
     """Profile one streaming run; returns the report text."""
-    make, run = build_runner(fleet)
+    make, run = build_runner(fleet, scheme)
     run(make(), WARMUP_COUNT)          # untraced cache warm-up
     experiment = make()
     profiler = cProfile.Profile()
@@ -103,8 +110,8 @@ def profile_stream(count, fleet=False, sort="tottime", top=25, output=None):
     run(experiment, count)
     profiler.disable()
     events = getattr(experiment, "events_processed", 0)
-    header = "{} leg, {} requests, {} engine events".format(
-        "fleet" if fleet else "single-device", count, events)
+    header = "{} leg, {}, {} requests, {} engine events".format(
+        "fleet" if fleet else "single-device", scheme, count, events)
     return _report(profiler, header, sort, top, output)
 
 
@@ -145,6 +152,9 @@ def main(argv=None):
     leg.add_argument("--spec", metavar="PATH",
                      help="profile repro.api.run on this ExperimentSpec "
                           "JSON instead of a built-in leg")
+    parser.add_argument("--scheme", choices=SCHEMES,
+                        help="scheme of the built-in legs (default "
+                             "{})".format(DEFAULT_SCHEME))
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -154,11 +164,16 @@ def main(argv=None):
                         help="also dump raw pstats here (for snakeviz "
                              "or pstats.Stats)")
     args = parser.parse_args(argv)
+    if args.spec and args.scheme:
+        parser.error("--scheme applies to the built-in legs; a spec "
+                     "names its own schemes")
     if args.spec:
         print(profile_spec(args.spec, sort=args.sort, top=args.top,
                            output=args.output))
     else:
-        print(profile_stream(args.count, fleet=args.fleet, sort=args.sort,
+        print(profile_stream(args.count, fleet=args.fleet,
+                             scheme=args.scheme or DEFAULT_SCHEME,
+                             sort=args.sort,
                              top=args.top, output=args.output))
     return 0
 
