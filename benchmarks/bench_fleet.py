@@ -22,8 +22,8 @@ Expected shape of the results:
   criterion of the PR 2 subsystem);
 * affinity placement trades a little balance for locality: migrations are
   rare and bounded by the penalty;
-* under **bursty multi-tenant** traffic the closed loop earns its keep:
-  the offline pre-pass misjudges how fast an accelOS device drains (it
+* under **bursty multi-tenant** traffic live state earns its keep:
+  the offline estimate misjudges how fast an accelOS device drains (it
   assumes serial service; §3 space sharing drains concurrently), so the
   burst-aware *online* policy — live backlog + burst detection —
   restores accelOS's fleet-wide unfairness edge over the standard stack

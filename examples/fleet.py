@@ -20,10 +20,11 @@ fairness guarantees are untouched; placement only decides *which* device
 a request shares.  Watch round-robin drown the slow device while
 least-loaded placement wins on ANTT.
 
-The second table pushes the same fleet past saturation and compares the
-offline pre-pass against the closed loop (docs/PLACEMENT.md): online
-placement reads actual outstanding work instead of a single-server
-estimate, which is exactly what bursty multi-tenant traffic punishes.
+The second table pushes the same fleet past saturation and compares
+offline placement against live-state placement (docs/PLACEMENT.md):
+online placement reads actual outstanding work instead of a
+single-server estimate, which is exactly what bursty multi-tenant
+traffic punishes.
 
 It also shows the functional plane: FleetRuntime places application
 sessions across devices while each kernel still executes bit-for-bit

@@ -22,7 +22,7 @@ from repro.accelos.runtime import AccelOSRuntime
 from repro.accelos.fleet import FleetRuntime
 from repro.accelos.placement import (
     AffinityPlacement, LeastLoadedPlacement, PlacementDecision,
-    PlacementPolicy, RoundRobinPlacement, default_policies, place_arrivals)
+    PlacementPolicy, RoundRobinPlacement, default_policies)
 
 __all__ = [
     "chunk_size_for", "SchedulingPolicy",
@@ -31,5 +31,4 @@ __all__ = [
     "VirtualNDRange", "AccelOSRuntime", "FleetRuntime",
     "PlacementPolicy", "PlacementDecision", "RoundRobinPlacement",
     "LeastLoadedPlacement", "AffinityPlacement", "default_policies",
-    "place_arrivals",
 ]

@@ -8,20 +8,20 @@ of the device the request gets.  The split keeps the paper's per-device
 fairness guarantees intact — placement never bypasses an allocator, it
 only routes work to one.
 
-Two protocols live here, one per evaluation plane:
+Two protocols live here:
 
-* :class:`PlacementPolicy` — the **offline** protocol:
-  :func:`place_arrivals` walks the whole stream against a single-server
-  backlog *estimate* before any device simulates.  Fast, simple, and
-  blind to what actually happens on the devices.
+* :class:`PlacementPolicy` — the **offline** protocol: ``choose`` a
+  device from plain per-device load numbers.  Fast, simple, and blind
+  to what actually happens on the devices.
 * :class:`OnlinePlacementPolicy` — the **closed-loop** protocol driven
-  per-arrival by :class:`repro.sim.fleet.FleetSimulator`: ``observe``
-  arrivals, ``choose`` against live fleet state
+  per-arrival by :class:`repro.sim.fleet.FleetSimulator`, the one drive
+  loop: ``observe`` arrivals, ``choose`` against live fleet state
   (:class:`~repro.sim.fleet.FleetStatus`), and optionally ``rebalance``
   still-queued requests between devices at completion/idle events.
   :class:`OfflinePolicyAdapter` runs any offline policy inside the loop
-  — in *estimate* mode it reproduces :func:`place_arrivals`' decisions
-  bit-identically; in *live* mode the same ``choose`` logic sees real
+  — in *estimate* mode (``placement_mode`` ``"auto"``/``"offline"``) its
+  loads are a single-server backlog *estimate* kept from the placements
+  themselves; in *live* mode the same ``choose`` logic sees real
   simulator backlog instead.
 
 Offline policies, all deterministic (no RNG anywhere):
@@ -210,7 +210,7 @@ class OnlinePlacementPolicy:
       passes through here first, so rate trackers see all traffic;
     * :meth:`choose` — pick a device for an unpinned arrival against the
       live :class:`~repro.sim.fleet.FleetStatus` (actual outstanding
-      work, queue depths, active counts — not a pre-pass estimate);
+      work, queue depths, active counts — not a backlog estimate);
     * :meth:`rebalance` — called after completions and idle transitions;
       may return :class:`~repro.sim.fleet.MigrationOrder`s migrating
       still-queued requests between devices (each charged its order's
@@ -264,13 +264,14 @@ class OnlinePlacementPolicy:
 
 
 class OfflinePolicyAdapter(OnlinePlacementPolicy):
-    """Runs a legacy offline :class:`PlacementPolicy` inside the loop.
+    """Runs an offline :class:`PlacementPolicy` inside the loop.
 
-    ``mode="estimate"`` replays :func:`place_arrivals`' single-server
-    backlog estimate — same loads, same ``choose`` calls, same penalty
-    bookkeeping — so the closed loop reproduces the offline plane's
-    placement decisions **bit-identically** (regression-tested).
-    ``mode="live"`` feeds the same legacy ``choose`` the fleet's real
+    ``mode="estimate"`` is offline placement: each device is modelled as
+    a single server working through the estimated isolated service
+    times of the requests routed to it, and ``choose`` sees that
+    busy-until backlog — never the simulator's state.  It reproduces the
+    historical pre-pass (kept as a test oracle) bit-identically.
+    ``mode="live"`` feeds the same ``choose`` the fleet's real
     outstanding work instead: the cheapest way to make an existing
     policy load-aware in the closed loop.
     """
@@ -475,84 +476,3 @@ def default_policies():
     """
     from repro.api.placements import default_policies as registry_policies
     return registry_policies()
-
-
-def place_arrivals(policy, arrivals, devices, estimator, ids=None):
-    """Place one arrival stream across a fleet (the simulation plane).
-
-    Walks the stream in arrival order maintaining a per-device backlog
-    estimate — each device modelled as a single server working through the
-    estimated isolated service times of the requests routed to it — and
-    asks ``policy`` to choose a device for every unpinned request.
-    ``estimator(name, device)`` supplies the service estimate (typically
-    :func:`repro.harness.experiment.isolated_time`).  ``ids`` maps device
-    ids of pinned requests to fleet indices.
-
-    Conservation invariant: returns exactly one
-    :class:`PlacementDecision` per arrival, in the input stream's order.
-    The backlog is an *estimate* used only for routing; real timing comes
-    from each device's simulator afterwards.
-    """
-    if isinstance(policy, OnlinePlacementPolicy):
-        raise SchedulingError(
-            "policy {!r} is closed-loop-only (online); the offline "
-            "pre-pass cannot drive it — run it through the fleet "
-            "harness or repro.sim.fleet.FleetSimulator".format(policy.name))
-    if not arrivals:
-        raise SchedulingError("cannot place an empty arrival stream")
-    if not devices:
-        raise SchedulingError("cannot place onto an empty fleet")
-    id_to_index = dict(ids) if ids is not None else {}
-    policy.reset()
-    busy_until = [0.0] * len(devices)
-    order = sorted(range(len(arrivals)),
-                   key=lambda i: (arrivals[i].time, i))
-    placed = [None] * len(arrivals)
-    # The estimator is a pure function of (kernel, device) but typically
-    # simulates an isolated run on a miss: memoise it across the stream
-    # so a long stream over a large fleet pays one estimate per distinct
-    # (kernel, device), not one per request per device.
-    estimates = {}
-
-    def estimate(name, device_index):
-        key = (name, device_index)
-        value = estimates.get(key)
-        if value is None:
-            value = estimator(name, devices[device_index])
-            estimates[key] = value
-        return value
-
-    for i in order:
-        arrival = arrivals[i]
-        costs = None
-        if arrival.device is not None:
-            if arrival.device not in id_to_index:
-                raise SchedulingError(
-                    "arrival pinned to unknown device {!r}".format(
-                        arrival.device))
-            index = id_to_index[arrival.device]
-            pinned = True
-        else:
-            loads = [max(0.0, busy - arrival.time) for busy in busy_until]
-            # pinned requests and cost-blind policies never read the cost
-            # vector, so only estimate per device when the policy will
-            costs = ([estimate(arrival.name, j)
-                      for j in range(len(devices))]
-                     if policy.uses_costs else None)
-            index = policy.choose(arrival, loads,
-                                  costs if costs is not None
-                                  else [0.0] * len(devices))
-            if not 0 <= index < len(devices):
-                raise SchedulingError(
-                    "policy {} chose device {} of {}".format(
-                        policy.name, index, len(devices)))
-            pinned = False
-        penalty = policy.migration_penalty(arrival, index)
-        start = max(busy_until[index], arrival.time + penalty)
-        # reuse the chosen device's cost from the vector we just built
-        # instead of estimating the same (kernel, device) pair again
-        service = (costs[index] if costs is not None
-                   else estimate(arrival.name, index))
-        busy_until[index] = start + service
-        placed[i] = PlacementDecision(arrival, index, penalty, pinned)
-    return placed

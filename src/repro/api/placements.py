@@ -104,8 +104,8 @@ def default_policies():
 
     User-registered policies appear here too; one fresh instance per
     call, so shared-cursor state can never leak between experiments.
-    Closed-loop-only (online) policies are excluded — they cannot drive
-    :func:`repro.accelos.placement.place_arrivals`; list them via
+    Closed-loop-only (online) policies are excluded — they need live
+    fleet state, which offline placement never reads; list them via
     :func:`placement_names` + :func:`is_online_placement` instead.
     """
     policies = {name: placement_from_name(name)

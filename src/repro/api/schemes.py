@@ -8,7 +8,12 @@ logic, and the registry is the single source of truth for which schemes
 exist:
 
 * :meth:`SchedulingScheme.open_records` — per-request
-  :class:`RequestRecord` timing of one arrival stream (the open system);
+  :class:`RequestRecord` timing of one arrival stream on one device (the
+  open system's exact single-device run);
+* :meth:`SchedulingScheme.open_session` — one device's incremental
+  session, what the one drive loop
+  (:class:`~repro.sim.fleet.FleetSimulator`) advances, harvests and
+  submits to.  Fleet, streaming and attributed runs need it;
 * :meth:`SchedulingScheme.run_closed` — one closed-batch repetition
   (everything submitted at t=0, the paper's §7.2 methodology);
 * :meth:`SchedulingScheme.run_single` — single-kernel studies (fig. 15),
@@ -20,18 +25,23 @@ The paper's three schemes are pre-registered in report order:
 * ``ek``       — Elastic Kernels' static merged launches (§7.3);
 * ``accelos``  — the §3 sharing algorithm with §6.4 chunking.
 
-``register_scheme`` adds a user scheme; it then runs through every
-harness (:class:`~repro.harness.open_system.OpenSystemExperiment`,
+The built-ins implement ``open_session``, and their ``open_records``
+only enters the drive loop (:func:`loop_records`): a single device is a
+one-member fleet with no placement policy.  ``register_scheme`` adds a
+user scheme; it then runs through every harness
+(:class:`~repro.harness.open_system.OpenSystemExperiment`,
 :class:`~repro.harness.open_system.FleetOpenSystemExperiment`,
 :func:`~repro.harness.experiment.run_workload`), the declarative
-``run(spec)`` driver and the golden-trace tooling unchanged.  See
-docs/API.md for the 20-line extension recipe.
+``run(spec)`` driver and the golden-trace tooling unchanged, as far as
+its capabilities reach: an ``open_records``-only scheme runs exact
+single-device streams, and the session-needing runs raise naming the
+session-capable schemes.  See docs/API.md for the 20-line extension
+recipe.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
 
 from repro.accelos.adaptive import SchedulingPolicy, effective_chunk
 from repro.accelos.sharing import compute_allocations
@@ -41,7 +51,8 @@ from repro.api.kernels import (base_spec, chunk_for_profile, detailed_spec,
 from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.errors import SimulationError
-from repro.sim import ExecutionMode, GPUSimulator, QueuedRequest
+from repro.sim import (DeviceFleet, ExecutionMode, FleetSimulator,
+                       GPUSimulator, QueuedRequest)
 from repro.workloads.parboil import profile_by_name
 
 
@@ -191,29 +202,20 @@ class GpuOpenSession:
                    if run.finish_time is None
                    and not self._sim.open_withdrawable(run))
 
-    def results(self):
-        """``{key: (start, finish)}`` once the session has drained."""
-        out = {}
-        for key, (arrival, run) in self._entries.items():
-            if run.finish_time is None:
-                raise SimulationError(
-                    "request {} never finished on {}".format(
-                        arrival.name, self.device.name))
-            out[key] = (run.start_time, run.finish_time)
-        return out
-
 
 class ElasticOpenSession:
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
-    The incremental form of
-    :meth:`ElasticKernelsScheme.open_records`'s replay loop, exposing
-    the same device-session protocol as :class:`GpuOpenSession`.  EK
-    decides merges statically at launch, so the session alternates two
-    event kinds: a *launch* (device idle, waiting queue non-empty —
-    pack the queue head into a merged launch, simulate it as a closed
-    batch) and the launch's *completion* (records become final, next
-    launch may start).  Requests waiting for the device to drain are
+    Exposes the same device-session protocol as
+    :class:`GpuOpenSession`.  EK decides merges statically at launch:
+    requests arriving while a merged launch runs cannot join it, so they
+    queue until the device drains, then the queue head is packed into
+    the next merged launch (arrival order, bounded by the merge width
+    and static split floor).  The session alternates two event kinds: a
+    *launch* (device idle, waiting queue non-empty — pack the queue head
+    into a merged launch, simulate it as a closed batch) and the
+    launch's *completion* (records become final, next launch may
+    start).  Requests waiting for the device to drain are
     withdrawable — exactly the still-queued work a re-balancer may
     migrate.
     """
@@ -317,12 +319,6 @@ class ElasticOpenSession:
         self._harvestable = []
         return out
 
-    def results(self):
-        """``{key: (start, finish)}`` once the session has drained."""
-        if self._waiting or self._busy_until is not None:
-            raise SimulationError("elastic session still has queued work")
-        return dict(self._results)
-
 
 class SchedulingScheme:
     """One way of sharing a device among concurrent kernel requests.
@@ -343,23 +339,19 @@ class SchedulingScheme:
     def open_records(self, arrivals, device,
                      policy=SchedulingPolicy.ADAPTIVE, saturate=True):
         """Per-request :class:`RequestRecord` list for one arrival stream,
-        in the stream's submission order (conservation: one per arrival)."""
+        in the stream's submission order (conservation: one per arrival).
+        Session-capable schemes implement it as :func:`loop_records`."""
         raise _missing_mode_error(self, "open-system", "open_records",
                                   open_scheme_names)
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
-        """One device's incremental open-system session (the closed-loop
-        fleet plane): an object speaking the device-session protocol of
-        :class:`repro.sim.fleet.FleetSimulator`.  Optional — schemes
-        without one fall back to the offline fleet path and cannot serve
-        online placement policies."""
-        raise SimulationError(
-            "scheme {!r} has no closed-loop session mode; implement "
-            "open_session to use online placement (session-capable: "
-            "{})".format(self.name, ", ".join(
-                s for s in SCHEMES
-                if SCHEMES.from_name(s).supports_open_session)))
+        """One device's incremental open-system session: an object
+        speaking the device-session protocol of
+        :class:`repro.sim.fleet.FleetSimulator`, the one drive loop.
+        Optional — schemes without one run exact single-device streams
+        only; fleet, streaming and attributed runs raise."""
+        raise _missing_session_error(self)
 
     # -- closed batches ------------------------------------------------------
 
@@ -411,17 +403,6 @@ class SchedulingScheme:
                 s for s in SCHEMES
                 if SCHEMES.from_name(s).supports_single)))
 
-    # -- shared helpers ------------------------------------------------------
-
-    @staticmethod
-    def records_from_trace(arrivals, trace, device):
-        """Zip one open-system trace back onto its arrival stream."""
-        return [
-            RequestRecord(a.name, a.time, iv.start, iv.finish,
-                          isolated_time(a.name, device), tenant=a.tenant)
-            for a, iv in zip(arrivals, trace.intervals)
-        ]
-
     def __repr__(self):
         return "<{} {!r}>".format(type(self).__name__, self.name)
 
@@ -439,9 +420,7 @@ class BaselineScheme(SchedulingScheme):
 
     def open_records(self, arrivals, device,
                      policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        specs = [base_spec(a.name).with_arrival(a.time) for a in arrivals]
-        trace = GPUSimulator(device).run_open(specs)
-        return self.records_from_trace(arrivals, trace, device)
+        return loop_records(self, arrivals, device, policy, saturate)
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
@@ -511,11 +490,7 @@ class AccelOSScheme(SchedulingScheme):
 
     def open_records(self, arrivals, device,
                      policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        specs = [self.admission_spec(a, device, policy=policy,
-                                     saturate=saturate) for a in arrivals]
-        trace = GPUSimulator(device).run_open(
-            specs, allocator=sharing_allocator(device, saturate=saturate))
-        return self.records_from_trace(arrivals, trace, device)
+        return loop_records(self, arrivals, device, policy, saturate)
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
@@ -566,40 +541,7 @@ class ElasticKernelsScheme(SchedulingScheme):
 
     def open_records(self, arrivals, device,
                      policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        """Serialised merged-launch replay.
-
-        EK decides merges statically at launch: requests arriving while a
-        merged launch runs cannot join it, so they queue until the device
-        drains, then the queue head is packed into the next merged launch
-        (arrival order, bounded by the merge width and static split
-        floor).
-        """
-        scheduler = ElasticKernelsScheduler(device)
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        records = [None] * len(arrivals)
-        waiting = deque()
-        now = 0.0
-        next_arrival = 0
-        while next_arrival < len(order) or waiting:
-            if not waiting:
-                now = max(now, arrivals[order[next_arrival]].time)
-            while (next_arrival < len(order)
-                   and arrivals[order[next_arrival]].time <= now + 1e-12):
-                waiting.append(order[next_arrival])
-                next_arrival += 1
-            specs = [base_spec(arrivals[i].name) for i in waiting]
-            head = scheduler.pack(specs)[0]
-            launched = [waiting.popleft() for _ in head.specs]
-            trace = GPUSimulator(device).run(
-                scheduler.to_sim_specs(head))
-            for i, iv in zip(launched, trace.intervals):
-                a = arrivals[i]
-                records[i] = RequestRecord(
-                    a.name, a.time, now + iv.start, now + iv.finish,
-                    isolated_time(a.name, device), tenant=a.tenant)
-            now += trace.makespan
-        return records
+        return loop_records(self, arrivals, device, policy, saturate)
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
@@ -637,6 +579,25 @@ def _missing_mode_error(scheme, mode, method, capable_names):
             mode.split("-")[0], ", ".join(capable_names())))
 
 
+def _missing_session_error(scheme):
+    return SimulationError(
+        "scheme {!r} has no open_session, so it runs exact single-device "
+        "streams only; implement open_session for fleet, streaming and "
+        "attributed runs (session-capable: {})".format(
+            scheme.name, ", ".join(
+                s for s in SCHEMES
+                if SCHEMES.from_name(s).supports_open_session)))
+
+
+def require_session(scheme):
+    """Raise the actionable capability error unless ``scheme`` has a
+    device session for the drive loop (fleet, streaming and attributed
+    runs fail fast, before any simulation)."""
+    if not scheme.supports_open_session:
+        raise _missing_session_error(scheme)
+    return scheme
+
+
 def require_closed(scheme):
     """Raise the actionable capability error unless ``scheme`` can run
     closed batches (harness fail-fast, before any simulation)."""
@@ -644,6 +605,46 @@ def require_closed(scheme):
         raise _missing_mode_error(scheme, "closed-batch", "run_closed",
                                   closed_scheme_names)
     return scheme
+
+
+# -- the drive loop's record plumbing -----------------------------------------
+
+def record_sink(isolated, observe):
+    """The drive loop's ``on_record`` callback: build each finished
+    request's :class:`RequestRecord` (slowdown denominator
+    ``isolated(name)``), hand it to ``observe(entry, record)`` — the
+    caller's sink — and return it for the ledger to observe."""
+    def on_record(entry, start, finish):
+        arrival = entry.arrival
+        record = RequestRecord(arrival.name, arrival.time, start, finish,
+                               isolated(arrival.name), tenant=arrival.tenant)
+        observe(entry, record)
+        return record
+    return on_record
+
+
+def device_loop(scheme, device, policy=SchedulingPolicy.ADAPTIVE,
+                saturate=True, ledger=None):
+    """The drive loop over one device's session, with no placement
+    policy: a single device is a one-member fleet."""
+    session = require_session(scheme).open_session(
+        device, policy=policy, saturate=saturate)
+    return FleetSimulator(DeviceFleet([device]), [session], None,
+                          isolated_time, ledger=ledger)
+
+
+def loop_records(scheme, arrivals, device, policy=SchedulingPolicy.ADAPTIVE,
+                 saturate=True, ledger=None):
+    """Exact records of one stream on one device, in the stream's
+    submission order: the position-ordered sink of the drive loop."""
+    records = [None] * len(arrivals)
+
+    def observe(entry, record):
+        records[entry.position] = record
+    device_loop(scheme, device, policy, saturate, ledger).run(
+        arrivals, record_sink(lambda name: isolated_time(name, device),
+                              observe))
+    return records
 
 
 # -- registry -----------------------------------------------------------------

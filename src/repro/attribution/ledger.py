@@ -1,9 +1,11 @@
 """The accounting ledger: sim events in, per-tenant attribution out.
 
-:class:`AttributionLedger` consumes the closed loop's event stream —
-submissions (:meth:`submit`), migrations (:meth:`migrate`) and
-completions (:meth:`finish`), in nondecreasing event time per device —
-and maintains three per-tenant accounts:
+:class:`AttributionLedger` is an observer of the drive loop
+(:class:`repro.sim.fleet.FleetSimulator`): the loop reports submissions
+(:meth:`submit`), migrations (:meth:`migrate`), completions
+(:meth:`finish`) and finished records (:meth:`observe_record`) to it, in
+nondecreasing event time per device, and it maintains three per-tenant
+accounts:
 
 * **Occupancy** — resident device-memory bytes per ``(device, tenant)``,
   charged from a request's submission to its completion using the
@@ -29,9 +31,7 @@ and maintains three per-tenant accounts:
 
 Memory is O(#tenants·#devices) occupancy cells plus O(#tenants²)
 induced-delay cells plus the outstanding request set — never the stream
-length — so the ledger composes with the PR 7 streaming plane
-(:meth:`observe_record` is the
-:class:`~repro.metrics.sketches.StreamingRecordSink` attribution hook).
+length — so the ledger composes with the PR 7 streaming plane.
 :meth:`report` freezes everything into a plain-data
 :class:`AttributionReport` (picklable: result caches store it).
 """
@@ -105,8 +105,7 @@ class AttributionLedger:
     byte count (the functional-plane default is right for the corpus;
     tests inject constants).  Event methods must be called in
     nondecreasing time per device — exactly the order
-    :class:`~repro.sim.fleet.FleetSimulator` and the open-system
-    harness produce.
+    :class:`~repro.sim.fleet.FleetSimulator` calls them in.
     """
 
     def __init__(self, device_ids: Sequence[str],
@@ -243,9 +242,9 @@ class AttributionLedger:
         self.events += 1
 
     def observe_record(self, record: Any) -> None:
-        """The :class:`~repro.metrics.sketches.StreamingRecordSink`
-        attribution hook: per-tenant completed-request counts and
-        queueing totals, for cross-checking the decomposition."""
+        """One finished request's record (after its :meth:`finish`):
+        per-tenant completed-request counts and queueing totals, for
+        cross-checking the decomposition."""
         label = tenant_label(getattr(record, "tenant", None))
         self._observed_count[label] = self._observed_count.get(label, 0) + 1
         self._observed_queueing[label] = \

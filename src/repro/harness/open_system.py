@@ -13,6 +13,20 @@ Scheme execution itself lives on the registered scheme objects
 pre-registered, and any user-registered scheme runs through these
 experiments unchanged — the harness only zips records into metrics.
 
+Every run goes through one drive loop,
+:class:`repro.sim.fleet.FleetSimulator`: advance the devices to the next
+arrival, harvest what finished, submit the arrival.  A single device is
+a one-member fleet with no placement policy.  Runs differ only in what
+is attached to the loop:
+
+* the **sink** — exact runs put each record at its stream position (the
+  retained list every exact metric is computed from); streaming runs
+  feed a :class:`~repro.metrics.sketches.StreamingRecordSink`;
+* the **observer** — with a ledger
+  (:class:`repro.attribution.AttributionLedger`) the loop reports every
+  submit, migration, finish and finished record to it, and the result
+  gains an ``attribution`` report.
+
 Per-request metrics measure turnaround from *arrival* (queueing included),
 normalised by the kernel's isolated execution time — the open-system
 analogue of the paper's individual slowdown.
@@ -26,12 +40,11 @@ experiment is a pure function of its inputs (same stream → bit-identical
 metrics); the accelOS scheme re-runs the §3 allocator on every arrival
 and completion of the device serving the request.
 
-Fleet runs place each request on exactly one device
-(:func:`repro.accelos.placement.place_arrivals`), simulate every device
-independently, and report both per-device results and fleet-wide
-aggregates.  Fleet slowdowns are normalised by the *best* isolated time
-across the fleet, so being routed to a slow device legitimately counts as
-slowdown — the user-perceived metric for a heterogeneous deployment.
+Fleet runs place each request on exactly one device and report both
+per-device results and fleet-wide aggregates.  Fleet slowdowns are
+normalised by the *best* isolated time across the fleet, so being routed
+to a slow device legitimately counts as slowdown — the user-perceived
+metric for a heterogeneous deployment.
 """
 
 from __future__ import annotations
@@ -40,8 +53,7 @@ import numpy as np
 
 from repro.accelos.adaptive import SchedulingPolicy
 from repro.accelos.placement import (OfflinePolicyAdapter,
-                                     OnlinePlacementPolicy, PlacementDecision,
-                                     place_arrivals)
+                                     OnlinePlacementPolicy, PlacementDecision)
 # re-exported under their historical home: these primitives now live in
 # repro.api.kernels so schemes below the harness can share them
 from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
@@ -49,13 +61,14 @@ from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
                                mean_isolated_service, requirements_from_spec,
                                sharing_allocator)
 from repro.api.placements import placement_from_name, rebalancer_from_name
-from repro.api.schemes import (RequestRecord, open_scheme_names,
+from repro.api.schemes import (RequestRecord,  # noqa: F401
+                               device_loop, loop_records, open_scheme_names,
+                               record_sink, require_session,
                                scheme_from_name)
 from repro.errors import SimulationError
 from repro.metrics import (StreamingRecordSink, antt, individual_slowdowns,
                            request_tails, stp, system_unfairness)
 from repro.sim.fleet import DeviceFleet, FleetSimulator
-from repro.workloads.arrivals import ArrivalRequest
 
 
 class OpenSystemResult:
@@ -149,69 +162,23 @@ class OpenSystemExperiment:
         :class:`OpenSystemResult` with records in submission order.
 
         With a ``ledger`` (:class:`repro.attribution.AttributionLedger`)
-        the run is driven through the harvesting session loop — identical
-        timings, but completions surface as events the ledger can
-        consume — and the result gains an ``attribution`` report.
+        the loop reports its events to it — identical timings — and the
+        result gains an ``attribution`` report; the scheme needs an
+        ``open_session``.
         """
         scheme_obj = scheme_from_name(scheme)
-        if ledger is not None:
-            records = self._attributed_records(arrivals, scheme_obj,
-                                               ledger)
-            result = OpenSystemResult(scheme_obj.name, self.device.name,
-                                      records)
-            result.attribution = ledger.report()
-            return result
-        records = self.scheme_records(arrivals, scheme_obj)
-        return OpenSystemResult(scheme_obj.name, self.device.name, records)
-
-    def _attributed_records(self, arrivals, scheme_obj, ledger):
-        """Exact-path records via the harvesting session loop, with every
-        submit/finish mirrored into ``ledger`` in event order (the eager
-        ``open_records`` path computes identical timings but never
-        surfaces per-completion events)."""
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so its runs cannot be "
-                "attributed".format(scheme_obj.name))
-        session = scheme_obj.open_session(self.device, policy=self.policy,
-                                          saturate=self.saturate)
-        records = [None] * len(arrivals)
-        pending = {}
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            arrival = arrivals[i]
-            session.advance(arrival.time)
-            self._drain_attributed(session, pending, records, ledger)
-            session.submit(i, arrival, arrival.time)
-            ledger.submit(i, arrival.name, arrival.tenant, 0, arrival.time,
-                          isolated_time(arrival.name, self.device))
-            pending[i] = arrival
-        session.advance()
-        self._drain_attributed(session, pending, records, ledger)
-        if pending:
-            raise SimulationError(
-                "{} requests never finished on {} (conservation "
-                "violated)".format(len(pending), self.device.name))
-        return records
-
-    def _drain_attributed(self, session, pending, records, ledger):
-        for key, start, finish in session.harvest():
-            arrival = pending.pop(key)
-            ledger.finish(key, start, finish)
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                isolated_time(arrival.name, self.device),
-                tenant=arrival.tenant)
-            ledger.observe_record(record)
-            records[key] = record
+        if ledger is None:
+            records = self.scheme_records(arrivals, scheme_obj)
+        else:
+            records = loop_records(scheme_obj, arrivals, self.device,
+                                   self.policy, self.saturate, ledger)
+        return _attributed(OpenSystemResult(
+            scheme_obj.name, self.device.name, records), ledger)
 
     def scheme_records(self, arrivals, scheme):
-        """Per-request records of one scheme over one stream (the building
-        block :class:`FleetOpenSystemExperiment` combines per device).
-        Unknown scheme names raise listing the registered schemes."""
+        """Per-request records of one scheme over one stream (the
+        scheme's ``open_records``).  Unknown scheme names raise listing
+        the registered schemes."""
         if not arrivals:
             raise SimulationError("empty arrival stream")
         return scheme_from_name(scheme).open_records(
@@ -223,71 +190,25 @@ class OpenSystemExperiment:
         iterator incrementally, accumulate metrics in a record sink and
         never retain the stream — bounded memory at any request count.
 
-        The scheme must support ``open_session`` (with ``harvest()``).
-        Returns an :class:`OpenSystemResult` built
+        The scheme must support ``open_session``.  Returns an
+        :class:`OpenSystemResult` built
         :meth:`~OpenSystemResult.from_sink` (``records is None``).  With
-        a ``ledger`` the sink forwards every completed record to it, the
-        submit/finish events feed its accounts, and the result gains an
-        ``attribution`` report — still bounded memory (the ledger is
-        O(#tenants·#devices)).
+        a ``ledger`` the loop reports its events and finished records to
+        it, and the result gains an ``attribution`` report — still
+        bounded memory (the ledger is O(#tenants·#devices)).
         """
         scheme_obj = scheme_from_name(scheme)
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so it cannot consume "
-                "a stream incrementally; use run() with a list".format(
-                    scheme_obj.name))
-        session = scheme_obj.open_session(self.device, policy=self.policy,
-                                          saturate=self.saturate)
+        simulator = device_loop(scheme_obj, self.device, self.policy,
+                                self.saturate, ledger)
         sink = (sink_factory or StreamingRecordSink)()
-        if ledger is not None and hasattr(sink, "attach_attribution"):
-            sink.attach_attribution(ledger.observe_record)
-        pending = {}                    # key -> arrival, outstanding only
-        position = 0
-        last_time = None
-        for arrival in arrivals:
-            if last_time is not None and arrival.time < last_time - 1e-12:
-                raise SimulationError(
-                    "streaming arrivals must be time-ordered: {:.6f} "
-                    "after {:.6f}".format(arrival.time, last_time))
-            last_time = arrival.time
-            # advance strictly before the arrival (the arrival-first tie
-            # rule of run_open), then absorb whatever finished
-            session.advance(arrival.time)
-            self._harvest_into(session, pending, sink, ledger)
-            session.submit(position, arrival, arrival.time)
-            if ledger is not None:
-                ledger.submit(position, arrival.name, arrival.tenant, 0,
-                              arrival.time,
-                              isolated_time(arrival.name, self.device))
-            pending[position] = arrival
-            position += 1
-        if position == 0:
-            raise SimulationError("empty arrival stream")
-        session.advance()
-        self._harvest_into(session, pending, sink, ledger)
-        if pending:
-            raise SimulationError(
-                "{} requests never finished on {} (conservation "
-                "violated)".format(len(pending), self.device.name))
+        simulator.run_stream(arrivals, record_sink(
+            lambda name: isolated_time(name, self.device),
+            lambda entry, record: sink.observe(record)))
         # observability only: how many engine events the stream cost
         # (read by benchmarks/bench_engine.py for events/sec)
-        self.events_processed = getattr(session, "events_processed", 0)
-        result = OpenSystemResult.from_sink(scheme_obj.name,
-                                            self.device.name, sink)
-        if ledger is not None:
-            result.attribution = ledger.report()
-        return result
-
-    def _harvest_into(self, session, pending, sink, ledger=None):
-        for key, start, finish in session.harvest():
-            arrival = pending.pop(key)
-            if ledger is not None:
-                ledger.finish(key, start, finish)
-            sink.observe(RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                isolated_time(arrival.name, self.device),
-                tenant=arrival.tenant))
+        self.events_processed = simulator.events_processed()
+        return _attributed(OpenSystemResult.from_sink(
+            scheme_obj.name, self.device.name, sink), ledger)
 
     def run_all(self, arrivals, schemes=None):
         """All schemes over one stream: ``{scheme: OpenSystemResult}``.
@@ -384,27 +305,24 @@ class FleetOpenSystemResult:
 class FleetOpenSystemExperiment:
     """Open-system arrival streams against a heterogeneous device fleet.
 
-    The fleet runs as a **closed-loop co-simulation**
+    The fleet runs in the drive loop
     (:class:`repro.sim.fleet.FleetSimulator`): every device's scheme
     session shares one event timeline and the placement policy is
     consulted at each arrival.  Three placement modes (``mode=``):
 
-    * ``"auto"`` (default) — an offline policy runs in the loop in
-      *estimate* mode, reproducing the historical offline pre-pass's
-      decisions bit-identically; an online policy gets live fleet state
-      and the re-balance hook.
-    * ``"offline"`` — force the legacy pre-pass
-      (:func:`~repro.accelos.placement.place_arrivals` + independent
-      per-device simulation); online policies are rejected.  Also the
-      fallback for registered schemes that implement ``open_records``
-      but no ``open_session``.
+    * ``"auto"`` (default) — an offline policy runs in *estimate* mode
+      (:class:`~repro.accelos.placement.OfflinePolicyAdapter`: routing
+      against a single-server backlog estimate); an online policy gets
+      live fleet state and the re-balance hook.
+    * ``"offline"`` — the same estimate mode, with online policies,
+      re-balancing and attribution rejected.
     * ``"online"`` — force live-state placement: online policies run
       natively, offline policies are adapted with live loads.
 
     ``rebalance`` names a registered re-balancer
     (:func:`repro.api.placements.rebalancer_names`) wrapped around the
     policy; it requires live-state placement (an online policy, or
-    ``mode="online"``).
+    ``mode="online"``).  The scheme must implement ``open_session``.
 
     Pinned requests are honoured in every mode and never re-balanced;
     migration penalties delay a request's availability on its new
@@ -419,24 +337,11 @@ class FleetOpenSystemExperiment:
         self.fleet = fleet
         self.policy = policy
         self.saturate = saturate
-        self.experiments = [
-            OpenSystemExperiment(member.device, policy=policy,
-                                 saturate=saturate)
-            for member in fleet
-        ]
-
-    # -- placement ---------------------------------------------------------
 
     def reference_isolated(self, name):
         """Best isolated time across the fleet: the slowdown denominator."""
         return min(isolated_time(name, member.device)
                    for member in self.fleet)
-
-    def place(self, arrivals, placement):
-        """Offline placement decisions for one stream (no simulation)."""
-        return place_arrivals(
-            placement_from_name(placement), arrivals, self.fleet.devices,
-            estimator=isolated_time, ids=self.fleet.id_to_index())
 
     # -- simulation --------------------------------------------------------
 
@@ -447,26 +352,87 @@ class FleetOpenSystemExperiment:
         ``placement`` is a registered name or a policy instance (offline
         or online protocol); ``mode`` and ``rebalance`` are described on
         the class.  With a ``ledger``
-        (:class:`repro.attribution.AttributionLedger`) the closed loop
-        feeds it placement/migration/completion events and the result
-        gains an ``attribution`` report; the offline pre-pass has no
-        event timeline to attribute, so it rejects a ledger.
+        (:class:`repro.attribution.AttributionLedger`) the loop reports
+        placement/migration/completion events to it and the result gains
+        an ``attribution`` report.
         """
         if not arrivals:
             raise SimulationError("empty arrival stream")
+        scheme_obj = scheme_from_name(scheme)
+        simulator = self._loop(scheme_obj, placement, mode, rebalance,
+                               ledger)
+        records = [None] * len(arrivals)
+        placed = [None] * len(arrivals)
+
+        def observe(entry, record):
+            records[entry.position] = record
+            placed[entry.position] = entry
+        simulator.run(arrivals, record_sink(self.reference_isolated,
+                                            observe))
+        records_by_device = {device_id: [] for device_id in self.fleet.ids}
+        decisions = []
+        for record, entry in zip(records, placed):
+            records_by_device[self.fleet[entry.index].id].append(record)
+            decisions.append(PlacementDecision(
+                entry.arrival, entry.index, entry.penalty, entry.pinned))
+        return _attributed(FleetOpenSystemResult(
+            scheme_obj.name, simulator.policy.name, self.fleet,
+            records_by_device, records, decisions,
+            rebalances=len(simulator.migrations)), ledger)
+
+    def run_stream(self, arrivals, scheme, placement, mode="auto",
+                   rebalance=None, sink_factory=None, ledger=None):
+        """Streaming :meth:`run`: consume a lazy time-ordered arrival
+        iterator through the loop in bounded memory.
+
+        ``mode="offline"`` is rejected (as by the spec's streaming
+        metrics mode); completed requests drain into per-device record
+        sinks as they finish.  Returns a :class:`FleetOpenSystemResult`
+        built :meth:`~FleetOpenSystemResult.from_sinks` (``records`` and
+        ``decisions`` are ``None``).  With a ``ledger`` the loop reports
+        its events and finished records to it, and the result gains an
+        ``attribution`` report.
+        """
+        if mode not in ("auto", "online"):
+            raise SimulationError(
+                "streaming fleet runs are closed-loop only: placement "
+                "mode must be 'auto' or 'online', got {!r}".format(mode))
+        scheme_obj = scheme_from_name(scheme)
+        simulator = self._loop(scheme_obj, placement, mode, rebalance,
+                               ledger)
+        factory = sink_factory or StreamingRecordSink
+        overall = factory()
+        device_sinks = {device_id: factory()
+                        for device_id in self.fleet.ids}
+        migrated = [0]
+
+        def observe(entry, record):
+            overall.observe(record)
+            device_sinks[self.fleet[entry.index].id].observe(record)
+            if entry.penalty > 0:
+                migrated[0] += 1
+        simulator.run_stream(arrivals, record_sink(self.reference_isolated,
+                                                   observe))
+        # observability only: engine events summed over the fleet's
+        # sessions (read by benchmarks/bench_engine.py for events/sec)
+        self.events_processed = simulator.events_processed()
+        return _attributed(FleetOpenSystemResult.from_sinks(
+            scheme_obj.name, simulator.policy.name, self.fleet, overall,
+            device_sinks, migrations=migrated[0],
+            rebalances=len(simulator.migrations)), ledger)
+
+    def _loop(self, scheme_obj, placement, mode, rebalance, ledger):
+        """Validate the placement settings and build the drive loop over
+        the fleet's sessions (shared by the exact and streaming runs)."""
         if mode not in ("auto", "offline", "online"):
             raise SimulationError(
                 "placement mode must be 'auto', 'offline' or 'online', "
                 "got {!r}".format(mode))
-        scheme_obj = scheme_from_name(scheme)
         policy = placement_from_name(placement)
         is_online = isinstance(policy, OnlinePlacementPolicy)
         if rebalance in ("none",):
             rebalance = None
-
-        if mode == "offline" or (mode == "auto"
-                                 and not is_online
-                                 and not scheme_obj.supports_open_session):
+        if mode == "offline":
             if ledger is not None:
                 raise SimulationError(
                     "attribution needs the closed loop's event timeline; "
@@ -480,20 +446,11 @@ class FleetOpenSystemExperiment:
                 raise SimulationError(
                     "re-balancing needs the closed loop; drop "
                     "mode='offline' or the rebalance setting")
-            return self._run_offline(arrivals, scheme_obj, policy)
-
-        policy = self._loop_policy(scheme_obj, policy, is_online, mode,
-                                   rebalance)
-        return self._run_loop(arrivals, scheme_obj, policy, ledger=ledger)
-
-    def _loop_policy(self, scheme_obj, policy, is_online, mode, rebalance):
-        """Wrap/validate a placement policy for the closed loop (shared
-        by the eager and streaming paths)."""
         if mode == "online" and not is_online:
-            # legacy choose logic fed live simulator state
+            # offline choose logic fed live simulator state
             policy = OfflinePolicyAdapter(policy, mode="live")
         elif not is_online:
-            # auto: replay the offline pre-pass decisions bit-identically
+            # the single-server backlog estimate
             policy = OfflinePolicyAdapter(policy, mode="estimate")
         if rebalance is not None:
             if not (is_online or mode == "online"):
@@ -501,182 +458,14 @@ class FleetOpenSystemExperiment:
                     "re-balancing needs live-state placement: use an "
                     "online policy or mode='online'")
             policy = rebalancer_from_name(rebalance)(policy)
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so it cannot serve "
-                "online placement; use an offline policy (or implement "
-                "open_session)".format(scheme_obj.name))
-        return policy
-
-    def run_stream(self, arrivals, scheme, placement, mode="auto",
-                   rebalance=None, sink_factory=None, ledger=None):
-        """Streaming :meth:`run`: consume a lazy time-ordered arrival
-        iterator through the closed loop in bounded memory.
-
-        Always the closed-loop path (``mode="offline"`` is rejected —
-        the pre-pass needs the whole stream up front); completed
-        requests drain into per-device record sinks as they finish.
-        Returns a :class:`FleetOpenSystemResult` built
-        :meth:`~FleetOpenSystemResult.from_sinks` (``records`` and
-        ``decisions`` are ``None``).  With a ``ledger`` the loop feeds
-        it placement/migration/completion events, the *overall* sink
-        forwards completed records (per-device sinks do not — one
-        observation per record), and the result gains an
-        ``attribution`` report.
-        """
-        if mode not in ("auto", "online"):
-            raise SimulationError(
-                "streaming fleet runs are closed-loop only: placement "
-                "mode must be 'auto' or 'online', got {!r}".format(mode))
-        scheme_obj = scheme_from_name(scheme)
-        policy = placement_from_name(placement)
-        is_online = isinstance(policy, OnlinePlacementPolicy)
-        if rebalance in ("none",):
-            rebalance = None
-        policy = self._loop_policy(scheme_obj, policy, is_online, mode,
-                                   rebalance)
+        require_session(scheme_obj)
         sessions = [
             scheme_obj.open_session(member.device, policy=self.policy,
                                     saturate=self.saturate)
             for member in self.fleet
         ]
-        simulator = FleetSimulator(self.fleet, sessions, policy,
-                                   estimator=isolated_time, ledger=ledger)
-        factory = sink_factory or StreamingRecordSink
-        overall = factory()
-        if ledger is not None and hasattr(overall, "attach_attribution"):
-            overall.attach_attribution(ledger.observe_record)
-        device_sinks = {device_id: factory()
-                        for device_id in self.fleet.ids}
-        migrated = [0]
-
-        def on_record(entry, start, finish):
-            arrival = entry.arrival
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                self.reference_isolated(arrival.name),
-                tenant=arrival.tenant)
-            overall.observe(record)
-            device_sinks[self.fleet[entry.index].id].observe(record)
-            if entry.penalty > 0:
-                migrated[0] += 1
-
-        simulator.run_stream(arrivals, on_record)
-        # observability only: engine events summed over the fleet's
-        # sessions (read by benchmarks/bench_engine.py for events/sec)
-        self.events_processed = simulator.events_processed()
-        result = FleetOpenSystemResult.from_sinks(
-            scheme_obj.name, policy.name, self.fleet, overall,
-            device_sinks, migrations=migrated[0],
-            rebalances=len(simulator.migrations))
-        if ledger is not None:
-            result.attribution = ledger.report()
-        return result
-
-    def _run_loop(self, arrivals, scheme_obj, policy, ledger=None):
-        """The closed-loop path: one merged timeline over all devices.
-
-        With a ``ledger`` the loop runs through the harvesting streaming
-        machinery over the same (sorted) stream — identical placements
-        and timings, but completions surface as the per-event stream the
-        ledger consumes — and the result is rebuilt in submission order
-        with an ``attribution`` report attached.
-        """
-        sessions = [
-            scheme_obj.open_session(member.device, policy=self.policy,
-                                    saturate=self.saturate)
-            for member in self.fleet
-        ]
-        simulator = FleetSimulator(self.fleet, sessions, policy,
-                                   estimator=isolated_time, ledger=ledger)
-        if ledger is None:
-            placed = simulator.run(arrivals)
-            timings = [session.results() for session in sessions]
-            timing_of = [timings[placed[i].index][i]
-                         for i in range(len(arrivals))]
-        else:
-            # same (time, index) order run() uses; stream positions map
-            # back to original positions through it
-            order = sorted(range(len(arrivals)),
-                           key=lambda i: (arrivals[i].time, i))
-            placed = [None] * len(arrivals)
-            timing_of = [None] * len(arrivals)
-
-            def on_harvest(entry, start, finish):
-                original = order[entry.position]
-                placed[original] = entry
-                timing_of[original] = (start, finish)
-                ledger.observe_record(RequestRecord(
-                    entry.arrival.name, entry.arrival.time, start, finish,
-                    self.reference_isolated(entry.arrival.name),
-                    tenant=entry.arrival.tenant))
-
-            simulator.run_stream((arrivals[i] for i in order), on_harvest)
-        all_records = [None] * len(arrivals)
-        records_by_device = {device_id: [] for device_id in self.fleet.ids}
-        decisions = []
-        for position, arrival in enumerate(arrivals):
-            entry = placed[position]
-            start, finish = timing_of[position]
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                self.reference_isolated(arrival.name),
-                tenant=arrival.tenant)
-            all_records[position] = record
-            records_by_device[self.fleet[entry.index].id].append(record)
-            decisions.append(PlacementDecision(
-                arrival, entry.index, entry.penalty, entry.pinned))
-        result = FleetOpenSystemResult(
-            scheme_obj.name, policy.name, self.fleet, records_by_device,
-            all_records, decisions,
-            rebalances=len(simulator.migrations))
-        if ledger is not None:
-            result.attribution = ledger.report()
-        return result
-
-    def _run_offline(self, arrivals, scheme_obj, policy):
-        """The legacy pre-pass path: place the whole stream against the
-        single-server backlog estimate, then simulate every device's
-        sub-stream independently."""
-        decisions = self.place(arrivals, policy)
-        per_device_indices = {i: [] for i in range(len(self.fleet))}
-        for position, decision in enumerate(decisions):
-            per_device_indices[decision.index].append(position)
-
-        all_records = [None] * len(arrivals)
-        records_by_device = {}
-        for index, positions in per_device_indices.items():
-            device_id = self.fleet[index].id
-            if not positions:
-                records_by_device[device_id] = []
-                continue
-            # a migration penalty delays the request's availability on the
-            # device (the buffers move first), so it shifts the effective
-            # arrival; queueing delay is still charged from the original
-            # arrival time below.
-            sub_arrivals = [
-                ArrivalRequest(arrivals[p].name,
-                               arrivals[p].time + decisions[p].penalty,
-                               tenant=arrivals[p].tenant)
-                for p in positions
-            ]
-            sub_records = self.experiments[index].scheme_records(
-                sub_arrivals, scheme_obj)
-            device_records = []
-            for position, record in zip(positions, sub_records):
-                original = arrivals[position]
-                rewritten = RequestRecord(
-                    record.name, original.time, record.start, record.finish,
-                    self.reference_isolated(record.name),
-                    tenant=original.tenant)
-                device_records.append(rewritten)
-                all_records[position] = rewritten
-            records_by_device[device_id] = device_records
-        if any(record is None for record in all_records):
-            raise SimulationError("fleet run lost a request record")
-        return FleetOpenSystemResult(scheme_obj.name, policy.name,
-                                     self.fleet, records_by_device,
-                                     all_records, decisions)
+        return FleetSimulator(self.fleet, sessions, policy,
+                              estimator=isolated_time, ledger=ledger)
 
     def run_all(self, arrivals, placement, schemes=None, mode="auto",
                 rebalance=None):
@@ -700,3 +489,10 @@ class FleetOpenSystemExperiment:
             results[policy.name] = self.run(arrivals, scheme, policy,
                                             mode=mode, rebalance=rebalance)
         return results
+
+
+def _attributed(result, ledger):
+    """Attach the ledger's report to a result (attributed runs only)."""
+    if ledger is not None:
+        result.attribution = ledger.report()
+    return result

@@ -371,7 +371,7 @@ class StreamingRecordSink:
     """
 
     __slots__ = ("slowdown", "queueing", "turnaround", "finish",
-                 "tenant_slowdown", "inverse_slowdown_sum", "attribution")
+                 "tenant_slowdown", "inverse_slowdown_sum")
 
     slowdown: TailSketch
     queueing: TailSketch
@@ -379,7 +379,6 @@ class StreamingRecordSink:
     finish: OnlineStats
     tenant_slowdown: Dict[Optional[str], TailSketch]
     inverse_slowdown_sum: float
-    attribution: Optional[Callable[[Any], None]]
 
     def __init__(self) -> None:
         self.slowdown = TailSketch()
@@ -388,21 +387,12 @@ class StreamingRecordSink:
         self.finish = OnlineStats()
         self.tenant_slowdown = {}
         self.inverse_slowdown_sum = 0.0
-        self.attribution = None
-
-    def attach_attribution(self, hook: Callable[[Any], None]) -> None:
-        """Forward every observed record to an attribution ledger
-        (:meth:`repro.attribution.AttributionLedger.observe_record`) —
-        the ledger rides the streaming pass, no record retention."""
-        self.attribution = hook
 
     @property
     def count(self) -> int:
         return self.slowdown.count
 
     def observe(self, record: Any) -> None:
-        if self.attribution is not None:
-            self.attribution(record)
         slowdown = _check_value(record.slowdown)
         if slowdown <= 0:
             # same contract as metrics.fairness/throughput: STP and

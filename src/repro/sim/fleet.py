@@ -1,4 +1,4 @@
-"""A heterogeneous fleet of simulated devices (the multi-device plane).
+"""A heterogeneous fleet of simulated devices, and the one drive loop.
 
 One :class:`~repro.sim.gpu.GPUSimulator` models one accelerator; a fleet
 models the deployment reality of the ROADMAP's north star — many devices
@@ -8,27 +8,31 @@ here:
 * :class:`DeviceFleet` — the topology: N devices behind one placement
   boundary, each keeping its **own** simulator, allocator state and §3
   guarantees — nothing about single-device simulation changes;
-* :class:`FleetSimulator` — the **closed-loop co-simulation**: every
-  device's open-system session is merged onto one event timeline, the
-  placement policy is consulted *at each arrival* against live
-  per-device state (actual outstanding work, not a pre-pass estimate),
-  and a re-balance hook fires at completion/idle events so still-queued
-  requests may migrate between devices (charged a migration penalty).
+* :class:`FleetSimulator` — the **one drive loop** every open-system
+  run goes through: advance the devices to the next arrival, harvest
+  what finished, place and submit the arrival.  Every device's session
+  is merged onto one event timeline, the placement policy is consulted
+  *at each arrival* against live per-device state, and a re-balance
+  hook fires at completion/idle events so still-queued requests may
+  migrate between devices (charged a migration penalty).  A single
+  device is a one-member fleet with no policy; exact, streaming and
+  attributed runs differ only in the record callback (the caller's
+  sink) and the ledger observer attached.
 
-The co-simulation is deliberately scheme-agnostic: it drives duck-typed
-*device sessions* (the incremental advance-to-next-event interface of
+The loop is deliberately scheme-agnostic: it drives duck-typed *device
+sessions* (the incremental advance-to-next-event interface of
 :meth:`repro.sim.gpu.GPUSimulator.open_begin` and friends, wrapped per
 scheduling scheme by :mod:`repro.api.schemes`) and a duck-typed
-*placement policy* (:mod:`repro.accelos.placement` defines the offline
-and online protocols), so this module stays below both the accelos and
-api layers.
+*placement policy* (:mod:`repro.accelos.placement` defines the online
+protocol and adapts offline policies to it), so this module stays below
+both the accelos and api layers.
 
 Invariants: a fleet is non-empty, device ids are unique, and a request is
 simulated on exactly one device (conservation — a migrated request is
-withdrawn from its old device before it is submitted to the new one);
-devices never advance past an arrival that could still be placed on them
-(causality); the whole loop is deterministic — no RNG, ties broken by
-fleet index.
+withdrawn from its old device before it is submitted to the new one, and
+every placed request is harvested exactly once); devices never advance
+past an arrival that could still be placed on them (causality); the
+whole loop is deterministic — no RNG, ties broken by fleet index.
 """
 
 from __future__ import annotations
@@ -190,6 +194,8 @@ class DeviceFleet:
 #     -> (time, finished_delta) | None    after the first finishing event;
 #                                         the last event's time and the
 #                                         requests finished, None if idle
+#   harvest() -> [(key, start, finish)]   finished since the last harvest,
+#                                         dropped from the session
 #   queued() -> [QueuedRequest]           withdrawable (not-yet-started)
 #   withdraw(key) -> float                remove a queued request, return
 #                                         its old effective arrival time
@@ -198,7 +204,7 @@ class DeviceFleet:
 #
 # Placement-policy protocol: the online protocol of
 # repro.accelos.placement (reset / observe_arrival / choose /
-# migration_penalty / placed / rebalance).  Legacy offline policies are
+# migration_penalty / placed / rebalance).  Offline policies are
 # adapted there, never here.
 
 
@@ -291,9 +297,11 @@ class MigrationOrder:
 class PlacedRequest:
     """Final routing of one arrival through the closed loop.
 
-    ``index`` is the device that ultimately *served* the request (after
-    any migrations), ``penalty`` the total migration delay it was
-    charged, ``migrated`` how many times the re-balance hook moved it.
+    ``position`` is the request's key: its stream position, or its list
+    index in an exact :meth:`FleetSimulator.run`.  ``index`` is the
+    device that ultimately *served* the request (after any migrations),
+    ``penalty`` the total migration delay it was charged, ``migrated``
+    how many times the re-balance hook moved it.
     """
 
     __slots__ = ("position", "arrival", "index", "penalty", "pinned",
@@ -315,21 +323,31 @@ class PlacedRequest:
 
 
 class FleetSimulator:
-    """Closed-loop co-simulation of one arrival stream over a fleet.
+    """The one drive loop of every open-system run.
 
-    Merges every device session onto one global event timeline.  At each
-    arrival the placement policy chooses a device against the **live**
-    fleet state; after each completion (and whenever a device drains to
-    idle) the policy's re-balance hook may migrate still-queued requests
-    between devices.  Contrast with the offline pre-pass
-    (:func:`repro.accelos.placement.place_arrivals`), which walks the
-    whole stream against a single-server backlog estimate before any
-    device simulates.
+    Merges every device session onto one global event timeline: advance
+    the devices to the next arrival, harvest what finished, place and
+    submit the arrival.  At each arrival the placement policy chooses a
+    device against the **live** fleet state; after each completion (and
+    whenever a device drains to idle) the policy's re-balance hook may
+    migrate still-queued requests between devices.  ``policy=None`` is
+    a lone device: every request goes to the single session, arrival
+    pins are ignored and no placement policy is consulted — how a
+    single-device experiment runs the same loop.
 
     ``sessions`` are per-device scheme sessions (see the protocol note
     above); ``policy`` speaks the online protocol; ``estimator(name,
     device)`` supplies per-request service estimates for the policy's
-    cost vector (memoised here per ``(name, device index)``).
+    cost vector and the ledger (memoised here per ``(name, device
+    index)``).  ``ledger`` is an optional observer
+    (:class:`repro.attribution.AttributionLedger`): the loop reports
+    every submit, migration and finish to it as it happens, then the
+    finished request's record.
+
+    Exact and streaming runs differ only in what the caller's
+    ``on_record`` does with each harvested request: both entries
+    (:meth:`run`, :meth:`run_stream`) harvest, so live state is bounded
+    by the outstanding request set, never the stream length.
 
     Determinism: no RNG anywhere; the next event is the minimum over
     sessions of ``peek()``, ties broken by fleet index; arrivals at time
@@ -342,18 +360,16 @@ class FleetSimulator:
             raise SimulationError(
                 "need one device session per fleet member ({} != {})"
                 .format(len(sessions), len(fleet)))
+        if policy is None and len(fleet) != 1:
+            raise SimulationError(
+                "only a lone device runs without a placement policy")
         self.fleet = fleet
         self.sessions = list(sessions)
         self.policy = policy
         self._estimator = estimator
         self._cost_cache = fleet.estimate_cache(estimator)
-        self._rebalance_enabled = True
+        self._rebalance_enabled = False
         self.migrations = []            # executed MigrationOrders
-        # optional repro.attribution.AttributionLedger: fed placement,
-        # migration and completion events as they happen.  Completions
-        # only reach it through the harvest path, so attributed runs must
-        # go through run_stream (the harness routes attributed exact runs
-        # through the same loop over a materialised stream).
         self.ledger = ledger
 
     # -- estimator memoisation ---------------------------------------------
@@ -374,64 +390,53 @@ class FleetSimulator:
 
     # -- the loop ----------------------------------------------------------
 
-    def run(self, arrivals):
-        """Place and co-simulate one stream; returns one
-        :class:`PlacedRequest` per arrival, in the stream's order."""
+    def run(self, arrivals, on_record):
+        """The exact entry: place and co-simulate a materialised list in
+        ``(time, list index)`` order.  Each request is keyed by its list
+        index, so ``entry.position`` in ``on_record`` is the arrival's
+        position in ``arrivals``.  Returns the number of requests."""
         if not arrivals:
             raise SimulationError("empty arrival stream")
-        count = len(self.fleet)
-        self.policy.reset()
-        self.migrations = []
-        self._placed = placed = [None] * len(arrivals)
-        # policies that never read the live snapshot (the estimate-mode
-        # adapter) or never re-balance skip the O(outstanding-work)
-        # status walks entirely — the default replay path stays linear
-        uses_status = getattr(self.policy, "uses_status", True)
-        self._rebalance_enabled = getattr(self.policy, "wants_rebalance",
-                                          True)
-        id_to_index = self.fleet.id_to_index()
         order = sorted(range(len(arrivals)),
                        key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            arrival = arrivals[i]
-            self._advance_before(arrival.time)
-            placed[i] = self._place_one(arrival, i, uses_status,
-                                        id_to_index)
-        self._advance_before(None)      # drain every device
-        return placed
+        return self._drive(((i, arrivals[i]) for i in order), on_record)
 
     def run_stream(self, arrivals, on_record):
-        """Place and co-simulate one *lazy* time-ordered stream in bounded
-        memory.
+        """The streaming entry: place and co-simulate one *lazy*
+        time-ordered stream in bounded memory.
 
-        The streaming twin of :meth:`run`: ``arrivals`` is any iterable
-        yielding :class:`~repro.workloads.arrivals.ArrivalRequest` in
+        ``arrivals`` is any iterable yielding
+        :class:`~repro.workloads.arrivals.ArrivalRequest` in
         nondecreasing time order (the scenario ``iter_arrivals``
         contract — enforced here, since the iterator cannot be sorted
-        without materialising it).  Every device session must support
-        ``harvest()``; completed requests are handed to
-        ``on_record(entry, start, finish)`` in deterministic
-        completion-harvest order (global event order, ties by fleet
-        index) and then dropped, so live state is bounded by the
-        outstanding request set, never the stream length.  Returns the
-        number of requests placed.
+        without materialising it); each request is keyed by its stream
+        position.  Returns the number of requests placed.
         """
-        for j, session in enumerate(self.sessions):
-            if not hasattr(session, "harvest"):
-                raise SimulationError(
-                    "device session {} ({}) does not support harvest(); "
-                    "streaming fleet runs need harvesting sessions".format(
-                        j, type(session).__name__))
-        self.policy.reset()
+        return self._drive(enumerate(arrivals), on_record)
+
+    def _drive(self, keyed, on_record):
+        """Advance, harvest, place — for every ``(key, arrival)``.
+
+        Completed requests are handed to ``on_record(entry, start,
+        finish)`` in deterministic completion-harvest order (global event
+        order, ties by fleet index) and then dropped; ``on_record``
+        returns the request's record, which the ledger observes.
+        """
+        policy = self.policy
+        if policy is not None:
+            policy.reset()
         self.migrations = []
-        self._placed = placed = {}      # key -> PlacedRequest, outstanding
-        uses_status = getattr(self.policy, "uses_status", True)
-        self._rebalance_enabled = getattr(self.policy, "wants_rebalance",
-                                          True)
+        self._placed = {}               # key -> PlacedRequest, outstanding
+        # policies that never read the live snapshot (the estimate-mode
+        # adapter) or never re-balance skip the O(outstanding-work)
+        # status walks entirely
+        uses_status = getattr(policy, "uses_status", True)
+        self._rebalance_enabled = policy is not None and getattr(
+            policy, "wants_rebalance", True)
         id_to_index = self.fleet.id_to_index()
-        position = 0
+        count = 0
         last_time = None
-        for arrival in arrivals:
+        for key, arrival in keyed:
             if last_time is not None and arrival.time < last_time - 1e-12:
                 raise SimulationError(
                     "streaming arrivals must be time-ordered: {:.6f} "
@@ -439,47 +444,48 @@ class FleetSimulator:
             last_time = arrival.time
             self._advance_before(arrival.time)
             self._harvest_finished(on_record)
-            placed[position] = self._place_one(arrival, position,
-                                               uses_status, id_to_index)
-            position += 1
-        if position == 0:
+            self._placed[key] = self._place_one(arrival, key, uses_status,
+                                                id_to_index)
+            count += 1
+        if count == 0:
             raise SimulationError("empty arrival stream")
         self._advance_before(None)      # drain every device
         self._harvest_finished(on_record)
-        if placed:
+        if self._placed:
             raise SimulationError(
                 "{} requests were placed but never harvested "
-                "(conservation violated)".format(len(placed)))
-        return position
+                "(conservation violated)".format(len(self._placed)))
+        return count
 
     def _place_one(self, arrival, key, uses_status, id_to_index):
-        """Consult the policy and submit one arrival (shared by the
-        eager and streaming loops)."""
-        count = len(self.fleet)
-        self.policy.observe_arrival(arrival)
-        if arrival.device is not None:
-            index = id_to_index.get(arrival.device)
-            if index is None:
-                raise SchedulingError(
-                    "arrival pinned to unknown device {!r}".format(
-                        arrival.device))
-            pinned = True
-        else:
-            costs = ([self._cost(arrival.name, j)
-                      for j in range(count)]
-                     if self.policy.uses_costs else [0.0] * count)
-            index = self.policy.choose(
-                arrival,
-                self._status(arrival.time) if uses_status else None,
-                costs)
-            if not 0 <= index < count:
-                raise SchedulingError(
-                    "policy {} chose device {} of {}".format(
-                        self.policy.name, index, count))
-            pinned = False
-        penalty = self.policy.migration_penalty(arrival, index)
-        self.policy.placed(arrival, index, penalty,
-                           self._cost(arrival.name, index))
+        """Consult the policy (if any) and submit one arrival."""
+        policy = self.policy
+        index, penalty, pinned = 0, 0.0, False
+        if policy is not None:
+            count = len(self.fleet)
+            policy.observe_arrival(arrival)
+            if arrival.device is not None:
+                index = id_to_index.get(arrival.device)
+                if index is None:
+                    raise SchedulingError(
+                        "arrival pinned to unknown device {!r}".format(
+                            arrival.device))
+                pinned = True
+            else:
+                costs = ([self._cost(arrival.name, j)
+                          for j in range(count)]
+                         if policy.uses_costs else [0.0] * count)
+                index = policy.choose(
+                    arrival,
+                    self._status(arrival.time) if uses_status else None,
+                    costs)
+                if not 0 <= index < count:
+                    raise SchedulingError(
+                        "policy {} chose device {} of {}".format(
+                            policy.name, index, count))
+            penalty = policy.migration_penalty(arrival, index)
+            policy.placed(arrival, index, penalty,
+                          self._cost(arrival.name, index))
         self.sessions[index].submit(key, arrival, arrival.time + penalty)
         if self.ledger is not None:
             self.ledger.submit(key, arrival.name, arrival.tenant, index,
@@ -490,12 +496,13 @@ class FleetSimulator:
         """Drain every session's completed requests into ``on_record``
         and forget them (sessions are scanned in fleet index order, so
         the harvest order is deterministic)."""
+        ledger = self.ledger
         for session in self.sessions:
             for key, start, finish in session.harvest():
-                entry = self._placed.pop(key)
-                if self.ledger is not None:
-                    self.ledger.finish(key, start, finish)
-                on_record(entry, start, finish)
+                record = on_record(self._placed.pop(key), start, finish)
+                if ledger is not None:
+                    ledger.finish(key, start, finish)
+                    ledger.observe_record(record)
 
     def _advance_before(self, time):
         """Process all device events strictly before ``time`` (None =
@@ -562,7 +569,7 @@ class FleetSimulator:
                 raise SchedulingError(
                     "re-balance order moves request {} onto its own "
                     "device {}".format(migration.key, migration.source))
-            entry = self._placed[migration.key]
+            entry = self._placed.get(migration.key)
             if entry is None or entry.index != migration.source:
                 raise SchedulingError(
                     "re-balance order for request {} does not match its "

@@ -9,12 +9,20 @@
   ``FIRMWARE_ELIGIBLE``), and :func:`reference_engine`, which swaps both
   oracles into the scheme layer for A/B runs
   (tests/test_engine_fastpath.py, benchmarks/bench_engine.py);
-  :func:`swapped_engine` swaps in any simulator subclass.
+  :func:`swapped_engine` swaps in any simulator subclass;
+* :mod:`tests.oracles.placement` — the frozen offline pre-pass:
+  :func:`place_arrivals` (routing against a single-server backlog
+  estimate before any device simulates) and :func:`run_offline` (then
+  every device's sub-stream simulated on its own), the differential
+  oracle for offline placement in the drive loop
+  (tests/test_fleet.py, tests/test_fleet_online.py).
 """
 
 from tests.oracles.engine import (FIRMWARE_ELIGIBLE, ReferenceGPUSimulator,
                                   reference_engine, swapped_engine)
+from tests.oracles.placement import place, place_arrivals, run_offline
 from tests.oracles.sharing import reference_allocations
 
 __all__ = ["FIRMWARE_ELIGIBLE", "ReferenceGPUSimulator", "reference_engine",
-           "swapped_engine", "reference_allocations"]
+           "swapped_engine", "place", "place_arrivals", "run_offline",
+           "reference_allocations"]

@@ -228,6 +228,37 @@ def test_open_only_scheme_cannot_break_closed_sweeps(toy_scheme):
     assert "accelos" in str(excinfo.value)  # lists capable schemes
 
 
+def test_open_records_only_scheme_needs_a_session_beyond_one_device(
+        toy_scheme):
+    """The toy implements open_records but no open_session: exact
+    single-device runs work, while fleet, streaming and attributed runs
+    raise the capability error naming the session-capable schemes."""
+    from repro.attribution import AttributionLedger
+    from repro.harness import FleetOpenSystemExperiment
+    from repro.sim import DeviceFleet
+    device = nvidia_k20m()
+    stream = from_name("steady", seed=1, load=1.0, count=3, device=device)
+    assert len(OpenSystemExperiment(device).run(stream,
+                                                "toy-serial").records) == 3
+    fleet = DeviceFleet([("a", nvidia_k20m()), ("b", nvidia_k20m())])
+    runs = [
+        lambda: FleetOpenSystemExperiment(fleet).run(stream, "toy-serial",
+                                                     "round-robin"),
+        lambda: FleetOpenSystemExperiment(fleet).run_stream(
+            iter(stream), "toy-serial", "round-robin"),
+        lambda: OpenSystemExperiment(device).run_stream(iter(stream),
+                                                        "toy-serial"),
+        lambda: OpenSystemExperiment(device).run(
+            stream, "toy-serial", ledger=AttributionLedger([device.name])),
+    ]
+    for attempt in runs:
+        with pytest.raises(SimulationError,
+                           match="has no open_session") as excinfo:
+            attempt()
+        for name in ("baseline", "ek", "accelos"):
+            assert name in str(excinfo.value)
+
+
 def test_unknown_scheme_error_lists_registered_names():
     device = nvidia_k20m()
     stream = from_name("steady", seed=1, load=1.0, count=3, device=device)

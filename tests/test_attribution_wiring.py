@@ -10,6 +10,7 @@ from repro.api import ExperimentSpec, run
 from repro.attribution import AttributionLedger
 from repro.cl import derated_device, nvidia_k20m
 from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
+from repro.metrics.sketches import StreamingRecordSink
 from repro.sim import DeviceFleet
 from repro.workloads import scenarios
 
@@ -101,6 +102,52 @@ def test_fleet_exact_and_streaming_audits_agree():
         iter(stream), "accelos", "least-loaded", mode="online",
         ledger=AttributionLedger(flt2.ids))
     assert exact.attribution.to_dict() == streamed.attribution.to_dict()
+
+
+class _RecordingSink:
+    """A record sink that is not a StreamingRecordSink: it keeps every
+    record it observes and delegates the metric surface to one."""
+
+    _METRICS = ("count", "slowdown", "queueing", "turnaround", "finish",
+                "inverse_slowdown_sum", "tenant_summaries")
+
+    def __init__(self):
+        self.seen = []
+        self._metrics = StreamingRecordSink()
+
+    def observe(self, record):
+        self.seen.append(record)
+        self._metrics.observe(record)
+
+    def __getattr__(self, name):
+        if name in self._METRICS:
+            return getattr(self._metrics, name)
+        raise AttributeError(name)
+
+
+def test_custom_sink_streaming_run_still_feeds_the_ledger():
+    """The ledger observes every finished record whatever sink the run
+    uses: a streaming run with a custom sink reports the whole observed
+    population, not just the submit/finish accounts."""
+    count = 40
+    dev = device()
+    sinks = []
+
+    def factory():
+        sinks.append(_RecordingSink())
+        return sinks[-1]
+
+    streamed = OpenSystemExperiment(dev).run_stream(
+        iter(arrivals(count=count, device_obj=dev)), "accelos",
+        sink_factory=factory, ledger=AttributionLedger([dev.name]))
+    assert len(sinks[0].seen) == count
+    report = streamed.attribution
+    assert report.requests == count
+    assert sum(int(o["requests"]) for o in report.observed.values()) \
+        == count
+    for tenant in report.tenants:
+        assert report.observed[tenant]["requests"] \
+            == report.work[tenant]["requests"]
 
 
 def test_observed_population_matches_ledger_work_accounts():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.accelos.placement import OfflinePolicyAdapter, OnlinePlacementPolicy
 from repro.api.kernels import isolated_time
 from repro.api.placements import placement_from_name, rebalancer_from_name
-from repro.api.schemes import GpuOpenSession, scheme_from_name
+from repro.api.schemes import GpuOpenSession, record_sink, scheme_from_name
 from repro.attribution import AttributionLedger
 from repro.cl import derated_device, nvidia_k20m
 from repro.errors import SimulationError
@@ -117,10 +117,11 @@ def _log_calls(owner, name, log, tag, convert=lambda result: result):
 
 
 def _fleet_run(simulator_cls, case):
-    """One fleet run; the outcome includes the global event sequence
-    (device, event) and the re-balance hook's calls in order, so a
-    cross-device tie taken in the wrong order shows even when it does
-    not change a placement."""
+    """One attributed fleet run, exact or streaming; the outcome
+    includes the harvest order, the global event sequence (device,
+    event) and the re-balance hook's calls in order, so a cross-device
+    tie taken in the wrong order shows even when it does not change a
+    placement."""
     fleet = case["fleet"]
     scheme = scheme_from_name(case["scheme"])
     sessions = [scheme.open_session(member.device) for member in fleet]
@@ -132,23 +133,20 @@ def _fleet_run(simulator_cls, case):
             _log_calls(session, "step", log, j)
     policy = _policy(case["placement"], case["rebalance"])
     _log_calls(policy, "rebalance", log, "rebalance", _orders)
-    ledger = AttributionLedger(fleet.ids) if case["streaming"] else None
+    ledger = AttributionLedger(fleet.ids)
     simulator = simulator_cls(fleet, sessions, policy,
                               estimator=isolated_time, ledger=ledger)
+    harvested = []
+    on_record = record_sink(
+        lambda name: 1.0,
+        lambda entry, record: harvested.append(
+            (entry.position, entry.index, entry.penalty, entry.pinned,
+             entry.migrated, record.start, record.finish)))
     if case["streaming"]:
-        harvested = []
-        simulator.run_stream(
-            iter(case["arrivals"]),
-            lambda entry, start, finish: harvested.append(
-                (entry.position, entry.index, entry.penalty,
-                 entry.migrated, start, finish)))
-        outcome = dict(harvested=harvested, report=repr(ledger.report()))
+        simulator.run_stream(iter(case["arrivals"]), on_record)
     else:
-        placed = simulator.run(case["arrivals"])
-        outcome = dict(
-            placed=[(p.position, p.index, p.penalty, p.pinned, p.migrated)
-                    for p in placed],
-            timings=[session.results() for session in sessions])
+        simulator.run(case["arrivals"], on_record)
+    outcome = dict(harvested=harvested, report=repr(ledger.report()))
     outcome["migrations"] = _orders(simulator.migrations)
     outcome["events"] = simulator.events_processed()
     outcome["log"] = log
@@ -222,7 +220,7 @@ def test_backlog_matches_isolated_time_along_a_migrating_run(scheme):
     simulator = FleetSimulator(fleet, sessions,
                                _policy("burst-aware", rebalance=True),
                                estimator=isolated_time)
-    simulator.run(arrivals)
+    simulator.run(arrivals, lambda entry, start, finish: None)
     assert simulator.migrations
     assert any(value > 0 for value in checked)
 

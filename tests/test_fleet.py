@@ -5,8 +5,7 @@ import pytest
 
 from repro.accelos import FleetRuntime
 from repro.accelos.placement import (AffinityPlacement, LeastLoadedPlacement,
-                                     RoundRobinPlacement, default_policies,
-                                     place_arrivals)
+                                     RoundRobinPlacement, default_policies)
 from repro.cl import NDRange, derated_device, nvidia_k20m
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
@@ -16,6 +15,8 @@ from repro.kernelc import types as T
 from repro.sim import DeviceFleet
 from repro.workloads import (periodic_arrivals, poisson_arrivals,
                              trace_arrivals)
+
+from tests.oracles import place, place_arrivals
 
 
 def hetero_fleet():
@@ -254,7 +255,7 @@ def test_homogeneous_fleet_fairness_no_worse_than_single_device():
     arrivals = poisson_arrivals(rate, 24, seed=8)
     result = experiment.run(arrivals, "accelos", RoundRobinPlacement())
 
-    decisions = experiment.place(arrivals, RoundRobinPlacement())
+    decisions = place(experiment, arrivals, RoundRobinPlacement())
     single = OpenSystemExperiment(nvidia_k20m())
     for index, member in enumerate(fleet):
         sub = [d.arrival for d in decisions if d.index == index]
@@ -286,7 +287,7 @@ def test_fleet_migration_penalty_delays_start():
     policy = AffinityPlacement(penalty=5e-3)
     # one tenant's home backlog forces a migration mid-stream
     arrivals = trace_arrivals([("sgemm", 0.0, "t0")] * 4)
-    decisions = experiment.place(arrivals, policy)
+    decisions = place(experiment, arrivals, policy)
     migrated = [i for i, d in enumerate(decisions) if d.penalty > 0]
     assert migrated
     result = experiment.run(arrivals, "baseline",

@@ -16,11 +16,10 @@ from repro.accelos.placement import (AffinityPlacement,
                                      LeastLoadedPlacement,
                                      OfflinePolicyAdapter,
                                      RoundRobinPlacement,
-                                     WorkStealingRebalance, place_arrivals)
+                                     WorkStealingRebalance)
 from repro.api import ExperimentSpec, run
 from repro.api.placements import (is_online_placement, placement_from_name,
                                   placement_names, rebalancer_names)
-from repro.api.schemes import scheme_from_name
 from repro.cl import derated_device, nvidia_k20m
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import (FleetOpenSystemExperiment,
@@ -28,6 +27,8 @@ from repro.harness import (FleetOpenSystemExperiment,
 from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator
 from repro.workloads import trace_arrivals
 from repro.workloads.scenarios import scenario
+
+from tests.oracles import place_arrivals, run_offline
 
 
 def hetero_fleet():
@@ -64,8 +65,7 @@ def test_loop_reproduces_offline_path_bit_identically(scheme, policy_cls):
     fleet = hetero_fleet()
     arrivals = bursty_stream(fleet)
     experiment = FleetOpenSystemExperiment(fleet)
-    offline = experiment._run_offline(arrivals, scheme_from_name(scheme),
-                                      policy_cls())
+    offline = run_offline(experiment, arrivals, scheme, policy_cls())
     loop = experiment.run(arrivals, scheme, policy_cls())
     assert [(d.index, d.penalty, d.pinned) for d in offline.decisions] \
         == [(d.index, d.penalty, d.pinned) for d in loop.decisions]
