@@ -212,6 +212,13 @@ def requirement_key(req):
             req.registers_per_thread, req.total_groups)
 
 
+# Most active multisets an AllocationMemo holds.  A long stream keeps
+# meeting new multisets (about 2,600 over 10^5 requests of the §8.5
+# small-kernel stream, against ~600 over 10^4), so an unbounded memo
+# grows with the stream, not with the in-flight population.
+MEMO_CAPACITY = 512
+
+
 class AllocationMemo:
     """Order-insensitive memo for equal-weight :func:`compute_allocations`.
 
@@ -242,9 +249,15 @@ class AllocationMemo:
     to exactly one corpus profile, so equal names mean equal keys);
     arbitrary hand-built mixes that reuse a name across different
     footprints should call :func:`compute_allocations` directly.
+
+    The memo holds at most :data:`MEMO_CAPACITY` multisets; a miss at it
+    evicts the oldest entry first.  Eviction only turns a later hit into
+    a miss that computes the same answer again.  Stored multisets share
+    one copy of each requirement key, so an entry costs two tuples.
     """
 
-    __slots__ = ("device", "saturate", "hits", "misses", "_groups_by_set")
+    __slots__ = ("device", "saturate", "hits", "misses", "_groups_by_set",
+                 "_keys")
 
     def __init__(self, device, saturate=True):
         self.device = device
@@ -252,10 +265,11 @@ class AllocationMemo:
         self.hits = 0
         self.misses = 0
         # canonical multiset of requirement keys -> tuple of group counts,
-        # aligned with the sorted order.  Entries live for the memo's
-        # lifetime: requirement keys are value-identities, so there is
-        # nothing to invalidate.
+        # aligned with the sorted order, in insertion order.  Requirement
+        # keys are value-identities, so there is nothing to invalidate.
         self._groups_by_set = {}
+        # requirement key -> its shared copy (one per kernel profile)
+        self._keys = {}
 
     def groups_for(self, requirements):
         """Group targets for ``requirements``, in the caller's order."""
@@ -269,7 +283,12 @@ class AllocationMemo:
         called on a miss — callers holding cheaper key sources (simulator
         specs) skip constructing requirement objects on the hot path."""
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        cache_key = tuple(keys[i] for i in order)
+        # Tuples here are built from lists.  A generator's tuple is
+        # allocated at a guessed size and resized, and freeing it grows
+        # the interpreter's free list for its real size, so a long
+        # stream of re-plans kept growing traced memory (the
+        # sublinear-memory gate of benchmarks/bench_scale.py).
+        cache_key = tuple([keys[i] for i in order])
         groups = self._groups_by_set.get(cache_key)
         if groups is None:
             self.misses += 1
@@ -277,8 +296,13 @@ class AllocationMemo:
             allocations = compute_allocations(
                 [requirements[i] for i in order], self.device,
                 saturate=self.saturate)
-            groups = tuple(a.groups for a in allocations)
-            self._groups_by_set[cache_key] = groups
+            groups = tuple([a.groups for a in allocations])
+            table = self._groups_by_set
+            if len(table) >= MEMO_CAPACITY:
+                del table[next(iter(table))]
+            shared = self._keys
+            table[tuple([shared.setdefault(key, key)
+                         for key in cache_key])] = groups
         else:
             self.hits += 1
         out = [0] * len(keys)

@@ -13,6 +13,13 @@ from repro.errors import SimulationError
 # the order a batch run (all arrivals pushed at setup, before any other
 # event) produces by insertion counter alone.
 ARRIVAL_TIER = 0
+# Tier of every other event.
+EVENT_TIER = 1
+
+# EventQueue.push's rejections, shared with the inlined push of the
+# accelOS chunk loop (GPUSimulator.open_advance).
+NAN_TIME_ERROR = "event scheduled at NaN time"
+PAST_TIME_ERROR = "event scheduled in the past ({} < {})"
 
 
 class EventQueue:
@@ -38,12 +45,11 @@ class EventQueue:
         self._counter = itertools.count()
         self.now = 0.0
 
-    def push(self, time, payload, tier=1):
+    def push(self, time, payload, tier=EVENT_TIER):
         if isnan(time):
-            raise SimulationError("event scheduled at NaN time")
+            raise SimulationError(NAN_TIME_ERROR)
         if time < self.now - 1e-12:
-            raise SimulationError(
-                "event scheduled in the past ({} < {})".format(time, self.now))
+            raise SimulationError(PAST_TIME_ERROR.format(time, self.now))
         heappush(self._heap, (time, tier, next(self._counter), payload))
 
     def pop(self):

@@ -552,8 +552,9 @@ class FleetSimulator:
                                                   self.sessions)):
             # pinned requests are invisible to re-balancers: a device tag
             # is a hard constraint, the request must not be stolen away
-            queued = tuple(entry for entry in session.queued()
-                           if not self._placed[entry.key].pinned)
+            # (a list-built tuple: see AllocationMemo.groups_for_keyed)
+            queued = tuple([entry for entry in session.queued()
+                            if not self._placed[entry.key].pinned])
             views.append(DeviceStatus(
                 j, member.id, member.relative_speed,
                 session.backlog_seconds(now), queued,

@@ -56,10 +56,13 @@ mid-chunk; every admitted request finishes or the run raises.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
+from math import isnan
 
 from repro.errors import SimulationError
 from repro.sim.contention import BandwidthTracker
-from repro.sim.engine import ARRIVAL_TIER, EventQueue
+from repro.sim.engine import (ARRIVAL_TIER, EVENT_TIER, NAN_TIME_ERROR,
+                              PAST_TIME_ERROR, EventQueue)
 from repro.sim.hw_sched import scheduler_for
 from repro.sim.resources import CUState
 from repro.sim.spec import ExecutionMode
@@ -93,18 +96,35 @@ def per_cu_residency_cap(spec, device):
     return max(1, cap)
 
 
+def chunk_work_table(costs, chunk):
+    """The work of every ``chunk``-wide dequeue window of ``costs``,
+    indexed by ``base // chunk``.
+
+    Each entry is ``float(costs[base:base + chunk].sum())``, the exact
+    value a per-draw slice sum returns (a prefix-sum or reshaped sum
+    could change numpy's summation order, hence bits); the last window
+    may be short.  One-group windows are the costs themselves.
+    """
+    if chunk == 1:
+        return costs.tolist()
+    return [float(costs[base:base + chunk].sum())
+            for base in range(0, len(costs), chunk)]
+
+
 class _KernelRun:
     """Mutable per-kernel simulation state."""
 
     def __init__(self, index, spec, device, cost_scale, costs=None,
-                 chunk_sums=None):
+                 chunk_work=None):
         self.index = index
         self.spec = spec
-        # ``costs``/``chunk_sums`` let open-system submits share one
-        # scaled cost array (and its chunk-sum memo) across every run of
-        # the same profile; both default to per-run state.
+        # ``costs``/``chunk_work`` let open-system submits share one
+        # scaled cost array (and its chunk-work table) across every run
+        # of the same profile; both default to per-run state.
         self.costs = spec.wg_costs * cost_scale if costs is None else costs
-        self.chunk_sums = chunk_sums   # {(base, end): float} or None
+        if chunk_work is None and spec.mode == ExecutionMode.ACCELOS:
+            chunk_work = chunk_work_table(self.costs, spec.chunk)
+        self.chunk_work = chunk_work   # accelOS: work per dequeue window
         self.total = spec.total_groups
         self.k_max = per_cu_residency_cap(spec, device)
         self.completed = 0
@@ -190,6 +210,11 @@ class GPUSimulator:
         self.rebalance = rebalance
         self._open = False
         self._allocator = None
+        # Per-event observer: ``event_observer(time, payload)`` is called
+        # for every event popped, before it is processed, by open_step
+        # and by open_advance's inline chunk draw alike; attaching one
+        # does not change which path handles an event.
+        self.event_observer = None
 
     # -- public -----------------------------------------------------------
 
@@ -208,6 +233,9 @@ class GPUSimulator:
         self._setup(specs, cost_jitter)
         self._open = False
         self._allocator = None
+        # open_step/open_advance dispatch on these (the closed batch
+        # runs through the same loop)
+        self._open_mode = self._software_mode = mode
 
         if mode == ExecutionMode.HARDWARE:
             self._run_hardware()
@@ -306,15 +334,22 @@ class GPUSimulator:
         if jitter == 1.0:
             # Streams re-submit the same profile (one shared wg_costs array
             # per kernel) thousands of times; scale it once per simulator
-            # and share the scaled array — and its chunk-sum memo — across
-            # those runs.  Costs are read-only downstream, and the cached
-            # array holds exactly what the per-run multiply would produce.
+            # and share the scaled array — and its chunk-work table per
+            # chunk size — across those runs.  Both are read-only
+            # downstream and hold exactly what per-run state would.
             entry = self._costs_cache.get(id(spec.wg_costs))
             if entry is None or entry[0] is not spec.wg_costs:
                 entry = (spec.wg_costs, spec.wg_costs * self._cost_scale, {})
                 self._costs_cache[id(spec.wg_costs)] = entry
+            chunk_work = None
+            if spec.mode == ExecutionMode.ACCELOS:
+                tables = entry[2]
+                chunk_work = tables.get(spec.chunk)
+                if chunk_work is None:
+                    chunk_work = tables[spec.chunk] = chunk_work_table(
+                        entry[1], spec.chunk)
             run = _KernelRun(run_index, spec, self.device, self._cost_scale,
-                             costs=entry[1], chunk_sums=entry[2])
+                             costs=entry[1], chunk_work=chunk_work)
         else:
             run = _KernelRun(run_index, spec, self.device,
                              self._cost_scale * jitter)
@@ -352,43 +387,96 @@ class GPUSimulator:
         return self.events.peek_time()
 
     def open_step(self):
-        """Process exactly one event; returns its simulation time.
-
-        An accelOS chunk completion is nearly every event of a stream, so
-        it skips the generic dispatch and goes straight to
-        :meth:`_draw_chunk`.
-        """
+        """Process exactly one event; returns its simulation time."""
         time, payload = self.events.pop()
         self.events_processed += 1
+        if self.event_observer is not None:
+            self.event_observer(time, payload)
         if self._open_mode == ExecutionMode.HARDWARE:
             self._process_hw_event(payload)
-        elif payload is None or payload[0] != "chunk":
-            self._process_software_event(payload, self._software_mode)
         else:
-            _, run, cu, slot_index, done = payload
-            run.completed += done
-            self._draw_chunk(run, cu, ExecutionMode.ACCELOS, slot_index)
+            self._process_software_event(payload)
         return time
 
     def open_advance(self, limit=None, inclusive=False, stop_on_finish=False):
-        """Process events one :meth:`open_step` at a time up to ``limit``.
+        """Process events in time order up to ``limit``.
 
         An event at exactly ``limit`` is processed only when
         ``inclusive``; ``limit=None`` runs until the device drains.  With
         ``stop_on_finish`` the call returns right after the first event
         that finishes a request (a fleet's re-balance point).  Returns
         the time of the last event processed, or None if there was none.
+
+        This is the accelOS chunk loop.  Nearly every event of an accelOS
+        run is a chunk completion whose slot just draws its next chunk,
+        so the loop does that inline: pop, count, draw, push, with
+        :meth:`EventQueue.push`'s checks.  A completion whose slot
+        retires (queue drained, or a shrink pending) goes to
+        :meth:`_draw_chunk`, and every other event to :meth:`open_step`;
+        the event sequence is the one :meth:`open_step` alone produces.
         """
-        heap = self.events._heap
+        events = self.events
+        heap = events._heap
+        counter = events._counter
         step = self.open_step
+        fused = self._software_mode == ExecutionMode.ACCELOS
+        bandwidth = self.bandwidth
+        capacity = bandwidth.capacity
+        observer = self.event_observer
         finished = self.finished_requests
         time = None
         while heap:
-            next_time = heap[0][0]
+            next_time, _, _, payload = heap[0]
             if limit is not None and (next_time > limit if inclusive
                                       else next_time >= limit):
                 break
-            time = step()
+            if fused and payload is not None and payload[0] == "chunk":
+                heappop(heap)
+                time = next_time
+                now = events.now
+                if next_time > now:
+                    now = events.now = next_time
+                self.events_processed += 1
+                if observer is not None:
+                    observer(next_time, payload)
+                _, run, cu, slot_index, done = payload
+                run.completed += done
+                base = run.next_vgroup
+                if base < run.total and run.shrink_slots == 0:
+                    # The accelOS arm of _draw_chunk, inlined with the
+                    # bandwidth stretch (BandwidthTracker._stretch) and
+                    # EventQueue.push; keep the copies in step.  A slot
+                    # that draws finishes no request.
+                    chunk = run.chunk_size
+                    end = base + chunk
+                    if end > run.total:
+                        end = run.total
+                    run.next_vgroup = end
+                    demand = bandwidth.demand
+                    if demand <= capacity:
+                        stretch = 1.0
+                    else:
+                        resident = bandwidth.resident
+                        if resident == 0 or (run.slot_rate[slot_index]
+                                             <= capacity / resident):
+                            stretch = 1.0
+                        else:
+                            stretch = demand / capacity
+                    at = now + (run.chunk_work[base // chunk]
+                                * run.slot_occ[slot_index] * stretch
+                                + run.overhead)
+                    if not at >= now - 1e-12:   # NaN or in the past
+                        raise SimulationError(
+                            NAN_TIME_ERROR if isnan(at)
+                            else PAST_TIME_ERROR.format(at, now))
+                    heappush(heap, (at, EVENT_TIER, next(counter),
+                                    ("chunk", run, cu, slot_index,
+                                     end - base)))
+                    continue
+                # the slot retires
+                self._draw_chunk(run, cu, ExecutionMode.ACCELOS, slot_index)
+            else:
+                time = step()
             if stop_on_finish and self.finished_requests != finished:
                 break
         return time
@@ -523,8 +611,9 @@ class GPUSimulator:
         self._adm_regs = 0
         self._live_active = {}         # admitted unfinished runs, in
         #                                admission order == self.runs order
-        # id(spec.wg_costs) -> (wg_costs, scaled costs, chunk-sum memo);
-        # holding the key array pins its id, so entries cannot collide
+        # id(spec.wg_costs) -> (wg_costs, scaled costs,
+        # {chunk size: chunk-work table}); holding the key array pins its
+        # id, so entries cannot collide
         self._costs_cache = {}
         # resource footprint -> live queued-slot entries with it: the index
         # over _pending_slots that lets a placement pass stop as soon as
@@ -566,7 +655,8 @@ class GPUSimulator:
         for run in self.runs:
             self._build_cu_queues(run)
         self.runs[0].dispatch_ready_time = 0.0
-        self._hw_loop()
+        self._hw_dispatch()
+        self.open_advance()
 
     def _build_cu_queues(self, run):
         """Assign ``run``'s WGs round-robin to static per-CU queues."""
@@ -576,13 +666,6 @@ class GPUSimulator:
             run.cu_queues[wg % num_cus].append(wg)
         # the kernel's steady-state per-CU residency (see _start_hw_wg)
         run.k_steady = min(run.k_max, -(-run.total // num_cus))
-
-    def _hw_loop(self):
-        self._hw_dispatch()
-        while self.events:
-            _, payload = self.events.pop()
-            self.events_processed += 1
-            self._process_hw_event(payload)
 
     def _process_hw_event(self, payload):
         if payload is None:
@@ -704,18 +787,11 @@ class GPUSimulator:
                                         for s in range(slots)]
 
         self._pending_slots = deque()
-        self._software_mode = mode
         self._place_software_slots(mode)
-        self._software_loop(mode)
+        self.open_advance()
         self._check_software_drained()
 
-    def _software_loop(self, mode):
-        while self.events:
-            _, payload = self.events.pop()
-            self.events_processed += 1
-            self._process_software_event(payload, mode)
-
-    def _process_software_event(self, payload, mode):
+    def _process_software_event(self, payload):
         if payload is None:
             return
         if payload[0] == "arrival":
@@ -728,7 +804,7 @@ class GPUSimulator:
             return
         _, run, cu, slot_index, done = payload
         run.completed += done
-        self._draw_chunk(run, cu, mode, slot_index)
+        self._draw_chunk(run, cu, self._software_mode, slot_index)
 
     def _admit_arrivals(self):
         """FIFO admission control for open-system arrivals.
@@ -854,13 +930,19 @@ class GPUSimulator:
         revived = min(count, run.shrink_slots)
         run.shrink_slots -= revived
         count -= revived
+        # a failed placement changes nothing, so once one fails every
+        # later one in this call would too: queue the rest unscanned
+        placing = True
         for _ in range(count):
             slot_index = run.slot_counter
             run.slot_counter += 1
-            if not self._try_place_slot(run, slot_index, self._software_mode):
-                self._pending_slots.append((run, slot_index))
-                run.pending_slots += 1
-                self._pending_inc(run)
+            if placing and self._try_place_slot(run, slot_index,
+                                                self._software_mode):
+                continue
+            placing = False
+            self._pending_slots.append((run, slot_index))
+            run.pending_slots += 1
+            self._pending_inc(run)
 
     def _pending_inc(self, run):
         footprint = run.footprint
@@ -999,7 +1081,12 @@ class GPUSimulator:
         return best
 
     def _draw_chunk(self, run, cu, mode, slot_index):
-        """A slot is idle: pull its next chunk of virtual groups (or retire)."""
+        """A slot is idle: pull its next chunk of virtual groups (or retire).
+
+        The entry point of every draw outside the accelOS chunk loop: a
+        slot's first chunk after placement, a retiring slot, and Elastic
+        Kernels.  :meth:`open_advance` inlines the accelOS draw.
+        """
         now = self.events.now
         if mode == ExecutionMode.ACCELOS:
             base = run.next_vgroup
@@ -1011,22 +1098,13 @@ class GPUSimulator:
                 run.shrink_slots -= 1
                 self._retire_slot(run, cu, slot_index)
                 return
-            end = base + run.chunk_size
+            # open_advance inlines this arm; keep the two copies in step
+            chunk = run.chunk_size
+            end = base + chunk
             if end > run.total:
                 end = run.total
             run.next_vgroup = end
-            sums = run.chunk_sums
-            if sums is None:
-                work = float(run.costs[base:end].sum())
-            else:
-                # memoised per shared costs array: every run of a profile
-                # draws the same (base, end) windows, and the cached value
-                # is exactly what the slice-sum would return (a prefix-sum
-                # rewrite would change numpy's pairwise summation order)
-                work = sums.get((base, end))
-                if work is None:
-                    work = float(run.costs[base:end].sum())
-                    sums[(base, end)] = work
+            work = run.chunk_work[base // chunk]
             overhead = run.overhead
             done = end - base
         else:  # ELASTIC: frozen per-slot assignment, no dequeue cost

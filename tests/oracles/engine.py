@@ -12,8 +12,13 @@ checks the head of every run it reaches by scanning all earlier runs
 with the original FIFO/exclusive predicates, and tries every CU.  The
 engine's running state (admission totals, the live-active set, per-run
 pending counters, the footprint index, the dispatch cursors) is still
-maintained by the inherited code, but nothing here reads it.  It also keeps no scaled-cost cache, so
-every run scales its own cost array and sums every chunk afresh.
+maintained by the inherited code, but nothing here reads it.  It also
+keeps no scaled-cost cache, so every run scales its own cost array;
+every chunk draw sums its window of that array afresh instead of reading
+the engine's chunk-work table; events are processed one
+:meth:`open_step` at a time, never by the inline chunk draw of the
+engine's :meth:`open_advance`; and a grow re-attempts every slot
+placement after one fails.
 
 :func:`reference_engine` swaps this simulator and the memo-less literal
 §3 allocator (:mod:`tests.oracles.sharing`) into the scheme layer, so
@@ -65,6 +70,47 @@ class ReferenceGPUSimulator(GPUSimulator):
     def _setup(self, specs, cost_jitter):
         super()._setup(specs, cost_jitter)
         self._costs_cache = _NoCache()
+
+    def open_advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = None
+        finished = self.finished_requests
+        while self.events:
+            next_time = self.events.peek_time()
+            if limit is not None and (next_time > limit if inclusive
+                                      else next_time >= limit):
+                break
+            time = self.open_step()
+            if stop_on_finish and self.finished_requests != finished:
+                break
+        return time
+
+    def _draw_chunk(self, run, cu, mode, slot_index):
+        now = self.events.now
+        if mode == ExecutionMode.ACCELOS:
+            base = run.next_vgroup
+            if base >= run.total:
+                self._retire_slot(run, cu, slot_index)
+                return
+            if run.shrink_slots > 0:
+                run.shrink_slots -= 1
+                self._retire_slot(run, cu, slot_index)
+                return
+            end = min(base + run.spec.chunk, run.total)
+            run.next_vgroup = end
+            work = float(run.costs[base:end].sum())
+            overhead = run.spec.sched_overhead
+            done = end - base
+        else:
+            queue = run.slot_assignments[slot_index]
+            if not queue:
+                self._retire_slot(run, cu, slot_index)
+                return
+            work = float(run.costs[queue.popleft()])
+            overhead = 0.0
+            done = 1
+        stretch = self.bandwidth.stretch_resident(run.slot_rate[slot_index])
+        cost = work * run.slot_occ[slot_index] * stretch + overhead
+        self.events.push(now + cost, ("chunk", run, cu, slot_index, done))
 
     def _hw_dispatch(self, freed_cu=None):
         eligible = FIRMWARE_ELIGIBLE[self.device.scheduler_policy]
@@ -137,6 +183,17 @@ class ReferenceGPUSimulator(GPUSimulator):
                 self._grow_run(run, target - effective)
             elif target < effective:
                 self._shrink_run(run, effective - target, pending)
+
+    def _grow_run(self, run, count):
+        revived = min(count, run.shrink_slots)
+        run.shrink_slots -= revived
+        for _ in range(count - revived):
+            slot_index = run.slot_counter
+            run.slot_counter += 1
+            if not self._try_place_slot(run, slot_index, self._software_mode):
+                self._pending_slots.append((run, slot_index))
+                run.pending_slots += 1
+                self._pending_inc(run)
 
     def _shrink_run(self, run, count, pending):
         # drop queued (never-placed) slots first: they hold no resources

@@ -27,7 +27,7 @@ pins the firmware dispatch cursors to a scan at every hardware event
 (``CursorCheckedSimulator``), and pins the allocator itself:
 ``compute_allocations`` must equal the literal oracle on random
 weighted and equal-weight mixes, and
-``AllocationMemo`` must be order-insensitive with exact hit/miss
+``AllocationMemo`` must be order-insensitive and bounded, with exact hit/miss
 bookkeeping.
 """
 
@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.accelos.sharing as sharing
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations, requirement_key)
 from repro.api import ExperimentSpec, run
@@ -403,6 +404,24 @@ def test_memo_hit_and_miss_bookkeeping():
     assert (memo.misses, memo.hits) == (1, 1)
     memo.groups_for(requirements[:2])       # novel multiset: a miss
     assert (memo.misses, memo.hits) == (2, 1)
+
+
+def test_memo_at_capacity_evicts_the_oldest_entry(monkeypatch):
+    """A full memo drops its oldest multiset; asking for it again is a
+    miss that computes the same answer."""
+    monkeypatch.setattr(sharing, "MEMO_CAPACITY", 2)
+    device = nvidia_k20m()
+    memo = AllocationMemo(device)
+    requirements = _mix()
+    sets = [requirements, requirements[:2], requirements[1:]]
+    first = [memo.groups_for(reqs) for reqs in sets]
+    assert len(memo._groups_by_set) == 2 and memo.misses == 3
+    memo.groups_for(sets[2])                # still held: a hit
+    assert (memo.misses, memo.hits) == (3, 1)
+    assert memo.groups_for(sets[0]) == first[0]
+    assert (memo.misses, len(memo._groups_by_set)) == (4, 2)
+    assert first == [[a.groups for a in compute_allocations(reqs, device)]
+                     for reqs in sets]
 
 
 # corpus-style draws for the memo: one name maps to exactly one

@@ -6,8 +6,8 @@ co-simulation advance a device to a horizon in one call instead of one
 replaced are kept here as reference drivers: on hypothesis-drawn fleets
 and streams both must produce the same placements, migrations, harvest
 order, timings and engine event counts.  The checks a chunk completion
-must keep on its short path through ``open_step`` are regression-locked
-at the end.
+must keep on both of its paths (``open_step``, and the inline draw of
+``open_advance``) are regression-locked at the end.
 """
 
 import numpy as np
@@ -119,16 +119,19 @@ def _log_calls(owner, name, log, tag, convert=lambda result: result):
 def _fleet_run(simulator_cls, case):
     """One attributed fleet run, exact or streaming; the outcome
     includes the harvest order, the global event sequence (device,
-    event) and the re-balance hook's calls in order, so a cross-device
-    tie taken in the wrong order shows even when it does not change a
-    placement."""
+    event time) and the re-balance hook's calls in order, so a
+    cross-device tie taken in the wrong order shows even when it does
+    not change a placement.  Simulator-backed devices report every
+    event through the engine's per-event observer, which both
+    ``open_step`` and ``open_advance``'s inline chunk draw call."""
     fleet = case["fleet"]
     scheme = scheme_from_name(case["scheme"])
     sessions = [scheme.open_session(member.device) for member in fleet]
     log = []
     for j, session in enumerate(sessions):
         if isinstance(session, GpuOpenSession):
-            _log_calls(session._sim, "open_step", log, j)
+            session._sim.event_observer = \
+                lambda time, payload, j=j: log.append((j, time))
         else:
             _log_calls(session, "step", log, j)
     policy = _policy(case["placement"], case["rebalance"])
@@ -350,11 +353,11 @@ def test_arrival_at_a_chunk_boundary_is_placed_first():
 
 # -- checks the chunk-completion path keeps ------------------------------------
 
-def _accelos_spec(name, costs, arrival=0.0, chunk=2):
+def _accelos_spec(name, costs, arrival=0.0, chunk=2, overhead=2e-6):
     return KernelExecSpec(name, 256, np.asarray(costs, dtype=float), 1e6,
                           16, 0, mode=ExecutionMode.ACCELOS,
                           physical_groups=1, chunk=chunk,
-                          arrival_time=arrival)
+                          sched_overhead=overhead, arrival_time=arrival)
 
 
 def _open_accelos(targets):
@@ -372,6 +375,45 @@ def test_nan_chunk_cost_raises_when_a_completion_draws_it():
     sim.open_step()                 # arrival: admit, draw the first chunk
     with pytest.raises(SimulationError, match="event scheduled at NaN time"):
         sim.open_step()
+
+
+def test_nan_chunk_cost_raises_in_the_inline_draw():
+    # the same draw, made by open_advance's inline chunk loop
+    sim = _open_accelos({"n": 1})
+    sim.open_submit(_accelos_spec("nan", [1e-4, 1e-4, float("nan"), 1e-4]))
+    sim.open_step()
+    with pytest.raises(SimulationError, match="event scheduled at NaN time"):
+        sim.open_advance()
+
+
+@pytest.mark.parametrize("process", ["open_step", "open_advance"])
+def test_chunk_completion_scheduled_in_the_past_raises(process):
+    # a negative dequeue overhead outweighs the second chunk's work
+    sim = _open_accelos({"n": 1})
+    sim.open_submit(_accelos_spec("past", [1e-2] * 2 + [1e-9] * 2,
+                                  overhead=-1e-3))
+    sim.open_step()
+    with pytest.raises(SimulationError, match="event scheduled in the past"):
+        getattr(sim, process)()
+
+
+def test_event_observer_sees_every_event_once_on_either_path():
+    def drive(advance):
+        targets = {"n": 2}
+        sim = _open_accelos(targets)
+        seen = []
+        sim.event_observer = lambda time, payload: seen.append(
+            (time, payload[0], payload[1].spec.name))
+        sim.open_submit(_accelos_spec("a", [1e-4] * 9))
+        sim.open_submit(_accelos_spec("b", [2e-4] * 5, arrival=1e-4))
+        if advance:
+            sim.open_drain()
+        else:
+            while sim.open_peek() is not None:
+                sim.open_step()
+        assert len(seen) == sim.events_processed
+        return seen
+    assert drive(advance=True) == drive(advance=False)
 
 
 def test_step_on_a_drained_simulator_raises():
