@@ -41,17 +41,16 @@ def build_device(entry):
     """The concrete ``DeviceSpec`` of one :class:`~repro.api.spec.DeviceEntry`.
 
     Undersped entries (``clock_scale``/``cu_scale`` below 1) become
-    derated siblings whose *name* encodes the base model and both scales.
-    The harness caches (isolated times, §6.4 chunks) key on the device
-    name, so the name must be a pure function of the timing-relevant
-    identity — naming derated devices after the entry id would let two
-    different deratings that reuse an id silently share calibration.
+    derated siblings whose *name* encodes the base model and both scales,
+    for display only: calibration (isolated times) keys on the frozen
+    device value, so equal entries share one table and different
+    deratings never do, whatever they are called.
     """
     base = device_from_name(entry.base)
     if entry.clock_scale == 1.0 and entry.cu_scale == 1.0:
         return base
-    # repr floats: shortest round-trip form, so the name is a *pure*
-    # function of the scales ({:g} would collapse near-equal scales)
+    # repr floats: shortest round-trip form, so near-equal scales
+    # ({:g} would collapse them) still display apart
     name = "{}[clock={!r},cu={!r}]".format(entry.base, entry.clock_scale,
                                            entry.cu_scale)
     return derated_device(base, name, clock_scale=entry.clock_scale,

@@ -8,8 +8,9 @@ corpus profiles and device models to simulator inputs:
 * :func:`base_spec` / :func:`detailed_spec` — a corpus kernel's
   :class:`~repro.sim.spec.KernelExecSpec` (coarse sweep granularity, or
   the fine granularity single-kernel studies need);
-* :func:`isolated_time` — the standard-OpenCL isolated execution time,
-  the ``IS`` denominator of every slowdown in the repo;
+* :func:`isolated_table` / :func:`isolated_time` — the standard-OpenCL
+  isolated execution time, the ``IS`` denominator of every slowdown in
+  the repo, from one process-wide table per device value;
 * :func:`transform_chunks` / :func:`chunk_for_profile` — the §6.4
   dequeue chunk actually chosen by the JIT over the real kernel;
 * :func:`requirements_from_spec` / :func:`sharing_allocator` — the §3
@@ -35,7 +36,7 @@ from repro.workloads.parboil import (PROFILE_NAMES, compiled_module,
                                      profile_by_name)
 
 _spec_cache = {}
-_iso_cache = {}
+_isolated_tables = {}
 _chunk_cache = {}
 _detail_cache = {}
 
@@ -84,28 +85,40 @@ def chunk_for_profile(profile, policy=SchedulingPolicy.ADAPTIVE):
     return transform_chunks(profile.benchmark, policy)[profile.kernel]
 
 
-def _device_key(device):
-    """Hashable value identity of a device spec (every scalar field).
+class IsolatedTable(dict):
+    """``kernel name -> isolated seconds``, each entry filled on first
+    lookup by ``compute(name)``.  Membership tests (``in``) never
+    compute."""
 
-    Cache keys must cover the *full* input of the computation they stand
-    in for (docs/PERFORMANCE.md): two specs sharing a display name — say
-    differently-derated "K20m-derated" siblings built in separate
-    experiments — are different simulation inputs, and a name-keyed memo
-    would replay one device's times for the other.
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, name):
+        value = self[name] = self._compute(name)
+        return value
+
+
+def isolated_table(device):
+    """The isolated-time table of one device, shared process-wide.
+
+    Keyed on the frozen device *value*, never its display name: equal
+    specs share one table, and two same-named devices with different
+    specs (say, differently derated siblings) get two.
     """
-    return tuple(sorted(vars(device).items()))
+    table = _isolated_tables.get(device)
+    if table is None:
+        table = _isolated_tables[device] = IsolatedTable(
+            lambda name: GPUSimulator(device).run(
+                [base_spec(name)]).makespan)
+    return table
 
 
 def isolated_time(name, device):
     """Isolated standard-OpenCL execution time — the IS denominator."""
-    key = (name, _device_key(device))
-    value = _iso_cache.get(key)
-    if value is None:
-        sim = GPUSimulator(device)
-        trace = sim.run([base_spec(name)])
-        value = trace.makespan
-        _iso_cache[key] = value
-    return value
+    return isolated_table(device)[name]
 
 
 def warm_caches(spec=None, devices=None, names=None, policy=None):
@@ -113,13 +126,13 @@ def warm_caches(spec=None, devices=None, names=None, policy=None):
 
     The parallel driver's per-process warm-up: under a ``spawn`` start
     method a worker process begins with empty ``_spec_cache``/
-    ``_iso_cache``/``_chunk_cache`` (under ``fork`` it inherits whatever
-    the parent warmed), and every fill that happens lazily inside a cell
-    would otherwise repeat per process.  Given a ``spec``, warms exactly
-    what its grid touches: the scenario mix's kernel specs, their §6.4
-    chunks under the spec's policy, and the isolated time of every
-    (kernel, device) pair.  Without a spec, warms the explicit
-    ``names``/``devices``/``policy`` (defaults: whole corpus, no
+    ``_chunk_cache`` and isolated-time tables (under ``fork`` it inherits
+    whatever the parent warmed), and every fill that happens lazily
+    inside a cell would otherwise repeat per process.  Given a ``spec``,
+    warms exactly what its grid touches: the scenario mix's kernel
+    specs, their §6.4 chunks under the spec's policy, and the isolated
+    time of every (kernel, device) pair.  Without a spec, warms the
+    explicit ``names``/``devices``/``policy`` (defaults: whole corpus, no
     devices, adaptive).  Returns the cache sizes after warming.
     """
     if spec is not None:
@@ -142,7 +155,8 @@ def warm_caches(spec=None, devices=None, names=None, policy=None):
     for device in devices or ():
         for name in names:
             isolated_time(name, device)
-    return {"specs": len(_spec_cache), "isolated": len(_iso_cache),
+    return {"specs": len(_spec_cache),
+            "isolated": sum(map(len, _isolated_tables.values())),
             "chunks": len(_chunk_cache)}
 
 

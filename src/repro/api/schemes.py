@@ -46,7 +46,7 @@ import bisect
 from repro.accelos.adaptive import SchedulingPolicy, effective_chunk
 from repro.accelos.sharing import compute_allocations
 from repro.api.kernels import (base_spec, chunk_for_profile, detailed_spec,
-                               isolated_time, requirements_from_spec,
+                               isolated_table, requirements_from_spec,
                                sharing_allocator)
 from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
@@ -93,26 +93,6 @@ class RequestRecord:
             self.name, self.arrival, self.turnaround)
 
 
-class _IsolatedTimes(dict):
-    """One session's ``name -> isolated_time(name, device)`` table.
-
-    A session's device never changes, so the table keys on the kernel
-    name alone and skips :func:`isolated_time`'s full device-value key on
-    every backlog walk.  It lives on the session, not the module, so two
-    same-named devices with different specs never share entries.
-    """
-
-    __slots__ = ("device",)
-
-    def __init__(self, device):
-        super().__init__()
-        self.device = device
-
-    def __missing__(self, name):
-        value = self[name] = isolated_time(name, self.device)
-        return value
-
-
 class GpuOpenSession:
     """One device's incremental open-system session (simulator-backed).
 
@@ -128,7 +108,7 @@ class GpuOpenSession:
 
     def __init__(self, device, mode, build_spec, allocator=None):
         self.device = device
-        self._isolated = _IsolatedTimes(device)
+        self._isolated = isolated_table(device)
         self._sim = GPUSimulator(device)
         self._sim.open_begin(mode, allocator=allocator)
         self._build = build_spec
@@ -222,7 +202,7 @@ class ElasticOpenSession:
 
     def __init__(self, device):
         self.device = device
-        self._isolated = _IsolatedTimes(device)
+        self._isolated = isolated_table(device)
         self._scheduler = ElasticKernelsScheduler(device)
         self._waiting = []            # sorted (effective, seq, key, arrival)
         self._seq = 0
@@ -630,7 +610,7 @@ def device_loop(scheme, device, policy=SchedulingPolicy.ADAPTIVE,
     session = require_session(scheme).open_session(
         device, policy=policy, saturate=saturate)
     return FleetSimulator(DeviceFleet([device]), [session], None,
-                          isolated_time, ledger=ledger)
+                          [isolated_table(device)], ledger=ledger)
 
 
 def loop_records(scheme, arrivals, device, policy=SchedulingPolicy.ADAPTIVE,
@@ -642,8 +622,7 @@ def loop_records(scheme, arrivals, device, policy=SchedulingPolicy.ADAPTIVE,
     def observe(entry, record):
         records[entry.position] = record
     device_loop(scheme, device, policy, saturate, ledger).run(
-        arrivals, record_sink(lambda name: isolated_time(name, device),
-                              observe))
+        arrivals, record_sink(isolated_table(device).__getitem__, observe))
     return records
 
 

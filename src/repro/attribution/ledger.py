@@ -142,7 +142,7 @@ class AttributionLedger:
         """One request enters ``device_index`` at ``arrival_time``.
 
         ``est_seconds`` is the caller's service estimate on that device
-        (the fleet loop's memoised estimator) — the weight its
+        (the fleet loop reads the kernel's isolated time) — the weight its
         outstanding work contributes to later arrivals' ahead-of-me
         snapshots.
         """

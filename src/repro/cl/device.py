@@ -11,33 +11,36 @@ Capacities follow the public architecture documents the paper cites
 
 from __future__ import annotations
 
+import dataclasses
 
+
+@dataclasses.dataclass(frozen=True, repr=False)
 class DeviceSpec:
-    """Static description of an accelerator."""
+    """Static description of an accelerator.
 
-    def __init__(self, name, vendor, num_cus, max_threads_per_cu,
-                 wavefront, registers_per_cu, local_mem_per_cu,
-                 max_wgs_per_cu, max_wg_size, clock_mhz, mem_bw_gbs,
-                 flops_per_cycle_per_cu, global_mem_bytes,
-                 scheduler_policy):
-        self.name = name
-        self.vendor = vendor
-        self.num_cus = num_cus
-        self.max_threads_per_cu = max_threads_per_cu
-        self.wavefront = wavefront
-        self.registers_per_cu = registers_per_cu
-        self.local_mem_per_cu = local_mem_per_cu
-        self.max_wgs_per_cu = max_wgs_per_cu
-        self.max_wg_size = max_wg_size
-        self.clock_mhz = clock_mhz
-        self.mem_bw_gbs = mem_bw_gbs
-        self.flops_per_cycle_per_cu = flops_per_cycle_per_cu
-        self.global_mem_bytes = global_mem_bytes
-        # 'fifo': next kernel's groups may start as the current one drains
-        # (NVIDIA-observed behaviour); 'exclusive': the device serialises
-        # kernels almost completely (AMD-observed behaviour).  Both match the
-        # paper's measured overlap for standard OpenCL (§8.2).
-        self.scheduler_policy = scheduler_policy
+    A frozen value: equality and hashing cover every field, so two equal
+    specs are interchangeable, and calibration
+    (:func:`repro.api.kernels.isolated_table`) keys on the spec itself.
+    """
+
+    name: str
+    vendor: str
+    num_cus: int
+    max_threads_per_cu: int
+    wavefront: int
+    registers_per_cu: int
+    local_mem_per_cu: int
+    max_wgs_per_cu: int
+    max_wg_size: int
+    clock_mhz: float
+    mem_bw_gbs: float
+    flops_per_cycle_per_cu: int
+    global_mem_bytes: int
+    # 'fifo': next kernel's groups may start as the current one drains
+    # (NVIDIA-observed behaviour); 'exclusive': the device serialises
+    # kernels almost completely (AMD-observed behaviour).  Both match the
+    # paper's measured overlap for standard OpenCL (§8.2).
+    scheduler_policy: str
 
     # -- device-wide capacities used by the §3 sharing algorithm -------------
 
@@ -121,12 +124,8 @@ def derated_device(base, name, clock_scale=1.0, cu_scale=1.0):
     """
     if not 0.0 < clock_scale <= 1.0 or not 0.0 < cu_scale <= 1.0:
         raise ValueError("derating scales must be in (0, 1]")
-    # copy every field so future DeviceSpec additions survive derating
-    fields = dict(vars(base))
-    fields.update(
-        name=name,
+    return dataclasses.replace(
+        base, name=name,
         num_cus=max(1, int(round(base.num_cus * cu_scale))),
         clock_mhz=base.clock_mhz * clock_scale,
-        mem_bw_gbs=base.mem_bw_gbs * clock_scale,
-    )
-    return DeviceSpec(**fields)
+        mem_bw_gbs=base.mem_bw_gbs * clock_scale)

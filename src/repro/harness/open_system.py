@@ -57,9 +57,9 @@ from repro.accelos.placement import (OfflinePolicyAdapter,
 # re-exported under their historical home: these primitives now live in
 # repro.api.kernels so schemes below the harness can share them
 from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
-                               fleet_arrival_rate_for_load, isolated_time,
-                               mean_isolated_service, requirements_from_spec,
-                               sharing_allocator)
+                               fleet_arrival_rate_for_load, isolated_table,
+                               IsolatedTable, mean_isolated_service,
+                               requirements_from_spec, sharing_allocator)
 from repro.api.placements import placement_from_name, rebalancer_from_name
 from repro.api.schemes import (RequestRecord,  # noqa: F401
                                device_loop, loop_records, open_scheme_names,
@@ -202,7 +202,7 @@ class OpenSystemExperiment:
                                 self.saturate, ledger)
         sink = (sink_factory or StreamingRecordSink)()
         simulator.run_stream(arrivals, record_sink(
-            lambda name: isolated_time(name, self.device),
+            isolated_table(self.device).__getitem__,
             lambda entry, record: sink.observe(record)))
         # observability only: how many engine events the stream cost
         # (read by benchmarks/bench_engine.py for events/sec)
@@ -337,11 +337,13 @@ class FleetOpenSystemExperiment:
         self.fleet = fleet
         self.policy = policy
         self.saturate = saturate
+        tables = self._tables = [isolated_table(m.device) for m in fleet]
+        self._reference = IsolatedTable(
+            lambda name: min(table[name] for table in tables))
 
     def reference_isolated(self, name):
         """Best isolated time across the fleet: the slowdown denominator."""
-        return min(isolated_time(name, member.device)
-                   for member in self.fleet)
+        return self._reference[name]
 
     # -- simulation --------------------------------------------------------
 
@@ -464,8 +466,8 @@ class FleetOpenSystemExperiment:
                                     saturate=self.saturate)
             for member in self.fleet
         ]
-        return FleetSimulator(self.fleet, sessions, policy,
-                              estimator=isolated_time, ledger=ledger)
+        return FleetSimulator(self.fleet, sessions, policy, self._tables,
+                              ledger=ledger)
 
     def run_all(self, arrivals, placement, schemes=None, mode="auto",
                 rebalance=None):

@@ -97,44 +97,11 @@ class DeviceFleet:
         if len(set(ids)) != len(ids):
             raise SimulationError(
                 "fleet device ids must be unique, got {}".format(ids))
-        # Harness caches (isolated_time and friends) key on the device
-        # *name*: two members may share a name only if their specs are
-        # identical, otherwise whichever is queried first silently poisons
-        # every estimate and metric for the other.
-        by_name = {}
-        for member in members:
-            spec = vars(member.device)
-            other = by_name.setdefault(member.device.name, spec)
-            if spec != other:
-                raise SimulationError(
-                    "fleet devices named {!r} have differing specs; give "
-                    "derated/custom devices distinct names".format(
-                        member.device.name))
         self.members = members
         # id -> fleet index, precomputed once: index_of runs per arrival
         # (pinned requests, session routing), a linear scan per call made
         # fleet-size lookups O(N^2) over a stream
         self._index_by_id = {m.id: i for i, m in enumerate(members)}
-        # estimator callable -> {(kernel name, fleet index): estimate};
-        # shared by every FleetSimulator over this fleet (estimators are
-        # deterministic in (name, device), so the values are identical to
-        # per-simulator recomputation)
-        self._estimate_caches = {}
-
-    def estimate_cache(self, estimator):
-        """The fleet-lifetime estimator memo for one estimator callable.
-
-        Online placement calls the estimator per (arrival, device); the
-        values depend only on (kernel name, device), so one fleet-level
-        dict serves every simulator — repeated experiment cells (the
-        parallel driver reuses one fleet per worker) stop re-deriving
-        estimates per run.
-        """
-        cache = self._estimate_caches.get(estimator)
-        if cache is None:
-            cache = {}
-            self._estimate_caches[estimator] = cache
-        return cache
 
     # -- container surface -------------------------------------------------
 
@@ -173,8 +140,8 @@ class DeviceFleet:
         """True when every member's spec is identical — including memory
         bandwidth and firmware scheduler policy, which change simulated
         timing even at equal compute capacity."""
-        first = vars(self.members[0].device)
-        return all(vars(m.device) == first for m in self.members)
+        first = self.members[0].device
+        return all(m.device == first for m in self.members)
 
     def __repr__(self):
         return "<DeviceFleet {} devices: {}>".format(
@@ -253,8 +220,8 @@ class FleetStatus:
     """Live snapshot of the whole fleet at one loop instant — what online
     placement policies observe (instead of the offline pre-pass's
     single-server backlog estimate).  ``estimate(name, index)`` is the
-    loop's memoised service estimator, so re-balancers can price a
-    candidate migration on its target device."""
+    kernel's isolated time on device ``index``, so re-balancers can price
+    a candidate migration on its target device."""
 
     __slots__ = ("now", "devices", "estimate")
 
@@ -336,10 +303,11 @@ class FleetSimulator:
     single-device experiment runs the same loop.
 
     ``sessions`` are per-device scheme sessions (see the protocol note
-    above); ``policy`` speaks the online protocol; ``estimator(name,
-    device)`` supplies per-request service estimates for the policy's
-    cost vector and the ledger (memoised here per ``(name, device
-    index)``).  ``ledger`` is an optional observer
+    above); ``policy`` speaks the online protocol; ``isolated`` holds
+    one ``kernel name -> isolated seconds`` table per member (see
+    :func:`repro.api.kernels.isolated_table`), the per-request service
+    estimate of the policy's cost vector, ``FleetStatus.estimate`` and
+    the ledger.  ``ledger`` is an optional observer
     (:class:`repro.attribution.AttributionLedger`): the loop reports
     every submit, migration and finish to it as it happens, then the
     finished request's record.
@@ -355,32 +323,25 @@ class FleetSimulator:
     ``t`` (matching the arrival-first tie rule inside each device).
     """
 
-    def __init__(self, fleet, sessions, policy, estimator, ledger=None):
-        if len(sessions) != len(fleet):
+    def __init__(self, fleet, sessions, policy, isolated, ledger=None):
+        if not len(sessions) == len(isolated) == len(fleet):
             raise SimulationError(
-                "need one device session per fleet member ({} != {})"
-                .format(len(sessions), len(fleet)))
+                "need one device session and one isolated-time table per "
+                "fleet member (got {} and {} for {} members)".format(
+                    len(sessions), len(isolated), len(fleet)))
         if policy is None and len(fleet) != 1:
             raise SimulationError(
                 "only a lone device runs without a placement policy")
         self.fleet = fleet
         self.sessions = list(sessions)
         self.policy = policy
-        self._estimator = estimator
-        self._cost_cache = fleet.estimate_cache(estimator)
+        self._isolated = list(isolated)
         self._rebalance_enabled = False
         self.migrations = []            # executed MigrationOrders
         self.ledger = ledger
 
-    # -- estimator memoisation ---------------------------------------------
-
     def _cost(self, name, index):
-        key = (name, index)
-        value = self._cost_cache.get(key)
-        if value is None:
-            value = self._estimator(name, self.fleet[index].device)
-            self._cost_cache[key] = value
-        return value
+        return self._isolated[index][name]
 
     def events_processed(self):
         """Total simulator events across device sessions (sessions without

@@ -24,7 +24,7 @@ from repro.api import driver as driver_mod
 from repro.api.cache import CACHE_FORMAT
 from repro.api.driver import (_grid_cells, build_stream, build_stream_iter,
                               iter_runs, stream_seed)
-from repro.api.kernels import _iso_cache
+from repro.api.kernels import isolated_table
 from repro.api.results import validate_result_surface
 from repro.api.spec import Cell
 from repro.errors import SimulationError
@@ -345,11 +345,10 @@ def test_warm_caches_populates_what_the_spec_touches():
     assert sizes["specs"] >= 1
     assert sizes["chunks"] >= 1
     from repro.api import build_device
-    from repro.api.kernels import _device_key
     from repro.workloads.scenarios import scenario
-    device = build_device(spec.devices[0])
+    table = isolated_table(build_device(spec.devices[0]))
     for name in scenario(spec.scenario).mix_weights():
-        assert (name, _device_key(device)) in _iso_cache
+        assert name in table
 
 
 # -- the CLI flags --------------------------------------------------------------

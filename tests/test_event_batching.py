@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accelos.placement import OfflinePolicyAdapter, OnlinePlacementPolicy
-from repro.api.kernels import isolated_time
+from repro.api.kernels import isolated_table, isolated_time
 from repro.api.placements import placement_from_name, rebalancer_from_name
 from repro.api.schemes import GpuOpenSession, record_sink, scheme_from_name
 from repro.attribution import AttributionLedger
@@ -138,7 +138,8 @@ def _fleet_run(simulator_cls, case):
     _log_calls(policy, "rebalance", log, "rebalance", _orders)
     ledger = AttributionLedger(fleet.ids)
     simulator = simulator_cls(fleet, sessions, policy,
-                              estimator=isolated_time, ledger=ledger)
+                              [isolated_table(m.device) for m in fleet],
+                              ledger=ledger)
     harvested = []
     on_record = record_sink(
         lambda name: 1.0,
@@ -222,7 +223,7 @@ def test_backlog_matches_isolated_time_along_a_migrating_run(scheme):
         session.backlog_seconds = checked_backlog
     simulator = FleetSimulator(fleet, sessions,
                                _policy("burst-aware", rebalance=True),
-                               estimator=isolated_time)
+                               [isolated_table(m.device) for m in fleet])
     simulator.run(arrivals, lambda entry, start, finish: None)
     assert simulator.migrations
     assert any(value > 0 for value in checked)

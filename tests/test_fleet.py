@@ -12,7 +12,7 @@ from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
                            arrival_rate_for_load, fleet_arrival_rate_for_load,
                            isolated_time)
 from repro.kernelc import types as T
-from repro.sim import DeviceFleet
+from repro.sim import DeviceFleet, FleetSimulator
 from repro.workloads import (periodic_arrivals, poisson_arrivals,
                              trace_arrivals)
 
@@ -45,17 +45,48 @@ def test_fleet_requires_devices_and_unique_ids():
         DeviceFleet([("a", nvidia_k20m()), ("a", nvidia_k20m())])
 
 
-def test_fleet_rejects_same_name_different_specs():
-    """Harness caches key on the device name: two specs sharing a name
-    must be identical or every estimate for one of them would silently be
-    computed from the other."""
-    same_name_slower = derated_device(nvidia_k20m(), nvidia_k20m().name,
-                                      clock_scale=0.5)
-    with pytest.raises(SimulationError, match="distinct names"):
-        DeviceFleet([("a", nvidia_k20m()), ("b", same_name_slower)])
-    # identical specs under one name are fine (the homogeneous case)
-    assert len(DeviceFleet([("a", nvidia_k20m()),
-                            ("b", nvidia_k20m())])) == 2
+def test_same_named_members_keep_their_own_isolated_times(monkeypatch):
+    """A K20m and a half-clock derating that keeps the K20m's name share
+    a fleet: placement estimates, session backlogs and the record
+    denominator each read the member's own isolated time, because
+    calibration keys on the device value, never its name."""
+    fleet = DeviceFleet([
+        ("fast", nvidia_k20m()),
+        ("slow", derated_device(nvidia_k20m(), nvidia_k20m().name,
+                                clock_scale=0.5)),
+    ])
+    kernels = ("sgemm", "bfs")
+    for name in kernels:
+        assert isolated_time(name, fleet[0].device) \
+            < isolated_time(name, fleet[1].device)
+    checked = []
+    original = FleetSimulator._status
+
+    def checked_status(simulator, now):
+        status = original(simulator, now)
+        for j, (member, session) in enumerate(zip(fleet,
+                                                  simulator.sessions)):
+            own = {name: isolated_time(name, member.device)
+                   for name in kernels}
+            assert all(status.estimate(name, j) == own[name]
+                       for name in kernels)
+            backlog = 0.0
+            for arrival, run in session._entries.values():
+                if run.finish_time is None and run.total > 0:
+                    backlog += own[arrival.name] * (
+                        (run.total - run.completed) / run.total)
+            assert status.devices[j].backlog_seconds == backlog
+        checked.append(status)
+        return status
+    monkeypatch.setattr(FleetSimulator, "_status", checked_status)
+    arrivals = trace_arrivals([(kernels[i % 2], 0.0) for i in range(8)])
+    result = FleetOpenSystemExperiment(fleet).run(
+        arrivals, "accelos", LeastLoadedPlacement(), mode="online")
+    assert checked
+    assert {d.index for d in result.decisions} == {0, 1}
+    for record in result.records:
+        assert record.isolated == isolated_time(record.name,
+                                                fleet[0].device)
 
 
 def test_fleet_homogeneity_and_lookup():

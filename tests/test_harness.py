@@ -1,9 +1,12 @@
 """Unit tests for the experiment harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.accelos.adaptive import SchedulingPolicy
-from repro.cl import amd_r9_295x2, nvidia_k20m
+from repro.api.kernels import isolated_table
+from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.harness import (format_table, isolated_time, run_single_kernel,
                            run_workload, run_sweep, summarize)
 from repro.harness.experiment import chunk_for_profile, transform_chunks
@@ -20,6 +23,31 @@ def test_isolated_time_positive_and_cached():
 def test_isolated_time_differs_across_devices():
     assert isolated_time("cutcp", nvidia_k20m()) != \
         isolated_time("cutcp", amd_r9_295x2())
+
+
+def test_device_specs_are_frozen_values_keying_one_table():
+    a, b = nvidia_k20m(), nvidia_k20m()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.clock_mhz = 1.0
+    derated = derated_device(a, "K20m-derated", clock_scale=0.5,
+                             cu_scale=0.5)
+    scaled = ("name", "num_cus", "clock_mhz", "mem_bw_gbs")
+
+    def unscaled(device):
+        fields = dataclasses.asdict(device)
+        for key in scaled:
+            del fields[key]
+        return fields
+    assert unscaled(derated) == unscaled(a)
+    assert derated.num_cus < a.num_cus
+    assert derated.clock_mhz == a.clock_mhz * 0.5
+    assert isolated_table(a) is isolated_table(b)
+    half, quarter = (derated_device(a, "K20m-derated", clock_scale=scale)
+                     for scale in (0.5, 0.25))
+    assert half.name == quarter.name and half != quarter
+    assert isolated_table(half) is not isolated_table(quarter)
+    assert isolated_table(half)["bfs"] != isolated_table(quarter)["bfs"]
 
 
 def test_chunks_come_from_real_jit():
