@@ -21,14 +21,14 @@ from repro.accelos.vndrange import VirtualNDRange
 from repro.accelos.runtime import AccelOSRuntime
 from repro.accelos.fleet import FleetRuntime
 from repro.accelos.placement import (
-    AffinityPlacement, LeastLoadedPlacement, PlacementDecision,
-    PlacementPolicy, RoundRobinPlacement, default_policies)
+    AffinityPlacement, LeastLoadedPlacement, PlacementPolicy,
+    RoundRobinPlacement, default_policies)
 
 __all__ = [
     "chunk_size_for", "SchedulingPolicy",
     "KernelRequirements", "compute_allocations",
     "AccelOSTransform", "TransformedKernel",
     "VirtualNDRange", "AccelOSRuntime", "FleetRuntime",
-    "PlacementPolicy", "PlacementDecision", "RoundRobinPlacement",
+    "PlacementPolicy", "RoundRobinPlacement",
     "LeastLoadedPlacement", "AffinityPlacement", "default_policies",
 ]

@@ -78,24 +78,6 @@ from repro.errors import SchedulingError
 DEFAULT_MIGRATION_PENALTY = 2e-3
 
 
-class PlacementDecision:
-    """Where one request goes: fleet device index plus migration penalty."""
-
-    __slots__ = ("arrival", "index", "penalty", "pinned")
-
-    def __init__(self, arrival, index, penalty=0.0, pinned=False):
-        self.arrival = arrival
-        self.index = index
-        self.penalty = float(penalty)
-        self.pinned = pinned
-
-    def __repr__(self):
-        return "<PlacementDecision {} -> device {}{}>".format(
-            self.arrival.name, self.index,
-            " (+{:.1f}ms migration)".format(self.penalty * 1e3)
-            if self.penalty else "")
-
-
 class PlacementPolicy:
     """Chooses a device index for each request.
 

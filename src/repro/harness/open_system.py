@@ -16,12 +16,14 @@ experiments unchanged — the harness only zips records into metrics.
 Every run goes through one drive loop,
 :class:`repro.sim.fleet.FleetSimulator`: advance the devices to the next
 arrival, harvest what finished, submit the arrival.  A single device is
-a one-member fleet with no placement policy.  Runs differ only in what
-is attached to the loop:
+a one-member fleet with no placement policy.  Both experiments' ``run``
+and ``run_stream`` enter one body (:meth:`_LoopExperiment._run`), and
+runs differ only in what is attached to the loop:
 
-* the **sink** — exact runs put each record at its stream position (the
-  retained list every exact metric is computed from); streaming runs
-  feed a :class:`~repro.metrics.sketches.StreamingRecordSink`;
+* the **sinks** (:mod:`repro.metrics.sketches`) — exact runs fill
+  exact record sinks in stream-position order; streaming runs fill
+  bounded-memory sinks (or a custom factory's) as requests finish.
+  Every result is built from its sinks;
 * the **observer** — with a ledger
   (:class:`repro.attribution.AttributionLedger`) the loop reports every
   submit, migration, finish and finished record to it, and the result
@@ -49,11 +51,9 @@ metric for a heterogeneous deployment.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accelos.adaptive import SchedulingPolicy
 from repro.accelos.placement import (OfflinePolicyAdapter,
-                                     OnlinePlacementPolicy, PlacementDecision)
+                                     OnlinePlacementPolicy)
 # re-exported under their historical home: these primitives now live in
 # repro.api.kernels so schemes below the harness can share them
 from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
@@ -62,72 +62,31 @@ from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
                                requirements_from_spec, sharing_allocator)
 from repro.api.placements import placement_from_name, rebalancer_from_name
 from repro.api.schemes import (RequestRecord,  # noqa: F401
-                               device_loop, loop_records, open_scheme_names,
-                               record_sink, require_session,
-                               scheme_from_name)
+                               device_loop, open_scheme_names, record_sink,
+                               require_session, scheme_from_name)
 from repro.errors import SimulationError
-from repro.metrics import (StreamingRecordSink, antt, individual_slowdowns,
-                           request_tails, stp, system_unfairness)
+from repro.metrics import ExactRecordSink, StreamingRecordSink
 from repro.sim.fleet import DeviceFleet, FleetSimulator
 
 
 class OpenSystemResult:
     """Stream-level metrics of one scheme over one arrival stream.
 
-    Built either from a retained record list (the exact path — every
-    metric computed over the full population) or from a
-    :class:`~repro.metrics.sketches.StreamingRecordSink`
-    (:meth:`from_sink` — bounded-memory online accumulators, percentile
-    fields are P² estimates, ``records``/``slowdowns`` are ``None``).
-    Both forms expose the identical metric surface, so the METRICS
-    registry and every report work unchanged.
+    Built from a non-empty record sink: the fields are its
+    :class:`~repro.metrics.sketches.SinkMetrics`.  From an
+    :class:`~repro.metrics.sketches.ExactRecordSink` every metric is
+    computed over the full population; from a
+    :class:`~repro.metrics.sketches.StreamingRecordSink` the percentile
+    fields are P² estimates and ``records``/``slowdowns`` are ``None``.
+    The METRICS registry and every report read either alike.
     """
 
-    def __init__(self, scheme, device_name, records):
-        if not records:
-            raise SimulationError("no request records")
-        self.scheme = scheme
-        self.device_name = device_name
-        self.records = records
-        self.count = len(records)
-        turnarounds = [r.turnaround for r in records]
-        isolated = [r.isolated for r in records]
-        self.slowdowns = individual_slowdowns(turnarounds, isolated)
-        self.unfairness = system_unfairness(self.slowdowns)
-        self.antt = antt(self.slowdowns)
-        self.stp = stp(self.slowdowns)
-        self.mean_turnaround = float(np.mean(turnarounds))
-        self.mean_queueing_delay = float(
-            np.mean([r.queueing_delay for r in records]))
-        self.makespan = max(r.finish for r in records)
-        (self.slowdown_tails, self.queueing_tails,
-         self.tenant_slowdown_tails) = request_tails(records)
-
-    @classmethod
-    def from_sink(cls, scheme, device_name, sink):
-        """Build the streaming twin from a non-empty record sink."""
+    def __init__(self, scheme, device_name, sink):
         if sink.count == 0:
             raise SimulationError("no request records")
-        stats = sink.slowdown.stats
-        if stats.min <= 0:
-            # mirrors metrics.fairness.system_unfairness
-            raise SimulationError("slowdowns must be positive")
-        self = object.__new__(cls)
         self.scheme = scheme
         self.device_name = device_name
-        self.records = None             # not retained: bounded memory
-        self.count = sink.count
-        self.slowdowns = None
-        self.unfairness = stats.max / stats.min
-        self.antt = stats.mean
-        self.stp = sink.inverse_slowdown_sum
-        self.mean_turnaround = sink.turnaround.mean
-        self.mean_queueing_delay = sink.queueing.stats.mean
-        self.makespan = sink.finish.max
-        self.slowdown_tails = sink.slowdown.summary()
-        self.queueing_tails = sink.queueing.summary()
-        self.tenant_slowdown_tails = sink.tenant_summaries()
-        return self
+        vars(self).update(sink.reduce()._asdict())
 
     @property
     def p99_slowdown(self):
@@ -145,7 +104,75 @@ class OpenSystemResult:
                         self.antt))
 
 
-class OpenSystemExperiment:
+class _LoopExperiment:
+    """The one run body of both experiments.
+
+    Subclasses provide ``_loop(scheme, exact, ledger, **settings)`` (the
+    validated drive loop), ``_reference`` (the slowdown denominator
+    table), ``_per_device`` (whether each fleet member gets its own
+    sinks) and ``_result(...)``.
+    """
+
+    _per_device = False
+
+    def _run(self, arrivals, scheme, exact, sink_factory=None, ledger=None,
+             **settings):
+        """Validate, build the loop, deliver every record to the run's
+        sinks, build the result and attach the ledger report.
+
+        Exact runs hold each ``(entry, record)`` at ``entry.position``
+        and deliver them in stream order after the drain, so exact sinks
+        reduce in submission order; streaming runs deliver as the loop
+        harvests.  ``events_processed`` is the run's engine event count
+        (observability only: ``benchmarks/bench_engine.py`` reads it).
+        """
+        scheme_obj = scheme_from_name(scheme)
+        if exact and not arrivals:
+            raise SimulationError("empty arrival stream")
+        simulator = self._loop(scheme_obj, exact, ledger, **settings)
+        factory = (ExactRecordSink if exact
+                   else sink_factory or StreamingRecordSink)
+        overall = factory()
+        device_sinks = ([factory() for _ in self.fleet] if self._per_device
+                        else [])
+        migrated = 0
+
+        def deliver(entry, record):
+            nonlocal migrated
+            overall.observe(record)
+            if device_sinks:
+                device_sinks[entry.index].observe(record)
+                if entry.penalty > 0:
+                    migrated += 1
+
+        held = None
+        if simulator is None:
+            # an open_records-only scheme's exact single-device run
+            held = [(None, record)
+                    for record in self.scheme_records(arrivals, scheme_obj)]
+        elif exact:
+            held = [None] * len(arrivals)
+
+            def hold(entry, record):
+                held[entry.position] = (entry, record)
+            simulator.run(arrivals, record_sink(self._reference.__getitem__,
+                                                hold))
+        else:
+            simulator.run_stream(arrivals, record_sink(
+                self._reference.__getitem__, deliver))
+        if held is not None:
+            for entry, record in held:
+                deliver(entry, record)
+        self.events_processed = (0 if simulator is None
+                                 else simulator.events_processed())
+        result = self._result(scheme_obj.name, simulator, overall,
+                              device_sinks, held, migrated)
+        if ledger is not None:
+            result.attribution = ledger.report()
+        return result
+
+
+class OpenSystemExperiment(_LoopExperiment):
     """Runs one arrival stream under registered scheduling schemes."""
 
     def __init__(self, device, policy=SchedulingPolicy.ADAPTIVE,
@@ -153,6 +180,7 @@ class OpenSystemExperiment:
         self.device = device
         self.policy = policy
         self.saturate = saturate
+        self._reference = isolated_table(device)
 
     # -- public ------------------------------------------------------------
 
@@ -166,19 +194,13 @@ class OpenSystemExperiment:
         result gains an ``attribution`` report; the scheme needs an
         ``open_session``.
         """
-        scheme_obj = scheme_from_name(scheme)
-        if ledger is None:
-            records = self.scheme_records(arrivals, scheme_obj)
-        else:
-            records = loop_records(scheme_obj, arrivals, self.device,
-                                   self.policy, self.saturate, ledger)
-        return _attributed(OpenSystemResult(
-            scheme_obj.name, self.device.name, records), ledger)
+        return self._run(arrivals, scheme, True, ledger=ledger)
 
     def scheme_records(self, arrivals, scheme):
         """Per-request records of one scheme over one stream (the
-        scheme's ``open_records``).  Unknown scheme names raise listing
-        the registered schemes."""
+        scheme's ``open_records``): how :meth:`run` serves a scheme with
+        no ``open_session``.  Unknown scheme names raise listing the
+        registered schemes."""
         if not arrivals:
             raise SimulationError("empty arrival stream")
         return scheme_from_name(scheme).open_records(
@@ -190,25 +212,27 @@ class OpenSystemExperiment:
         iterator incrementally, accumulate metrics in a record sink and
         never retain the stream — bounded memory at any request count.
 
-        The scheme must support ``open_session``.  Returns an
-        :class:`OpenSystemResult` built
-        :meth:`~OpenSystemResult.from_sink` (``records is None``).  With
-        a ``ledger`` the loop reports its events and finished records to
+        The scheme must support ``open_session``.  ``sink_factory``
+        makes the record sink (default
+        :class:`~repro.metrics.sketches.StreamingRecordSink`; the
+        contract is in :mod:`repro.metrics.sketches`), and the result is
+        built from it (``records is None`` by default).  With a
+        ``ledger`` the loop reports its events and finished records to
         it, and the result gains an ``attribution`` report — still
         bounded memory (the ledger is O(#tenants·#devices)).
         """
-        scheme_obj = scheme_from_name(scheme)
-        simulator = device_loop(scheme_obj, self.device, self.policy,
-                                self.saturate, ledger)
-        sink = (sink_factory or StreamingRecordSink)()
-        simulator.run_stream(arrivals, record_sink(
-            isolated_table(self.device).__getitem__,
-            lambda entry, record: sink.observe(record)))
-        # observability only: how many engine events the stream cost
-        # (read by benchmarks/bench_engine.py for events/sec)
-        self.events_processed = simulator.events_processed()
-        return _attributed(OpenSystemResult.from_sink(
-            scheme_obj.name, self.device.name, sink), ledger)
+        return self._run(arrivals, scheme, False, sink_factory, ledger)
+
+    def _loop(self, scheme_obj, exact, ledger):
+        if exact and ledger is None \
+                and not scheme_obj.supports_open_session:
+            return None                 # served by scheme_records
+        return device_loop(scheme_obj, self.device, self.policy,
+                           self.saturate, ledger)
+
+    def _result(self, scheme, simulator, overall, device_sinks, held,
+                migrated):
+        return OpenSystemResult(scheme, self.device.name, overall)
 
     def run_all(self, arrivals, schemes=None):
         """All schemes over one stream: ``{scheme: OpenSystemResult}``.
@@ -225,64 +249,41 @@ class OpenSystemExperiment:
 class FleetOpenSystemResult:
     """One scheme + placement policy over one stream on one fleet.
 
-    ``overall`` aggregates every request fleet-wide; ``per_device`` maps
-    device ids (only those that served at least one request) to their own
-    :class:`OpenSystemResult`.  All slowdowns are normalised by the best
-    isolated time across the fleet, so the heterogeneity cost of a
-    placement decision is visible in ANTT/unfairness.
+    Built from an ``overall`` record sink and ``device_sinks``, one per
+    fleet member in fleet order.  ``overall`` aggregates every request
+    fleet-wide; ``per_device`` maps device ids (only those that served
+    at least one request) to their own :class:`OpenSystemResult`.  All
+    slowdowns are normalised by the best isolated time across the fleet,
+    so the heterogeneity cost of a placement decision is visible in
+    ANTT/unfairness.
+
+    ``decisions`` is the loop's :class:`~repro.sim.fleet.PlacedRequest`
+    per arrival in stream order (``None`` on streaming runs, which do
+    not retain them); ``migrations`` counts requests charged a migration
+    penalty, ``rebalances`` how many times the re-balance hook moved a
+    request after its initial placement.
     """
 
-    def __init__(self, scheme, placement_name, fleet, records_by_device,
-                 all_records, decisions, rebalances=0):
+    def __init__(self, scheme, placement_name, fleet, overall, device_sinks,
+                 decisions=None, migrations=0, rebalances=0):
         self.scheme = scheme
         self.placement = placement_name
         self.fleet_ids = list(fleet.ids)
         self.overall = OpenSystemResult(
-            scheme, "fleet({})".format("+".join(fleet.ids)), all_records)
+            scheme, "fleet({})".format("+".join(fleet.ids)), overall)
         self.per_device = {
-            device_id: OpenSystemResult(scheme, device_id, records)
-            for device_id, records in records_by_device.items() if records
+            device_id: OpenSystemResult(scheme, device_id, sink)
+            for device_id, sink in zip(fleet.ids, device_sinks)
+            if sink.count
         }
         self.decisions = decisions
-        self.migrations = sum(1 for d in decisions if d.penalty > 0)
-        # closed-loop only: how many requests the re-balance hook moved
-        # between devices after their initial placement
-        self.rebalances = rebalances
-        self.device_share = {
-            device_id: len(records_by_device.get(device_id, ())) /
-            float(len(all_records))
-            for device_id in fleet.ids
-        }
-
-    @classmethod
-    def from_sinks(cls, scheme, placement_name, fleet, overall_sink,
-                   device_sinks, migrations=0, rebalances=0):
-        """Build the streaming twin from per-device record sinks.
-
-        ``decisions`` is ``None`` (per-arrival decisions are not retained
-        in streaming mode); ``migrations``/``rebalances`` arrive as
-        counts accumulated by the streaming loop.
-        """
-        self = object.__new__(cls)
-        self.scheme = scheme
-        self.placement = placement_name
-        self.fleet_ids = list(fleet.ids)
-        self.overall = OpenSystemResult.from_sink(
-            scheme, "fleet({})".format("+".join(fleet.ids)), overall_sink)
-        self.per_device = {
-            device_id: OpenSystemResult.from_sink(scheme, device_id, sink)
-            for device_id, sink in device_sinks.items() if sink.count
-        }
-        self.decisions = None
         self.migrations = migrations
         self.rebalances = rebalances
-        total = float(self.overall.count)
+        total = float(overall.count)
         self.device_share = {
-            device_id: (device_sinks[device_id].count / total
-                        if device_id in device_sinks else 0.0)
-            for device_id in fleet.ids
+            device_id: sink.count / total
+            for device_id, sink in zip(fleet.ids, device_sinks)
         }
-        return self
 
     def __getattr__(self, attr):
         # convenience passthrough: fleet.antt == fleet.overall.antt
@@ -302,7 +303,7 @@ class FleetOpenSystemResult:
                     self.overall.antt))
 
 
-class FleetOpenSystemExperiment:
+class FleetOpenSystemExperiment(_LoopExperiment):
     """Open-system arrival streams against a heterogeneous device fleet.
 
     The fleet runs in the drive loop
@@ -329,6 +330,8 @@ class FleetOpenSystemExperiment:
     device.  Deterministic end to end: placement has no RNG and device
     simulation is event-driven.
     """
+
+    _per_device = True
 
     def __init__(self, fleet, policy=SchedulingPolicy.ADAPTIVE,
                  saturate=True):
@@ -358,29 +361,8 @@ class FleetOpenSystemExperiment:
         placement/migration/completion events to it and the result gains
         an ``attribution`` report.
         """
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        scheme_obj = scheme_from_name(scheme)
-        simulator = self._loop(scheme_obj, placement, mode, rebalance,
-                               ledger)
-        records = [None] * len(arrivals)
-        placed = [None] * len(arrivals)
-
-        def observe(entry, record):
-            records[entry.position] = record
-            placed[entry.position] = entry
-        simulator.run(arrivals, record_sink(self.reference_isolated,
-                                            observe))
-        records_by_device = {device_id: [] for device_id in self.fleet.ids}
-        decisions = []
-        for record, entry in zip(records, placed):
-            records_by_device[self.fleet[entry.index].id].append(record)
-            decisions.append(PlacementDecision(
-                entry.arrival, entry.index, entry.penalty, entry.pinned))
-        return _attributed(FleetOpenSystemResult(
-            scheme_obj.name, simulator.policy.name, self.fleet,
-            records_by_device, records, decisions,
-            rebalances=len(simulator.migrations)), ledger)
+        return self._run(arrivals, scheme, True, ledger=ledger,
+                         placement=placement, mode=mode, rebalance=rebalance)
 
     def run_stream(self, arrivals, scheme, placement, mode="auto",
                    rebalance=None, sink_factory=None, ledger=None):
@@ -388,48 +370,28 @@ class FleetOpenSystemExperiment:
         iterator through the loop in bounded memory.
 
         ``mode="offline"`` is rejected (as by the spec's streaming
-        metrics mode); completed requests drain into per-device record
-        sinks as they finish.  Returns a :class:`FleetOpenSystemResult`
-        built :meth:`~FleetOpenSystemResult.from_sinks` (``records`` and
-        ``decisions`` are ``None``).  With a ``ledger`` the loop reports
-        its events and finished records to it, and the result gains an
-        ``attribution`` report.
+        metrics mode); completed requests drain into the overall and
+        per-device record sinks (``sink_factory``, as for
+        :meth:`OpenSystemExperiment.run_stream`) as they finish, and the
+        :class:`FleetOpenSystemResult` is built from them (``records``
+        and ``decisions`` are ``None``).  With a ``ledger`` the loop
+        reports its events and finished records to it, and the result
+        gains an ``attribution`` report.
         """
-        if mode not in ("auto", "online"):
-            raise SimulationError(
-                "streaming fleet runs are closed-loop only: placement "
-                "mode must be 'auto' or 'online', got {!r}".format(mode))
-        scheme_obj = scheme_from_name(scheme)
-        simulator = self._loop(scheme_obj, placement, mode, rebalance,
-                               ledger)
-        factory = sink_factory or StreamingRecordSink
-        overall = factory()
-        device_sinks = {device_id: factory()
-                        for device_id in self.fleet.ids}
-        migrated = [0]
+        return self._run(arrivals, scheme, False, sink_factory, ledger,
+                         placement=placement, mode=mode, rebalance=rebalance)
 
-        def observe(entry, record):
-            overall.observe(record)
-            device_sinks[self.fleet[entry.index].id].observe(record)
-            if entry.penalty > 0:
-                migrated[0] += 1
-        simulator.run_stream(arrivals, record_sink(self.reference_isolated,
-                                                   observe))
-        # observability only: engine events summed over the fleet's
-        # sessions (read by benchmarks/bench_engine.py for events/sec)
-        self.events_processed = simulator.events_processed()
-        return _attributed(FleetOpenSystemResult.from_sinks(
-            scheme_obj.name, simulator.policy.name, self.fleet, overall,
-            device_sinks, migrations=migrated[0],
-            rebalances=len(simulator.migrations)), ledger)
-
-    def _loop(self, scheme_obj, placement, mode, rebalance, ledger):
+    def _loop(self, scheme_obj, exact, ledger, placement, mode, rebalance):
         """Validate the placement settings and build the drive loop over
-        the fleet's sessions (shared by the exact and streaming runs)."""
+        the fleet's sessions."""
         if mode not in ("auto", "offline", "online"):
             raise SimulationError(
                 "placement mode must be 'auto', 'offline' or 'online', "
                 "got {!r}".format(mode))
+        if mode == "offline" and not exact:
+            raise SimulationError(
+                "streaming fleet runs are closed-loop only: placement "
+                "mode must be 'auto' or 'online', got {!r}".format(mode))
         policy = placement_from_name(placement)
         is_online = isinstance(policy, OnlinePlacementPolicy)
         if rebalance in ("none",):
@@ -469,6 +431,13 @@ class FleetOpenSystemExperiment:
         return FleetSimulator(self.fleet, sessions, policy, self._tables,
                               ledger=ledger)
 
+    def _result(self, scheme, simulator, overall, device_sinks, held,
+                migrated):
+        return FleetOpenSystemResult(
+            scheme, simulator.policy.name, self.fleet, overall, device_sinks,
+            decisions=None if held is None else [entry for entry, _ in held],
+            migrations=migrated, rebalances=len(simulator.migrations))
+
     def run_all(self, arrivals, placement, schemes=None, mode="auto",
                 rebalance=None):
         """All schemes over one stream: ``{scheme: FleetOpenSystemResult}``.
@@ -491,10 +460,3 @@ class FleetOpenSystemExperiment:
             results[policy.name] = self.run(arrivals, scheme, policy,
                                             mode=mode, rebalance=rebalance)
         return results
-
-
-def _attributed(result, ledger):
-    """Attach the ledger's report to a result (attributed runs only)."""
-    if ledger is not None:
-        result.attribution = ledger.report()
-    return result

@@ -5,7 +5,8 @@ Throughput: system throughput speedup, STP [10].
 Turnaround: ANTT and worst-case ANTT [31].
 Sharing: kernel execution overlap.
 Tails: exact percentile summaries of slowdown/queueing populations.
-Sketches: bounded-memory streaming twins (P2 quantiles, online stats).
+Sinks: the exact and the bounded-memory record sinks every open-system
+result is reduced from (P2 quantiles, online stats).
 """
 
 from repro.metrics.fairness import (
@@ -18,7 +19,7 @@ from repro.metrics.tails import (
     TailSummary, per_tenant_tails, percentile, request_tails, tail_summary)
 from repro.metrics.sketches import (
     P2_RANK_TOLERANCE, P2_RELATIVE_SLACK, ExactRecordSink, OnlineStats,
-    P2Quantile, RecordSink, SketchTailSummary, StreamingRecordSink,
+    P2Quantile, RecordSink, SinkMetrics, StreamingRecordSink,
     TailSketch)
 
 __all__ = [
@@ -29,5 +30,5 @@ __all__ = [
     "request_tails",
     "P2_RANK_TOLERANCE", "P2_RELATIVE_SLACK",
     "ExactRecordSink", "OnlineStats", "P2Quantile", "RecordSink",
-    "SketchTailSummary", "StreamingRecordSink", "TailSketch",
+    "SinkMetrics", "StreamingRecordSink", "TailSketch",
 ]

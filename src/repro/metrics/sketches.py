@@ -1,24 +1,39 @@
-"""Streaming metric sketches: bounded-memory ANTT/STP/tail estimation.
+"""Record sinks: what every open-system run reduces its records with.
 
-The exact metric path (:mod:`repro.metrics.tails`) retains every
-per-request value so percentiles are computed over the full sorted
-population — O(n) memory, impossible at the million-request scale the
-ROADMAP targets.  This module provides the streaming twin: online
-accumulators (:class:`OnlineStats`) for the moments that are exactly
-computable one value at a time, and the P² algorithm (Jain & Chlamtac,
-CACM 1985) for quantiles, which tracks five markers per quantile in O(1)
-memory.  :class:`StreamingRecordSink` composes them into a drop-in
-replacement for a retained record list, so
-:class:`~repro.harness.open_system.OpenSystemResult` can be built from a
-sketch (``metrics_mode="streaming"`` in the declarative API).
+An open-system run (:mod:`repro.harness.open_system`) hands each
+finished request's :class:`~repro.api.schemes.RequestRecord` to one or
+more *record sinks*, and every result is built from a sink's
+:meth:`~RecordSink.reduce`.  Two sinks ship:
+
+* :class:`ExactRecordSink` keeps every record and reduces with the
+  exact metric functions (:mod:`repro.metrics.tails` percentiles over
+  the full sorted population) — O(n) memory;
+* :class:`StreamingRecordSink` keeps bounded state: online accumulators
+  (:class:`OnlineStats`) for the moments that are exactly computable
+  one value at a time, and the P² algorithm (Jain & Chlamtac, CACM
+  1985) for quantiles, five markers per quantile in O(1) memory
+  (``metrics_mode="streaming"`` in the declarative API).
+
+Sink contract
+-------------
+
+Exact runs fill :class:`ExactRecordSink` in stream-position order.  A
+streaming run fills the sinks its ``sink_factory`` makes
+(:class:`StreamingRecordSink` by default) in completion-harvest order;
+a custom factory returns a fresh object with:
+
+* ``observe(record)`` — absorb one record;
+* ``count`` — the number of records observed so far;
+* ``reduce()`` — a :class:`SinkMetrics` over everything observed, called
+  once after the run, and only when ``count`` is positive.
 
 Accuracy contract
 -----------------
 
 * ``count``, ``mean``, ``max``, ``min``, sums (ANTT, STP, makespan) are
-  *exact* up to float summation order — the sketch accumulates in
-  completion order, the exact path in submission order, so the two agree
-  to ~1e-12 relative, not bit-for-bit.
+  *exact* up to float summation order — the streaming sink accumulates
+  in completion order, the exact sink in submission order, so the two
+  agree to ~1e-12 relative, not bit-for-bit.
 * Quantiles of populations up to ``P2_WARMUP`` (256) observations are
   **exact**: the sketch buffers the warm-up values (a fixed constant,
   so memory stays O(1)) and interpolates them with the same
@@ -41,8 +56,8 @@ Determinism
 Sketch state is a pure function of the observation *sequence*: pure
 Python floats, no randomness, no dict-order dependence.  Feeding the
 same values in the same order reproduces the state bit-for-bit (see
-``docs/DETERMINISM.md``); the harness feeds values in completion-harvest
-order, which the simulator makes deterministic.
+``docs/DETERMINISM.md``); the harness feeds a streaming sink in
+completion-harvest order, which the simulator makes deterministic.
 
 NaN handling matches ``tails._checked_sorted`` exactly: observing a NaN
 raises ``ValueError("values must not contain NaN")``.
@@ -51,9 +66,15 @@ raises ``ValueError("values must not contain NaN")``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, NamedTuple, Optional, Protocol
 
-from repro.metrics.tails import _percentile_of_sorted
+import numpy as np
+
+from repro.metrics.antt import antt
+from repro.metrics.fairness import individual_slowdowns, system_unfairness
+from repro.metrics.tails import (TailSummary, _percentile_of_sorted,
+                                 request_tails)
+from repro.metrics.throughput import stp
 
 # documented quantile tolerance (see module docstring and
 # tests/test_sketches.py): rank window in percentile points, plus a
@@ -251,57 +272,6 @@ class P2Quantile:
         }
 
 
-class SketchTailSummary:
-    """Sketch-built twin of :class:`repro.metrics.tails.TailSummary`.
-
-    Same attribute surface (``count/mean/p50/p95/p99/max``, the
-    ``max_over_mean`` property and ``as_dict``), so everything downstream
-    of a result object — the METRICS registry extractors included — works
-    unchanged; the percentile fields are P² estimates rather than exact
-    order statistics.
-    """
-
-    __slots__ = ("count", "mean", "p50", "p95", "p99", "max")
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-
-    def __init__(self, count: int, mean: float, p50: float, p95: float,
-                 p99: float, max_value: float) -> None:
-        self.count = count
-        self.mean = mean
-        self.p50 = p50
-        self.p95 = p95
-        self.p99 = p99
-        self.max = max_value
-
-    @property
-    def max_over_mean(self) -> float:
-        if self.mean == 0:
-            return 1.0 if self.max == 0 else math.inf
-        return self.max / self.mean
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-            "max_over_mean": self.max_over_mean,
-        }
-
-    def __repr__(self) -> str:
-        return ("<SketchTailSummary n={} p50={:.3f} p95={:.3f} "
-                "p99={:.3f} max={:.3f}>".format(
-                    self.count, self.p50, self.p95, self.p99, self.max))
-
-
 class TailSketch:
     """Streaming :func:`repro.metrics.tails.tail_summary`: online
     count/mean/max plus P² p50/p95/p99 over one value population."""
@@ -325,10 +295,12 @@ class TailSketch:
     def count(self) -> int:
         return self.stats.count
 
-    def summary(self) -> SketchTailSummary:
+    def summary(self) -> TailSummary:
+        """The :class:`TailSummary` of everything observed; the
+        percentile fields are P² estimates past ``P2_WARMUP`` values."""
         if self.stats.count == 0:
             raise ValueError("need at least one value")
-        return SketchTailSummary(
+        return TailSummary(
             count=self.stats.count,
             mean=self.stats.mean,
             p50=self._quantiles[50.0].value(),
@@ -338,16 +310,44 @@ class TailSketch:
         )
 
 
+class SinkMetrics(NamedTuple):
+    """What a record sink reduces to: every metric of an
+    :class:`~repro.harness.open_system.OpenSystemResult`, which copies
+    these fields.  ``records`` and ``slowdowns`` are the retained
+    population (``None`` from a bounded-memory sink)."""
+
+    count: int
+    records: Optional[List[Any]]
+    slowdowns: Optional[List[float]]
+    unfairness: float
+    antt: float
+    stp: float
+    mean_turnaround: float
+    mean_queueing_delay: float
+    makespan: float
+    slowdown_tails: TailSummary
+    queueing_tails: TailSummary
+    tenant_slowdown_tails: Dict[Optional[str], TailSummary]
+
+
 class RecordSink(Protocol):
-    """Anything an open-system run can push completed request records
-    into, one at a time, in completion order."""
+    """The sink contract (see the module docstring)."""
+
+    @property
+    def count(self) -> int:
+        """Records observed so far."""
 
     def observe(self, record: Any) -> None:
         """Absorb one completed :class:`~repro.api.schemes.RequestRecord`."""
 
+    def reduce(self) -> SinkMetrics:
+        """Every result metric over the observed records."""
+
 
 class ExactRecordSink:
-    """The retained-list sink: feeds the existing exact metric path."""
+    """Keeps every record and reduces them with the exact metric
+    functions: percentiles over the full sorted population, sums in
+    observation order."""
 
     __slots__ = ("records",)
 
@@ -356,8 +356,23 @@ class ExactRecordSink:
     def __init__(self) -> None:
         self.records = []
 
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
     def observe(self, record: Any) -> None:
         self.records.append(record)
+
+    def reduce(self) -> SinkMetrics:
+        records = self.records
+        turnarounds = [r.turnaround for r in records]
+        slowdowns = individual_slowdowns(turnarounds,
+                                         [r.isolated for r in records])
+        return SinkMetrics(
+            len(records), records, slowdowns, system_unfairness(slowdowns),
+            antt(slowdowns), stp(slowdowns), float(np.mean(turnarounds)),
+            float(np.mean([r.queueing_delay for r in records])),
+            max(r.finish for r in records), *request_tails(records))
 
 
 class StreamingRecordSink:
@@ -409,7 +424,7 @@ class StreamingRecordSink:
             sketch = self.tenant_slowdown[tenant] = TailSketch()
         sketch.observe(slowdown)
 
-    def tenant_summaries(self) -> Dict[Optional[str], SketchTailSummary]:
+    def tenant_summaries(self) -> Dict[Optional[str], TailSummary]:
         """Per-tenant slowdown summaries, in the exact path's key order
         (untenanted first, then by str)."""
         return {tenant: self.tenant_slowdown[tenant].summary()
@@ -417,11 +432,19 @@ class StreamingRecordSink:
                     self.tenant_slowdown,
                     key=lambda t: (t is not None, str(t)))}
 
+    def reduce(self) -> SinkMetrics:
+        # observe rejects non-positive slowdowns, so min > 0 here
+        stats = self.slowdown.stats
+        return SinkMetrics(
+            self.count, None, None, stats.max / stats.min, stats.mean,
+            self.inverse_slowdown_sum, self.turnaround.mean,
+            self.queueing.stats.mean, self.finish.max,
+            self.slowdown.summary(), self.queueing.summary(),
+            self.tenant_summaries())
 
-SinkFactory = Callable[[], StreamingRecordSink]
 
 __all__ = [
     "P2_RANK_TOLERANCE", "P2_RELATIVE_SLACK", "ExactRecordSink",
-    "OnlineStats", "P2Quantile", "RecordSink", "SketchTailSummary",
+    "OnlineStats", "P2Quantile", "RecordSink", "SinkMetrics",
     "StreamingRecordSink", "TailSketch",
 ]

@@ -54,7 +54,12 @@ def percentile(values: Iterable[float], q: float) -> float:
 
 
 class TailSummary:
-    """Percentile summary of one non-empty value population."""
+    """Percentile summary of one non-empty value population.
+
+    Built from its fields: :func:`tail_summary` computes them exactly
+    over a population, :meth:`repro.metrics.sketches.TailSketch.summary`
+    from a streaming sketch.
+    """
 
     __slots__ = ("count", "mean", "p50", "p95", "p99", "max")
 
@@ -65,14 +70,14 @@ class TailSummary:
     p99: float
     max: float
 
-    def __init__(self, values: Iterable[float]) -> None:
-        ordered = _checked_sorted(values)
-        self.count = len(ordered)
-        self.mean = sum(ordered) / len(ordered)
-        self.p50 = _percentile_of_sorted(ordered, 50.0)
-        self.p95 = _percentile_of_sorted(ordered, 95.0)
-        self.p99 = _percentile_of_sorted(ordered, 99.0)
-        self.max = ordered[-1]
+    def __init__(self, count: int, mean: float, p50: float, p95: float,
+                 p99: float, max_value: float) -> None:
+        self.count = count
+        self.mean = mean
+        self.p50 = p50
+        self.p95 = p95
+        self.p99 = p99
+        self.max = max_value
 
     @property
     def max_over_mean(self) -> float:
@@ -105,8 +110,12 @@ class TailSummary:
 
 
 def tail_summary(values: Iterable[float]) -> TailSummary:
-    """:class:`TailSummary` over a value population."""
-    return TailSummary(values)
+    """Exact :class:`TailSummary` over a value population."""
+    ordered = _checked_sorted(values)
+    return TailSummary(len(ordered), sum(ordered) / len(ordered),
+                       _percentile_of_sorted(ordered, 50.0),
+                       _percentile_of_sorted(ordered, 95.0),
+                       _percentile_of_sorted(ordered, 99.0), ordered[-1])
 
 
 def per_tenant_tails(
@@ -122,7 +131,7 @@ def per_tenant_tails(
     by_tenant: Dict[Optional[str], List[float]] = {}
     for record in records:
         by_tenant.setdefault(record.tenant, []).append(value(record))
-    return {tenant: TailSummary(values)
+    return {tenant: tail_summary(values)
             for tenant, values in sorted(
                 by_tenant.items(),
                 key=lambda kv: (kv[0] is not None, str(kv[0])))}
@@ -138,5 +147,5 @@ def request_tails(
     """
     slowdowns = [r.slowdown for r in records]
     queueing = [r.queueing_delay for r in records]
-    return (TailSummary(slowdowns), TailSummary(queueing),
+    return (tail_summary(slowdowns), tail_summary(queueing),
             per_tenant_tails(records))

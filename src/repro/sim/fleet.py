@@ -268,7 +268,8 @@ class PlacedRequest:
     index in an exact :meth:`FleetSimulator.run`.  ``index`` is the
     device that ultimately *served* the request (after any migrations),
     ``penalty`` the total migration delay it was charged, ``migrated``
-    how many times the re-balance hook moved it.
+    how many times the re-balance hook moved it.  An exact fleet result's
+    ``decisions`` are these entries, in stream order.
     """
 
     __slots__ = ("position", "arrival", "index", "penalty", "pinned",

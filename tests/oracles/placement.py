@@ -10,12 +10,14 @@ placement decisions and records bit for bit
 (tests/test_fleet_online.py::test_loop_reproduces_offline_path_bit_identically).
 """
 
-from repro.accelos.placement import OnlinePlacementPolicy, PlacementDecision
+from repro.accelos.placement import OnlinePlacementPolicy
 from repro.api.kernels import isolated_time
 from repro.api.placements import placement_from_name
 from repro.api.schemes import RequestRecord, scheme_from_name
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import FleetOpenSystemResult, OpenSystemExperiment
+from repro.metrics import ExactRecordSink
+from repro.sim.fleet import PlacedRequest
 from repro.workloads.arrivals import ArrivalRequest
 
 
@@ -30,7 +32,8 @@ def place_arrivals(policy, arrivals, devices, estimator, ids=None):
     ``ids`` maps device ids of pinned requests to fleet indices.
 
     Conservation invariant: returns exactly one
-    :class:`PlacementDecision` per arrival, in the input stream's order.
+    :class:`~repro.sim.fleet.PlacedRequest` per arrival, in the input
+    stream's order.
     """
     if isinstance(policy, OnlinePlacementPolicy):
         raise SchedulingError(
@@ -87,7 +90,7 @@ def place_arrivals(policy, arrivals, devices, estimator, ids=None):
         service = (costs[index] if costs is not None
                    else estimate(arrival.name, index))
         busy_until[index] = start + service
-        placed[i] = PlacementDecision(arrival, index, penalty, pinned)
+        placed[i] = PlacedRequest(i, arrival, index, penalty, pinned)
     return placed
 
 
@@ -115,11 +118,9 @@ def run_offline(experiment, arrivals, scheme, placement):
         per_device_indices[decision.index].append(position)
 
     all_records = [None] * len(arrivals)
-    records_by_device = {}
+    device_sinks = [ExactRecordSink() for _ in fleet]
     for index, positions in per_device_indices.items():
-        device_id = fleet[index].id
         if not positions:
-            records_by_device[device_id] = []
             continue
         # a migration penalty delays the request's availability on the
         # device (the buffers move first), so it shifts the effective
@@ -135,17 +136,20 @@ def run_offline(experiment, arrivals, scheme, placement):
                                       policy=experiment.policy,
                                       saturate=experiment.saturate)
         sub_records = single.scheme_records(sub_arrivals, scheme_obj)
-        device_records = []
         for position, record in zip(positions, sub_records):
             original = arrivals[position]
             rewritten = RequestRecord(
                 record.name, original.time, record.start, record.finish,
                 experiment.reference_isolated(record.name),
                 tenant=original.tenant)
-            device_records.append(rewritten)
+            device_sinks[index].observe(rewritten)
             all_records[position] = rewritten
-        records_by_device[device_id] = device_records
     if any(record is None for record in all_records):
         raise SimulationError("fleet run lost a request record")
-    return FleetOpenSystemResult(scheme_obj.name, policy.name, fleet,
-                                 records_by_device, all_records, decisions)
+    overall = ExactRecordSink()
+    for record in all_records:
+        overall.observe(record)
+    return FleetOpenSystemResult(
+        scheme_obj.name, policy.name, fleet, overall, device_sinks,
+        decisions=decisions,
+        migrations=sum(1 for d in decisions if d.penalty > 0))

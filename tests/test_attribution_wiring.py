@@ -108,8 +108,7 @@ class _RecordingSink:
     """A record sink that is not a StreamingRecordSink: it keeps every
     record it observes and delegates the metric surface to one."""
 
-    _METRICS = ("count", "slowdown", "queueing", "turnaround", "finish",
-                "inverse_slowdown_sum", "tenant_summaries")
+    _METRICS = ("count", "reduce")
 
     def __init__(self):
         self.seen = []

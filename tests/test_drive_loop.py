@@ -10,11 +10,15 @@ both firmware policies (K20m FIFO, R9 295X2 exclusive), on every traffic
 scenario.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import placement_names
 from repro.api.schemes import BUILTIN_SCHEMES
 from repro.cl import amd_r9_295x2, nvidia_k20m
+from repro.errors import SimulationError
 from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
 from repro.sim import DeviceFleet
 from repro.workloads import SCENARIOS, from_name
@@ -52,3 +56,61 @@ def test_one_member_fleet_equals_single_device(scheme, device, scenario,
                    "queueing_tails", "tenant_slowdown_tails"):
         assert getattr(fleet, metric) == getattr(single, metric), \
             (metric,) + context
+
+
+# -- the one run body ---------------------------------------------------------
+
+KINDS = ("single", "fleet")
+
+
+def _experiment(kind):
+    """A fresh experiment and the placement arguments its runs take."""
+    if kind == "single":
+        return OpenSystemExperiment(nvidia_k20m()), ()
+    flt = DeviceFleet([("a", nvidia_k20m()), ("b", amd_r9_295x2())])
+    return FleetOpenSystemExperiment(flt), ("least-loaded",)
+
+
+def _stream(seed, count):
+    return from_name("multi-tenant", seed=seed, load=1.0, count=count,
+                     device=nvidia_k20m())
+
+
+def _streamed_events(kind, stream):
+    experiment, placement = _experiment(kind)
+    experiment.run_stream(iter(stream), "accelos", *placement)
+    return experiment.events_processed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_run_sets_events_processed(kind):
+    """``run`` reports its engine event count, like ``run_stream``."""
+    stream = _stream(1, 6)
+    experiment, placement = _experiment(kind)
+    experiment.run(stream, "accelos", *placement)
+    assert experiment.events_processed \
+        == _streamed_events(kind, stream) > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_run_replaces_an_earlier_stream_count(kind):
+    short, long = _stream(1, 6), _stream(2, 12)
+    experiment, placement = _experiment(kind)
+    experiment.run_stream(iter(short), "accelos", *placement)
+    experiment.run(long, "accelos", *placement)
+    assert experiment.events_processed \
+        == _streamed_events(kind, long) != _streamed_events(kind, short)
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("bogus", "placement mode must be 'auto', 'offline' or 'online', "
+              "got 'bogus'"),
+    ("offline", "streaming fleet runs are closed-loop only"),
+])
+def test_streaming_fleet_mode_errors(mode, message):
+    """An invalid mode gets the invalid-mode error; only a valid but
+    offline mode gets the streaming rejection."""
+    experiment, placement = _experiment("fleet")
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        experiment.run_stream(iter(_stream(1, 6)), "accelos", *placement,
+                              mode=mode)
