@@ -51,12 +51,18 @@ in open-system accelOS runs the allocator is re-run on *every* admission
 and *every* request completion, allocations grow immediately and shrink
 lazily at chunk boundaries, and resident work groups are never preempted
 mid-chunk; every admitted request finishes or the run raises.
+
+**Slots:** every placed physical work group of a software-scheduled run
+is one :class:`_Slot` record, created when it is placed and dropped when
+it retires.  In between it is the payload of its one pending chunk
+event, and it carries its CU, its occupancy factor, its bandwidth demand
+and the size of the chunk in flight.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from math import isnan
 
 from repro.errors import SimulationError
@@ -143,8 +149,6 @@ class _KernelRun:
         self.slots_to_place = 0
         self.live_slots = 0
         self.slot_assignments = None   # elastic: per-slot deques
-        self.slot_occ = {}             # slot index -> occupancy factor
-        self.slot_rate = {}            # slot index -> bandwidth demand
         self.slot_counter = 0          # monotonic source of slot indices
         # open-system state
         self.active = False            # has the request arrived yet?
@@ -189,6 +193,28 @@ class _KernelRun:
             self.dispatch_done_time = now
 
 
+class _Slot:
+    """One placed physical work group of a software-scheduled run.
+
+    Created when the slot is placed on ``cu`` and dropped when it
+    retires; in between it is the payload of its one pending chunk
+    event.  ``index`` is the slot's number within its run (Elastic
+    Kernels' static assignment), ``occ``/``rate`` its occupancy factor
+    and bandwidth demand, fixed at activation, and ``done`` the virtual
+    groups of the chunk in flight.
+    """
+
+    __slots__ = ("run", "cu", "index", "occ", "rate", "done")
+
+    def __init__(self, run, cu, index):
+        self.run = run
+        self.cu = cu
+        self.index = index
+        self.occ = None
+        self.rate = None
+        self.done = 0
+
+
 class GPUSimulator:
     """Simulates kernel execution requests on one device.
 
@@ -211,9 +237,12 @@ class GPUSimulator:
         self._open = False
         self._allocator = None
         # Per-event observer: ``event_observer(time, payload)`` is called
-        # for every event popped, before it is processed, by open_step
-        # and by open_advance's inline chunk draw alike; attaching one
-        # does not change which path handles an event.
+        # once for every event, before it is processed, by open_step and
+        # by open_advance's inline chunk draw alike; attaching one does
+        # not change which path handles an event.  A chunk event's
+        # payload is its slot record (``_Slot``: ``payload.run`` is the
+        # request); open_step has already popped the event, while the
+        # inline draw still holds it at the heap's root.
         self.event_observer = None
 
     # -- public -----------------------------------------------------------
@@ -409,11 +438,14 @@ class GPUSimulator:
 
         This is the accelOS chunk loop.  Nearly every event of an accelOS
         run is a chunk completion whose slot just draws its next chunk,
-        so the loop does that inline: pop, count, draw, push, with
-        :meth:`EventQueue.push`'s checks.  A completion whose slot
-        retires (queue drained, or a shrink pending) goes to
-        :meth:`_draw_chunk`, and every other event to :meth:`open_step`;
-        the event sequence is the one :meth:`open_step` alone produces.
+        so the loop does that inline: count, draw, and replace the heap's
+        root with the slot's next event (one ``heapreplace`` sift, which
+        pops in the same order as a pop then a push because every key
+        ``(time, tier, seq)`` is unique), with :meth:`EventQueue.push`'s
+        checks.  A completion whose slot retires (queue drained, or a
+        shrink pending) is popped and goes to :meth:`_retire_slot`, and
+        every other event to :meth:`open_step`; the event sequence is
+        the one :meth:`open_step` alone produces.
         """
         events = self.events
         heap = events._heap
@@ -426,55 +458,57 @@ class GPUSimulator:
         finished = self.finished_requests
         time = None
         while heap:
-            next_time, _, _, payload = heap[0]
+            # a chunk event's payload is its slot record
+            next_time, _, _, slot = heap[0]
             if limit is not None and (next_time > limit if inclusive
                                       else next_time >= limit):
                 break
-            if fused and payload is not None and payload[0] == "chunk":
-                heappop(heap)
+            if fused and slot.__class__ is _Slot:
                 time = next_time
                 now = events.now
                 if next_time > now:
                     now = events.now = next_time
                 self.events_processed += 1
                 if observer is not None:
-                    observer(next_time, payload)
-                _, run, cu, slot_index, done = payload
-                run.completed += done
+                    observer(next_time, slot)
+                run = slot.run
+                run.completed += slot.done
                 base = run.next_vgroup
                 if base < run.total and run.shrink_slots == 0:
                     # The accelOS arm of _draw_chunk, inlined with the
                     # bandwidth stretch (BandwidthTracker._stretch) and
-                    # EventQueue.push; keep the copies in step.  A slot
-                    # that draws finishes no request.
+                    # EventQueue.push; keep the copies (here and in
+                    # _try_place_slot) in step.  A slot that draws
+                    # finishes no request.
                     chunk = run.chunk_size
                     end = base + chunk
                     if end > run.total:
                         end = run.total
                     run.next_vgroup = end
+                    slot.done = end - base
                     demand = bandwidth.demand
                     if demand <= capacity:
                         stretch = 1.0
                     else:
                         resident = bandwidth.resident
-                        if resident == 0 or (run.slot_rate[slot_index]
-                                             <= capacity / resident):
+                        if resident == 0 or slot.rate <= capacity / resident:
                             stretch = 1.0
                         else:
                             stretch = demand / capacity
-                    at = now + (run.chunk_work[base // chunk]
-                                * run.slot_occ[slot_index] * stretch
-                                + run.overhead)
+                    at = now + (run.chunk_work[base // chunk] * slot.occ
+                                * stretch + run.overhead)
                     if not at >= now - 1e-12:   # NaN or in the past
                         raise SimulationError(
                             NAN_TIME_ERROR if isnan(at)
                             else PAST_TIME_ERROR.format(at, now))
-                    heappush(heap, (at, EVENT_TIER, next(counter),
-                                    ("chunk", run, cu, slot_index,
-                                     end - base)))
+                    heapreplace(heap, (at, EVENT_TIER, next(counter), slot))
                     continue
-                # the slot retires
-                self._draw_chunk(run, cu, ExecutionMode.ACCELOS, slot_index)
+                # the slot retires: its queue drained, or a shrink is
+                # pending (the accelOS retire arms of _draw_chunk)
+                heappop(heap)
+                if base < run.total:
+                    run.shrink_slots -= 1
+                self._retire_slot(slot)
             else:
                 time = step()
             if stop_on_finish and self.finished_requests != finished:
@@ -792,19 +826,18 @@ class GPUSimulator:
         self._check_software_drained()
 
     def _process_software_event(self, payload):
+        if payload.__class__ is _Slot:
+            payload.run.completed += payload.done
+            self._draw_chunk(payload, self._software_mode)
+            return
         if payload is None:
             return
-        if payload[0] == "arrival":
-            run = payload[1]
-            if run.withdrawn:
-                return  # migrated to another device before arriving
-            self._admission_queue.append(run)
-            if self._admit_arrivals():
-                self._reallocate()
-            return
-        _, run, cu, slot_index, done = payload
-        run.completed += done
-        self._draw_chunk(run, cu, self._software_mode, slot_index)
+        run = payload[1]     # ("arrival", run)
+        if run.withdrawn:
+            return  # migrated to another device before arriving
+        self._admission_queue.append(run)
+        if self._admit_arrivals():
+            self._reallocate()
 
     def _admit_arrivals(self):
         """FIFO admission control for open-system arrivals.
@@ -866,7 +899,7 @@ class GPUSimulator:
         the first chunks — so co-placed slots of one kernel see a
         consistent occupancy.
         """
-        placements = []  # (run, slot_index, cu)
+        placements = []
         max_slots = max((run.slots_to_place for run in self.runs), default=0)
         for slot_index in range(max_slots):
             for run in self.runs:
@@ -882,14 +915,14 @@ class GPUSimulator:
                 run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
                 run.resident += 1
                 run.live_slots += 1
-                placements.append((run, slot_index, cu))
+                placements.append(_Slot(run, cu, slot_index))
         for run in self.runs:
             run.slots_to_place = 0
 
-        for run, slot_index, cu in placements:
-            self._activate_slot(run, slot_index, cu)
-        for run, slot_index, cu in placements:
-            self._draw_chunk(run, cu, mode, slot_index)
+        for slot in placements:
+            self._activate_slot(slot)
+        for slot in placements:
+            self._draw_chunk(slot, mode)
 
     # -- open-system re-allocation ------------------------------------------
 
@@ -936,8 +969,7 @@ class GPUSimulator:
         for _ in range(count):
             slot_index = run.slot_counter
             run.slot_counter += 1
-            if placing and self._try_place_slot(run, slot_index,
-                                                self._software_mode):
+            if placing and self._try_place_slot(run, slot_index):
                 continue
             placing = False
             self._pending_slots.append((run, slot_index))
@@ -976,20 +1008,21 @@ class GPUSimulator:
 
     # -- slot lifecycle ------------------------------------------------------
 
-    def _activate_slot(self, run, slot_index, cu):
-        k = run.cu_resident[cu.index]
+    def _activate_slot(self, slot):
+        run = slot.run
+        k = run.cu_resident[slot.cu.index]
         # occupancy_factor(k) is a pure function of k for a fixed spec;
         # memoise it per run (k is bounded by k_max)
         occ = run.occ_cache.get(k)
         if occ is None:
-            occ = run.occupancy_factor(k)
-            run.occ_cache[k] = occ
-        rate = run.spec.mem_rate_per_wg / occ
-        run.slot_occ[slot_index] = occ
-        run.slot_rate[slot_index] = rate
-        self.bandwidth.add_rate(rate)
+            occ = run.occ_cache[k] = run.occupancy_factor(k)
+        slot.occ = occ
+        slot.rate = run.spec.mem_rate_per_wg / occ
+        self.bandwidth.add_rate(slot.rate)
 
-    def _try_place_slot(self, run, slot_index, mode):
+    def _try_place_slot(self, run, slot_index):
+        """Place slot ``slot_index`` of ``run`` on the freest CU that fits
+        it, activate it and draw its first chunk; False if no CU fits."""
         # fused scan-and-admit: same selection as _freest_cu (max
         # threads_free among fitting CUs, earliest index on ties), with
         # the footprint read once from the run and the admit-time fits()
@@ -1011,13 +1044,48 @@ class GPUSimulator:
         cu.registers_free -= regs
         cu.local_mem_free -= lmem
         cu.slots_free -= 1
-        run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
+        k = run.cu_resident.get(cu.index, 0) + 1
+        run.cu_resident[cu.index] = k
         run.resident += 1
         run.live_slots += 1
+        events = self.events
+        now = events.now
         if run.start_time is None:   # inlined mark_start
-            run.start_time = self.events.now
-        self._activate_slot(run, slot_index, cu)
-        self._draw_chunk(run, cu, mode, slot_index)
+            run.start_time = now
+        # _activate_slot and the accelOS draw of _draw_chunk, inlined
+        # with BandwidthTracker.add_rate and EventQueue.push; keep the
+        # copies (here and in open_advance) in step
+        slot = _Slot(run, cu, slot_index)
+        occ = run.occ_cache.get(k)
+        if occ is None:
+            occ = run.occ_cache[k] = run.occupancy_factor(k)
+        slot.occ = occ
+        rate = slot.rate = run.spec.mem_rate_per_wg / occ
+        bandwidth = self.bandwidth
+        demand = bandwidth.demand = bandwidth.demand + rate
+        resident = bandwidth.resident = bandwidth.resident + 1
+        base = run.next_vgroup
+        if (self._software_mode != ExecutionMode.ACCELOS
+                or base >= run.total or run.shrink_slots > 0):
+            self._draw_chunk(slot, self._software_mode)
+            return True
+        chunk = run.chunk_size
+        end = base + chunk
+        if end > run.total:
+            end = run.total
+        run.next_vgroup = end
+        slot.done = end - base
+        capacity = bandwidth.capacity
+        if demand <= capacity or rate <= capacity / resident:
+            stretch = 1.0
+        else:
+            stretch = demand / capacity
+        at = now + (run.chunk_work[base // chunk] * occ * stretch
+                    + run.overhead)
+        if not at >= now - 1e-12:   # NaN or in the past
+            raise SimulationError(NAN_TIME_ERROR if isnan(at)
+                                  else PAST_TIME_ERROR.format(at, now))
+        heappush(events._heap, (at, EVENT_TIER, next(events._counter), slot))
         return True
 
     def _place_pending_slots(self):
@@ -1045,7 +1113,7 @@ class GPUSimulator:
             if footprint in unplaceable:
                 still_pending.append((run, slot_index))
                 continue
-            if not self._try_place_slot(run, slot_index, self._software_mode):
+            if not self._try_place_slot(run, slot_index):
                 unplaceable.add(footprint)
                 still_pending.append((run, slot_index))
                 if len(unplaceable) == len(self._pending_footprints):
@@ -1080,25 +1148,27 @@ class GPUSimulator:
                 best_free = free
         return best
 
-    def _draw_chunk(self, run, cu, mode, slot_index):
+    def _draw_chunk(self, slot, mode):
         """A slot is idle: pull its next chunk of virtual groups (or retire).
 
-        The entry point of every draw outside the accelOS chunk loop: a
-        slot's first chunk after placement, a retiring slot, and Elastic
-        Kernels.  :meth:`open_advance` inlines the accelOS draw.
+        The entry point of every draw that the inline draws of
+        :meth:`open_advance` and :meth:`_try_place_slot` do not make: a
+        closed batch's first chunks, a slot placed onto a drained or
+        shrinking run, and Elastic Kernels.
         """
-        now = self.events.now
+        run = slot.run
         if mode == ExecutionMode.ACCELOS:
             base = run.next_vgroup
             if base >= run.total:
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
             if run.shrink_slots > 0:
                 # a re-allocation shrank this kernel: hand the slot back
                 run.shrink_slots -= 1
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
-            # open_advance inlines this arm; keep the two copies in step
+            # open_advance and _try_place_slot inline this arm; keep the
+            # copies in step
             chunk = run.chunk_size
             end = base + chunk
             if end > run.total:
@@ -1106,53 +1176,59 @@ class GPUSimulator:
             run.next_vgroup = end
             work = run.chunk_work[base // chunk]
             overhead = run.overhead
-            done = end - base
+            slot.done = end - base
         else:  # ELASTIC: frozen per-slot assignment, no dequeue cost
-            queue = run.slot_assignments[slot_index]
+            queue = run.slot_assignments[slot.index]
             if not queue:
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
-            wg = queue.popleft()
-            work = float(run.costs[wg])
+            work = float(run.costs[queue.popleft()])
             overhead = 0.0
-            done = 1
-        occ = run.slot_occ[slot_index]
-        stretch = self.bandwidth.stretch_resident(run.slot_rate[slot_index])
-        cost = work * occ * stretch + overhead
-        self.events.push(now + cost, ("chunk", run, cu, slot_index, done))
+            slot.done = 1
+        stretch = self.bandwidth.stretch_resident(slot.rate)
+        cost = work * slot.occ * stretch + overhead
+        self.events.push(self.events.now + cost, slot)
 
-    def _retire_slot(self, run, cu, slot_index):
+    def _retire_slot(self, slot):
+        """Hand ``slot``'s CU resources and bandwidth back, place queued
+        slots into them, and finish the run if this was its last slot."""
+        run = slot.run
+        cu = slot.cu
         # inlined cu.release(run.spec) via the cached footprint
         threads, regs, lmem = run.footprint
         cu.threads_free += threads
         cu.registers_free += regs
         cu.local_mem_free += lmem
         cu.slots_free += 1
-        self.bandwidth.remove_rate(run.slot_rate[slot_index])
+        self.bandwidth.remove_rate(slot.rate)
         run.cu_resident[cu.index] -= 1
         run.resident -= 1
         run.live_slots -= 1
-        self._place_pending_slots()
+        if self._pending_slots:
+            self._place_pending_slots()
         if self.rebalance and not self._open:
             self._grant_freed_capacity()
-        finished = run.live_slots == 0 and not self._has_pending_work(run)
-        if finished and run.spec.mode == ExecutionMode.ACCELOS:
-            finished = run.next_vgroup >= run.total
-        if finished and run.finish_time is None:
-            run.finish_time = self.events.now
-            run.mark_dispatch_done(self.events.now)
-            self.finished_requests += 1
-            if self._open:
-                # a finished run leaves the admission footprint and the
-                # live-active set before the queue is re-checked
-                spec = run.spec
-                self._adm_threads -= spec.wg_threads
-                self._adm_lmem -= spec.local_mem_per_wg
-                self._adm_regs -= spec.registers_per_group
-                self._live_active.pop(run, None)
-                self._finished_runs.append(run)
-                self._admit_arrivals()
-                self._reallocate()
+        if run.live_slots or run.finish_time is not None \
+                or self._has_pending_work(run):
+            return
+        if (run.spec.mode == ExecutionMode.ACCELOS
+                and run.next_vgroup < run.total):
+            return
+        now = self.events.now
+        run.finish_time = now
+        run.mark_dispatch_done(now)
+        self.finished_requests += 1
+        if self._open:
+            # a finished run leaves the admission footprint and the
+            # live-active set before the queue is re-checked
+            spec = run.spec
+            self._adm_threads -= spec.wg_threads
+            self._adm_lmem -= spec.local_mem_per_wg
+            self._adm_regs -= spec.registers_per_group
+            self._live_active.pop(run, None)
+            self._finished_runs.append(run)
+            self._admit_arrivals()
+            self._reallocate()
 
     def _grant_freed_capacity(self):
         """Future-work extension: hand freed capacity to unfinished kernels.
@@ -1175,7 +1251,7 @@ class GPUSimulator:
                       key=lambda r: r.total - r.next_vgroup)
         slot_index = starved.slot_counter
         starved.slot_counter += 1
-        self._try_place_slot(starved, slot_index, self._software_mode)
+        self._try_place_slot(starved, slot_index)
 
     def _has_pending_work(self, run):
         return run.pending_slots > 0 and not run.mode_done()

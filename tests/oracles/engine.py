@@ -17,8 +17,13 @@ keeps no scaled-cost cache, so every run scales its own cost array;
 every chunk draw sums its window of that array afresh instead of reading
 the engine's chunk-work table; events are processed one
 :meth:`open_step` at a time, never by the inline chunk draw of the
-engine's :meth:`open_advance`; and a grow re-attempts every slot
-placement after one fails.
+engine's :meth:`open_advance`; a placed slot is activated and draws
+its first chunk through :meth:`_activate_slot` and :meth:`_draw_chunk`
+rather than the engine's inline first draw; and a grow re-attempts
+every slot placement after one fails.  Like the engine, the lifecycle
+overrides take the engine's slot records (``_Slot``: run, CU, index,
+occupancy, bandwidth rate and the chunk in flight), which are also the
+payloads of chunk events.
 
 :func:`reference_engine` swaps this simulator and the memo-less literal
 §3 allocator (:mod:`tests.oracles.sharing`) into the scheme layer, so
@@ -33,7 +38,7 @@ import repro.api.kernels as kernels
 import repro.api.schemes as schemes
 from repro.api.kernels import requirements_from_spec
 from repro.errors import SimulationError
-from repro.sim.gpu import KERNEL_HANDOFF_LATENCY, GPUSimulator
+from repro.sim.gpu import KERNEL_HANDOFF_LATENCY, GPUSimulator, _Slot
 from repro.sim.spec import ExecutionMode
 
 from tests.oracles.sharing import reference_allocations
@@ -84,33 +89,34 @@ class ReferenceGPUSimulator(GPUSimulator):
                 break
         return time
 
-    def _draw_chunk(self, run, cu, mode, slot_index):
+    def _draw_chunk(self, slot, mode):
+        run = slot.run
         now = self.events.now
         if mode == ExecutionMode.ACCELOS:
             base = run.next_vgroup
             if base >= run.total:
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
             if run.shrink_slots > 0:
                 run.shrink_slots -= 1
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
             end = min(base + run.spec.chunk, run.total)
             run.next_vgroup = end
             work = float(run.costs[base:end].sum())
             overhead = run.spec.sched_overhead
-            done = end - base
+            slot.done = end - base
         else:
-            queue = run.slot_assignments[slot_index]
+            queue = run.slot_assignments[slot.index]
             if not queue:
-                self._retire_slot(run, cu, slot_index)
+                self._retire_slot(slot)
                 return
             work = float(run.costs[queue.popleft()])
             overhead = 0.0
-            done = 1
-        stretch = self.bandwidth.stretch_resident(run.slot_rate[slot_index])
-        cost = work * run.slot_occ[slot_index] * stretch + overhead
-        self.events.push(now + cost, ("chunk", run, cu, slot_index, done))
+            slot.done = 1
+        stretch = self.bandwidth.stretch_resident(slot.rate)
+        cost = work * slot.occ * stretch + overhead
+        self.events.push(now + cost, slot)
 
     def _hw_dispatch(self, freed_cu=None):
         eligible = FIRMWARE_ELIGIBLE[self.device.scheduler_policy]
@@ -190,7 +196,7 @@ class ReferenceGPUSimulator(GPUSimulator):
         for _ in range(count - revived):
             slot_index = run.slot_counter
             run.slot_counter += 1
-            if not self._try_place_slot(run, slot_index, self._software_mode):
+            if not self._try_place_slot(run, slot_index):
                 self._pending_slots.append((run, slot_index))
                 run.pending_slots += 1
                 self._pending_inc(run)
@@ -215,15 +221,13 @@ class ReferenceGPUSimulator(GPUSimulator):
         run.shrink_slots = min(run.shrink_slots + count,
                                max(0, run.live_slots - 1))
 
-    def _activate_slot(self, run, slot_index, cu):
-        k = run.cu_resident[cu.index]
-        occ = run.occupancy_factor(k)
-        rate = run.spec.mem_rate_per_wg / occ
-        run.slot_occ[slot_index] = occ
-        run.slot_rate[slot_index] = rate
-        self.bandwidth.add_rate(rate)
+    def _activate_slot(self, slot):
+        run = slot.run
+        slot.occ = run.occupancy_factor(run.cu_resident[slot.cu.index])
+        slot.rate = run.spec.mem_rate_per_wg / slot.occ
+        self.bandwidth.add_rate(slot.rate)
 
-    def _try_place_slot(self, run, slot_index, mode):
+    def _try_place_slot(self, run, slot_index):
         cu = self._freest_cu(run.spec)
         if cu is None:
             return False
@@ -232,8 +236,9 @@ class ReferenceGPUSimulator(GPUSimulator):
         run.resident += 1
         run.live_slots += 1
         run.mark_start(self.events.now)
-        self._activate_slot(run, slot_index, cu)
-        self._draw_chunk(run, cu, mode, slot_index)
+        slot = _Slot(run, cu, slot_index)
+        self._activate_slot(slot)
+        self._draw_chunk(slot, self._software_mode)
         return True
 
     def _place_pending_slots(self):
@@ -251,7 +256,7 @@ class ReferenceGPUSimulator(GPUSimulator):
             if footprint in unplaceable:
                 still_pending.append((run, slot_index))
                 continue
-            if not self._try_place_slot(run, slot_index, self._software_mode):
+            if not self._try_place_slot(run, slot_index):
                 unplaceable.add(footprint)
                 still_pending.append((run, slot_index))
             else:
@@ -267,9 +272,10 @@ class ReferenceGPUSimulator(GPUSimulator):
                     best = cu
         return best
 
-    def _retire_slot(self, run, cu, slot_index):
+    def _retire_slot(self, slot):
+        run, cu = slot.run, slot.cu
         cu.release(run.spec)
-        self.bandwidth.remove_rate(run.slot_rate[slot_index])
+        self.bandwidth.remove_rate(slot.rate)
         run.cu_resident[cu.index] -= 1
         run.resident -= 1
         run.live_slots -= 1

@@ -403,8 +403,12 @@ def test_event_observer_sees_every_event_once_on_either_path():
         targets = {"n": 2}
         sim = _open_accelos(targets)
         seen = []
-        sim.event_observer = lambda time, payload: seen.append(
-            (time, payload[0], payload[1].spec.name))
+        def observe(time, payload):
+            if isinstance(payload, tuple):          # ("arrival", run)
+                seen.append((time, payload[0], payload[1].spec.name))
+            else:                                   # a chunk's slot record
+                seen.append((time, "chunk", payload.run.spec.name))
+        sim.event_observer = observe
         sim.open_submit(_accelos_spec("a", [1e-4] * 9))
         sim.open_submit(_accelos_spec("b", [2e-4] * 5, arrival=1e-4))
         if advance:
