@@ -19,7 +19,7 @@ Two protocols live here:
   (:class:`~repro.sim.fleet.FleetStatus`), and optionally ``rebalance``
   still-queued requests between devices at completion/idle events.
   :class:`OfflinePolicyAdapter` runs any offline policy inside the loop
-  — in *estimate* mode (``placement_mode`` ``"auto"``/``"offline"``) its
+  — in *estimate* mode (``placement_mode`` ``"auto"``) its
   loads are a single-server backlog *estimate* kept from the placements
   themselves; in *live* mode the same ``choose`` logic sees real
   simulator backlog instead.

@@ -4,14 +4,14 @@ The paper's evaluation is a grid — schemes x workloads x loads x devices.
 This package turns that grid into data:
 
 * :mod:`repro.api.schemes` — the :class:`SchedulingScheme` registry.  A
-  scheme owns its record-generation logic (closed batches, open-system
-  streams, single-kernel studies); FIFO/exclusive baseline, Elastic
-  Kernels and the paper's §3 system are pre-registered, and a scheme
+  scheme owns its execution logic (closed batches, the open-system
+  device session, single-kernel studies); FIFO/exclusive baseline,
+  Elastic Kernels and the paper's §3 system are pre-registered, and a scheme
   registered from user code runs through every harness, benchmark and
   report unchanged.
 * :mod:`repro.api.placements` — the parallel placement registry for
   cross-device placement in fleet experiments: offline
-  :class:`PlacementPolicy` pre-passes, closed-loop
+  :class:`PlacementPolicy` estimates, closed-loop
   :class:`OnlinePlacementPolicy` policies (burst-aware, work-stealing)
   and the :data:`REBALANCERS` registry of cross-device re-balancers.
 * :mod:`repro.api.devices` — named device models plus serializable
@@ -52,7 +52,7 @@ from repro.api.placements import (
 # builtin trio, and exporting a same-named registry here would invite
 # silent mix-ups; use scheme_names()/register_scheme() instead.
 from repro.api.schemes import (
-    RequestRecord, SchedulingScheme, closed_scheme_names,
+    RequestRecord, SchedulingScheme, SteppedSession, closed_scheme_names,
     open_scheme_names, reference_scheme, register_scheme,
     scheme_from_name, scheme_names, unregister_scheme)
 from repro.api.spec import Cell, DeviceEntry, ExperimentSpec
@@ -75,7 +75,8 @@ __all__ = [
     "is_online_placement", "placement_from_name", "placement_names",
     "rebalancer_from_name", "rebalancer_names", "register_placement",
     "register_rebalancer", "unregister_rebalancer",
-    "RequestRecord", "SchedulingScheme", "closed_scheme_names",
+    "RequestRecord", "SchedulingScheme", "SteppedSession",
+    "closed_scheme_names",
     "open_scheme_names", "reference_scheme", "register_scheme",
     "scheme_from_name", "scheme_names", "unregister_scheme",
     "Cell", "DeviceEntry", "ExperimentSpec",

@@ -28,7 +28,9 @@ bit-identical ``ResultSet.to_json`` output:
   order*.  Streaming-mode cells regenerate their arrival iterators
   inside the worker (iterators are single-use and unpicklable).  If the
   platform cannot provide a process pool, execution silently falls back
-  to serial — same results, no pool;
+  to serial — same results, no pool — and if a worker dies mid-grid,
+  the cells the broken pool did not finish run serially in this
+  process;
 * **cached** (``cache_dir=``): completed cells are flushed to a
   content-addressed :class:`~repro.api.cache.ResultCache` *as they
   finish*, so an interrupted sweep resumes from its completed cells and
@@ -280,24 +282,59 @@ def _store_on_completion(store, digest, payload):
     return flush
 
 
-def _merge_parallel(executor, cells, cached, pending, keys, store):
+def _serial_cells(spec, keys, store):
+    """``run(index, cell)``: one cell in this process (the runner is
+    built on first use), flushed to the cache as it finishes."""
+    runner = None
+
+    def run(index, cell):
+        nonlocal runner
+        if runner is None:
+            runner = _SpecRunner(spec)
+        result = runner.run_cell(cell)
+        if store is not None:
+            digest, payload = keys[index]
+            store.put(digest, payload, result)
+        return result
+    return run
+
+
+def _merge_parallel(executor, run_serially, cells, cached, pending, keys,
+                    store):
     """Submit every pending cell, then re-emit results in grid order
-    regardless of completion order — the deterministic merge."""
+    regardless of completion order — the deterministic merge.
+
+    One dead worker breaks the whole pool and fails every cell it had
+    not finished; those cells go to ``run_serially`` (a
+    :func:`_serial_cells` runner) instead.  Cells are pure, so the
+    bytes are the serial run's."""
+    from concurrent.futures.process import BrokenProcessPool
     futures = {}
     try:
-        for index in pending:
-            future = executor.submit(_run_cell_task,
-                                     cells[index].to_dict())
-            if store is not None:
-                digest, payload = keys[index]
-                future.add_done_callback(
-                    _store_on_completion(store, digest, payload))
-            futures[index] = future
+        try:
+            for index in pending:
+                future = executor.submit(_run_cell_task,
+                                         cells[index].to_dict())
+                if store is not None:
+                    digest, payload = keys[index]
+                    future.add_done_callback(
+                        _store_on_completion(store, digest, payload))
+                futures[index] = future
+        except BrokenProcessPool:
+            pass                    # the unsubmitted cells run serially
         for index, cell in enumerate(cells):
             if index in cached:
                 yield (cell, cached[index])
-            else:
-                yield (cell, futures[index].result())
+                continue
+            result = None
+            if index in futures:
+                try:
+                    result = futures[index].result()
+                except BrokenProcessPool:
+                    pass            # a worker died before this cell finished
+            if result is None:
+                result = run_serially(index, cell)
+            yield (cell, result)
     finally:
         # wait=True joins the pool's manager thread, which is what runs
         # the done-callbacks — without it the last cells' cache flushes
@@ -349,27 +386,21 @@ def iter_runs(spec, workers=1, cache_dir=None, cache=True):
             if hit is not None:
                 cached[index] = hit
     pending = [i for i in range(len(cells)) if i not in cached]
+    run_serially = _serial_cells(spec, keys, store)
 
     if workers > 1 and len(pending) > 1:
         executor = _make_pool(spec, min(workers, len(pending)))
         if executor is not None:
-            yield from _merge_parallel(executor, cells, cached, pending,
-                                       keys, store)
+            yield from _merge_parallel(executor, run_serially, cells, cached,
+                                       pending, keys, store)
             return
         # no usable process pool on this platform: run serially instead
 
-    runner = None
     for index, cell in enumerate(cells):
         if index in cached:
             yield (cell, cached[index])
-            continue
-        if runner is None:
-            runner = _SpecRunner(spec)
-        result = runner.run_cell(cell)
-        if store is not None:
-            digest, payload = keys[index]
-            store.put(digest, payload, result)
-        yield (cell, result)
+        else:
+            yield (cell, run_serially(index, cell))
 
 
 def _progress_note(spec, merged, store, before):

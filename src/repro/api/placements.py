@@ -29,6 +29,23 @@ from repro.errors import SimulationError
 PLACEMENTS = Registry("placement policy")
 REBALANCERS = Registry("re-balancer")
 
+# "auto": offline policies see the single-server estimate, online ones
+# live state; "online": every policy sees live state
+PLACEMENT_MODES = ("auto", "online")
+
+
+def check_placement_mode(mode):
+    """Raise unless ``mode`` is one of :data:`PLACEMENT_MODES`; the
+    retired ``"offline"`` mode is pointed at ``"auto"``."""
+    if mode == "offline":
+        raise SimulationError(
+            "placement mode 'offline' was retired: use 'auto', which runs "
+            "offline policies on the same single-server estimate and gives "
+            "identical results")
+    if mode not in PLACEMENT_MODES:
+        raise SimulationError("unknown placement mode {!r} (valid: {})"
+                              .format(mode, ", ".join(PLACEMENT_MODES)))
+
 
 def register_placement(name, factory, replace=False):
     """Register a zero-argument factory of :class:`PlacementPolicy`."""
@@ -62,7 +79,7 @@ def placement_from_name(placement):
 
 def is_online_placement(policy):
     """True when ``policy`` (instance or registered name) speaks the
-    closed-loop protocol and cannot run in the offline pre-pass."""
+    closed-loop protocol, reading live fleet state."""
     return isinstance(placement_from_name(policy), OnlinePlacementPolicy)
 
 

@@ -7,13 +7,11 @@ benchmark.  Here a scheme is an *object* owning all of its execution
 logic, and the registry is the single source of truth for which schemes
 exist:
 
-* :meth:`SchedulingScheme.open_records` — per-request
-  :class:`RequestRecord` timing of one arrival stream on one device (the
-  open system's exact single-device run);
 * :meth:`SchedulingScheme.open_session` — one device's incremental
   session, what the one drive loop
   (:class:`~repro.sim.fleet.FleetSimulator`) advances, harvests and
-  submits to.  Fleet, streaming and attributed runs need it;
+  submits to: the one open-system contract.  Single-device, fleet,
+  streaming and attributed runs all drive it;
 * :meth:`SchedulingScheme.run_closed` — one closed-batch repetition
   (everything submitted at t=0, the paper's §7.2 methodology);
 * :meth:`SchedulingScheme.run_single` — single-kernel studies (fig. 15),
@@ -25,18 +23,17 @@ The paper's three schemes are pre-registered in report order:
 * ``ek``       — Elastic Kernels' static merged launches (§7.3);
 * ``accelos``  — the §3 sharing algorithm with §6.4 chunking.
 
-The built-ins implement ``open_session``, and their ``open_records``
-only enters the drive loop (:func:`loop_records`): a single device is a
-one-member fleet with no placement policy.  ``register_scheme`` adds a
-user scheme; it then runs through every harness
-(:class:`~repro.harness.open_system.OpenSystemExperiment`,
+A single device is a one-member fleet with no placement policy, and
+:func:`loop_records` is its exact per-request records.
+``register_scheme`` adds a user scheme; it then runs through every
+harness (:class:`~repro.harness.open_system.OpenSystemExperiment`,
 :class:`~repro.harness.open_system.FleetOpenSystemExperiment`,
 :func:`~repro.harness.experiment.run_workload`), the declarative
 ``run(spec)`` driver and the golden-trace tooling unchanged, as far as
-its capabilities reach: an ``open_records``-only scheme runs exact
-single-device streams, and the session-needing runs raise naming the
-session-capable schemes.  See docs/API.md for the 20-line extension
-recipe.
+its capabilities reach: a scheme with no ``open_session`` raises on
+every open-system run, and one with no ``run_closed`` on closed
+batches, each naming the capable schemes.  See docs/API.md for the
+extension recipe.
 """
 
 from __future__ import annotations
@@ -183,7 +180,35 @@ class GpuOpenSession:
                    and not self._sim.open_withdrawable(run))
 
 
-class ElasticOpenSession:
+class SteppedSession:
+    """Base of a device session whose events come one at a time.
+
+    A subclass provides ``peek()`` (the time of its next event, ``None``
+    when idle) and ``step()`` (process that event, returning ``(time,
+    requests finished by it)``); :meth:`advance` runs them up to the
+    drive loop's horizon.  The subclass also provides the rest of the
+    device-session protocol of :class:`repro.sim.fleet.FleetSimulator`:
+    ``submit`` and ``harvest``, plus ``queued``, ``withdraw``,
+    ``backlog_seconds`` and ``active_count`` for online placement
+    policies and re-balancers, which read live state.
+    """
+
+    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = None
+        finished = 0
+        while True:
+            next_time = self.peek()
+            if next_time is None or (limit is not None and (
+                    next_time > limit if inclusive else next_time >= limit)):
+                break
+            time, delta = self.step()
+            finished += delta
+            if stop_on_finish and delta:
+                break
+        return None if time is None else (time, finished)
+
+
+class ElasticOpenSession(SteppedSession):
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
     Exposes the same device-session protocol as
@@ -235,20 +260,6 @@ class ElasticOpenSession:
             self._inflight_keys = []
             return time, finished
         return self._launch(), 0
-
-    def advance(self, limit=None, inclusive=False, stop_on_finish=False):
-        time = None
-        finished = 0
-        while True:
-            next_time = self.peek()
-            if next_time is None or (limit is not None and (
-                    next_time > limit if inclusive else next_time >= limit)):
-                break
-            time, delta = self.step()
-            finished += delta
-            if stop_on_finish and delta:
-                break
-        return None if time is None else (time, finished)
 
     def _launch(self):
         time = max(self._now, self._waiting[0][0])
@@ -316,21 +327,12 @@ class SchedulingScheme:
 
     # -- open system --------------------------------------------------------
 
-    def open_records(self, arrivals, device,
-                     policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        """Per-request :class:`RequestRecord` list for one arrival stream,
-        in the stream's submission order (conservation: one per arrival).
-        Session-capable schemes implement it as :func:`loop_records`."""
-        raise _missing_mode_error(self, "open-system", "open_records",
-                                  open_scheme_names)
-
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
         """One device's incremental open-system session: an object
         speaking the device-session protocol of
         :class:`repro.sim.fleet.FleetSimulator`, the one drive loop.
-        Optional — schemes without one run exact single-device streams
-        only; fleet, streaming and attributed runs raise."""
+        Optional — schemes without one raise on every open-system run."""
         raise _missing_session_error(self)
 
     # -- closed batches ------------------------------------------------------
@@ -343,15 +345,9 @@ class SchedulingScheme:
         member, in input order; ``jitter`` is the per-kernel cost factor
         array of this repetition (``None`` = no jitter).
         """
-        raise _missing_mode_error(self, "closed-batch", "run_closed",
-                                  closed_scheme_names)
+        raise _missing_closed_error(self)
 
     # -- capabilities --------------------------------------------------------
-
-    @property
-    def supports_open(self):
-        """True when the scheme implements :meth:`open_records`."""
-        return type(self).open_records is not SchedulingScheme.open_records
 
     @property
     def supports_closed(self):
@@ -365,8 +361,8 @@ class SchedulingScheme:
 
     @property
     def supports_open_session(self):
-        """True when the scheme implements :meth:`open_session` (the
-        closed-loop fleet plane)."""
+        """True when the scheme implements :meth:`open_session` (every
+        open-system run)."""
         return type(self).open_session is not SchedulingScheme.open_session
 
     # -- single-kernel studies ----------------------------------------------
@@ -551,28 +547,24 @@ class ElasticKernelsScheme(SchedulingScheme):
         return turnarounds, intervals
 
 
-def _missing_mode_error(scheme, mode, method, capable_names):
+def _missing_closed_error(scheme):
     return SimulationError(
-        "scheme {!r} has no {} mode; implement {}, or pass schemes= "
-        "explicitly ({}-capable: {})".format(
-            scheme.name, mode, method,
-            mode.split("-")[0], ", ".join(capable_names())))
+        "scheme {!r} has no closed-batch mode; implement run_closed, or "
+        "pass schemes= explicitly (closed-capable: {})".format(
+            scheme.name, ", ".join(closed_scheme_names())))
 
 
 def _missing_session_error(scheme):
     return SimulationError(
-        "scheme {!r} has no open_session, so it runs exact single-device "
-        "streams only; implement open_session for fleet, streaming and "
-        "attributed runs (session-capable: {})".format(
-            scheme.name, ", ".join(
-                s for s in SCHEMES
-                if SCHEMES.from_name(s).supports_open_session)))
+        "scheme {!r} has no open_session, so it cannot serve arrival "
+        "streams; implement open_session (session-capable: {})".format(
+            scheme.name, ", ".join(open_scheme_names())))
 
 
 def require_session(scheme):
     """Raise the actionable capability error unless ``scheme`` has a
-    device session for the drive loop (fleet, streaming and attributed
-    runs fail fast, before any simulation)."""
+    device session for the drive loop (every open-system run fails
+    fast, before any simulation)."""
     if not scheme.supports_open_session:
         raise _missing_session_error(scheme)
     return scheme
@@ -582,8 +574,7 @@ def require_closed(scheme):
     """Raise the actionable capability error unless ``scheme`` can run
     closed batches (harness fail-fast, before any simulation)."""
     if not scheme.supports_closed:
-        raise _missing_mode_error(scheme, "closed-batch", "run_closed",
-                                  closed_scheme_names)
+        raise _missing_closed_error(scheme)
     return scheme
 
 
@@ -668,10 +659,11 @@ def scheme_names():
 
 
 def open_scheme_names():
-    """Registered schemes that can serve open-system arrival streams —
-    the live default of :meth:`OpenSystemExperiment.run_all`."""
+    """Registered schemes that can serve open-system arrival streams
+    (those with an ``open_session``) — the live default of
+    :meth:`OpenSystemExperiment.run_all`."""
     return tuple(n for n in SCHEMES
-                 if SCHEMES.from_name(n).supports_open)
+                 if SCHEMES.from_name(n).supports_open_session)
 
 
 def closed_scheme_names():

@@ -21,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.api.devices import DEVICES
 from repro.api.placements import (PLACEMENTS, REBALANCERS,
-                                  is_online_placement)
+                                  check_placement_mode, is_online_placement)
 from repro.api.results import ATTRIBUTION_METRICS, METRICS
 from repro.api.schemes import BUILTIN_SCHEMES, SCHEMES
 from repro.accelos.adaptive import SchedulingPolicy
@@ -33,7 +33,6 @@ DEFAULT_METRICS = ("antt", "stp", "unfairness", "mean_queueing_delay",
 DEFAULT_PLACEMENT = "least-loaded"
 
 _POLICIES = (SchedulingPolicy.ADAPTIVE, SchedulingPolicy.NAIVE)
-_PLACEMENT_MODES = ("auto", "offline", "online")
 _METRICS_MODES = ("exact", "streaming")
 
 
@@ -140,11 +139,10 @@ class ExperimentSpec:
     Single-device specs (one entry in ``devices``) route through
     :class:`~repro.harness.open_system.OpenSystemExperiment`; multi-device
     specs through the fleet path, one run per placement policy named in
-    ``placements``.  ``placement_mode`` picks the fleet's evaluation
-    plane — ``"auto"`` (offline policies replay the pre-pass estimate
-    bit-identically, online policies run the closed loop), ``"offline"``
-    (force the legacy pre-pass) or ``"online"`` (force live-state
-    placement, adapting offline policies) — and ``rebalance`` names a
+    ``placements``.  ``placement_mode`` picks what placement sees —
+    ``"auto"`` (offline policies route on the single-server backlog
+    estimate, online policies on live state) or ``"online"`` (live state
+    for every policy, adapting offline ones) — and ``rebalance`` names a
     registered re-balancer (``"none"`` to disable) wrapped around every
     placement, which requires live-state placement.  Streams come from
     the named traffic ``scenario`` at each offered ``load``;
@@ -159,9 +157,7 @@ class ExperimentSpec:
     arrivals lazily through online sketches
     (:mod:`repro.metrics.sketches`) in bounded memory: counts, means,
     maxima and ANTT/STP/unfairness are exact up to summation order, and
-    percentile metrics are P² estimates.  Streaming consumes arrivals
-    incrementally, so it requires the closed loop (``placement_mode``
-    ``"auto"`` or ``"online"``).
+    percentile metrics are P² estimates.
 
     ``attribution`` attaches a per-tenant accounting ledger
     (:class:`repro.attribution.AttributionLedger`) to every cell: each
@@ -169,8 +165,7 @@ class ExperimentSpec:
     attribution metrics (``tenant_occupancy``, ``induced_delay_matrix``,
     ``attribution_summary``) become selectable.  Off by default — an
     unattributed run takes exactly the historical code paths, so its
-    results stay bit-identical.  Attribution needs the closed loop's
-    event timeline (``placement_mode`` ``"auto"`` or ``"online"``).
+    results stay bit-identical.
     """
 
     scenario: str = "steady"
@@ -255,7 +250,7 @@ class ExperimentSpec:
                          list(placements)))
         object.__setattr__(self, "placements", placements)
 
-        _known(self.placement_mode, _PLACEMENT_MODES, "placement mode")
+        check_placement_mode(self.placement_mode)
         _require(isinstance(self.rebalance, str),
                  "rebalance must be a re-balancer name or 'none', got "
                  "{!r}".format(self.rebalance))
@@ -269,24 +264,13 @@ class ExperimentSpec:
             _require(self.rebalance == "none",
                      "rebalance only applies to multi-device fleets; drop "
                      "it or add devices")
-        else:
-            if self.placement_mode == "offline":
-                _require(self.rebalance == "none",
-                         "re-balancing needs the closed loop; use "
-                         "placement_mode 'auto' or 'online'")
-                for name in placements:
-                    _require(not is_online_placement(name),
-                             "placement {!r} is closed-loop-only; it "
-                             "cannot run with placement_mode "
-                             "'offline'".format(name))
-            if self.rebalance != "none" and self.placement_mode == "auto":
-                for name in placements:
-                    _require(is_online_placement(name),
-                             "rebalance {!r} needs live-state placement: "
-                             "placement {!r} is offline — set "
-                             "placement_mode 'online' (or use online "
-                             "placements only)".format(self.rebalance,
-                                                       name))
+        elif self.rebalance != "none" and self.placement_mode == "auto":
+            for name in placements:
+                _require(is_online_placement(name),
+                         "rebalance {!r} needs live-state placement: "
+                         "placement {!r} is offline — set placement_mode "
+                         "'online' (or use online placements only)".format(
+                             self.rebalance, name))
 
         metrics = _as_tuple(self.metrics, "metrics")
         _require(metrics, "a spec needs at least one metric")
@@ -297,11 +281,6 @@ class ExperimentSpec:
         object.__setattr__(self, "metrics", metrics)
 
         _known(self.metrics_mode, _METRICS_MODES, "metrics mode")
-        if self.metrics_mode == "streaming":
-            _require(self.placement_mode != "offline",
-                     "streaming metrics need the closed loop (arrivals are "
-                     "consumed incrementally); use placement_mode 'auto' or "
-                     "'online'")
 
         _known(self.policy, _POLICIES, "scheduling policy")
         _require(isinstance(self.saturate, bool),
@@ -310,11 +289,7 @@ class ExperimentSpec:
         _require(isinstance(self.attribution, bool),
                  "attribution must be a boolean, got {!r}".format(
                      self.attribution))
-        if self.attribution:
-            _require(self.placement_mode != "offline",
-                     "attribution needs the closed loop's event timeline; "
-                     "use placement_mode 'auto' or 'online'")
-        else:
+        if not self.attribution:
             selected = [n for n in metrics if n in ATTRIBUTION_METRICS]
             _require(not selected,
                      "metric {!r} needs the attribution plane; set "

@@ -60,10 +60,11 @@ from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
                                fleet_arrival_rate_for_load, isolated_table,
                                IsolatedTable, mean_isolated_service,
                                requirements_from_spec, sharing_allocator)
-from repro.api.placements import placement_from_name, rebalancer_from_name
+from repro.api.placements import (check_placement_mode, placement_from_name,
+                                  rebalancer_from_name)
 from repro.api.schemes import (RequestRecord,  # noqa: F401
-                               device_loop, open_scheme_names, record_sink,
-                               require_session, scheme_from_name)
+                               device_loop, loop_records, open_scheme_names,
+                               record_sink, require_session, scheme_from_name)
 from repro.errors import SimulationError
 from repro.metrics import ExactRecordSink, StreamingRecordSink
 from repro.sim.fleet import DeviceFleet, FleetSimulator
@@ -107,7 +108,7 @@ class OpenSystemResult:
 class _LoopExperiment:
     """The one run body of both experiments.
 
-    Subclasses provide ``_loop(scheme, exact, ledger, **settings)`` (the
+    Subclasses provide ``_loop(scheme, ledger, **settings)`` (the
     validated drive loop), ``_reference`` (the slowdown denominator
     table), ``_per_device`` (whether each fleet member gets its own
     sinks) and ``_result(...)``.
@@ -127,9 +128,7 @@ class _LoopExperiment:
         (observability only: ``benchmarks/bench_engine.py`` reads it).
         """
         scheme_obj = scheme_from_name(scheme)
-        if exact and not arrivals:
-            raise SimulationError("empty arrival stream")
-        simulator = self._loop(scheme_obj, exact, ledger, **settings)
+        simulator = self._loop(scheme_obj, ledger, **settings)
         factory = (ExactRecordSink if exact
                    else sink_factory or StreamingRecordSink)
         overall = factory()
@@ -146,25 +145,19 @@ class _LoopExperiment:
                     migrated += 1
 
         held = None
-        if simulator is None:
-            # an open_records-only scheme's exact single-device run
-            held = [(None, record)
-                    for record in self.scheme_records(arrivals, scheme_obj)]
-        elif exact:
+        if exact:
             held = [None] * len(arrivals)
 
             def hold(entry, record):
                 held[entry.position] = (entry, record)
             simulator.run(arrivals, record_sink(self._reference.__getitem__,
                                                 hold))
+            for entry, record in held:
+                deliver(entry, record)
         else:
             simulator.run_stream(arrivals, record_sink(
                 self._reference.__getitem__, deliver))
-        if held is not None:
-            for entry, record in held:
-                deliver(entry, record)
-        self.events_processed = (0 if simulator is None
-                                 else simulator.events_processed())
+        self.events_processed = simulator.events_processed()
         result = self._result(scheme_obj.name, simulator, overall,
                               device_sinks, held, migrated)
         if ledger is not None:
@@ -191,29 +184,24 @@ class OpenSystemExperiment(_LoopExperiment):
 
         With a ``ledger`` (:class:`repro.attribution.AttributionLedger`)
         the loop reports its events to it — identical timings — and the
-        result gains an ``attribution`` report; the scheme needs an
-        ``open_session``.
+        result gains an ``attribution`` report.  Like every open-system
+        run, the scheme needs an ``open_session``.
         """
         return self._run(arrivals, scheme, True, ledger=ledger)
 
     def scheme_records(self, arrivals, scheme):
-        """Per-request records of one scheme over one stream (the
-        scheme's ``open_records``): how :meth:`run` serves a scheme with
-        no ``open_session``.  Unknown scheme names raise listing the
-        registered schemes."""
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        return scheme_from_name(scheme).open_records(
-            arrivals, self.device, policy=self.policy,
-            saturate=self.saturate)
+        """Per-request records of one scheme over one stream, in
+        submission order (:func:`~repro.api.schemes.loop_records`).
+        Unknown scheme names raise listing the registered schemes."""
+        return loop_records(scheme_from_name(scheme), arrivals, self.device,
+                            self.policy, self.saturate)
 
     def run_stream(self, arrivals, scheme, sink_factory=None, ledger=None):
         """Streaming :meth:`run`: consume a *lazy* time-ordered arrival
         iterator incrementally, accumulate metrics in a record sink and
         never retain the stream — bounded memory at any request count.
 
-        The scheme must support ``open_session``.  ``sink_factory``
-        makes the record sink (default
+        ``sink_factory`` makes the record sink (default
         :class:`~repro.metrics.sketches.StreamingRecordSink`; the
         contract is in :mod:`repro.metrics.sketches`), and the result is
         built from it (``records is None`` by default).  With a
@@ -223,10 +211,7 @@ class OpenSystemExperiment(_LoopExperiment):
         """
         return self._run(arrivals, scheme, False, sink_factory, ledger)
 
-    def _loop(self, scheme_obj, exact, ledger):
-        if exact and ledger is None \
-                and not scheme_obj.supports_open_session:
-            return None                 # served by scheme_records
+    def _loop(self, scheme_obj, ledger):
         return device_loop(scheme_obj, self.device, self.policy,
                            self.saturate, ledger)
 
@@ -236,8 +221,9 @@ class OpenSystemExperiment(_LoopExperiment):
 
     def run_all(self, arrivals, schemes=None):
         """All schemes over one stream: ``{scheme: OpenSystemResult}``.
-        ``schemes=None`` means every registered *open-capable* scheme,
-        resolved at call time — user registrations included."""
+        ``schemes=None`` means every registered scheme with an
+        ``open_session``, resolved at call time — user registrations
+        included."""
         if schemes is None:
             schemes = open_scheme_names()
         return {scheme_from_name(s).name: self.run(arrivals, s)
@@ -309,14 +295,13 @@ class FleetOpenSystemExperiment(_LoopExperiment):
     The fleet runs in the drive loop
     (:class:`repro.sim.fleet.FleetSimulator`): every device's scheme
     session shares one event timeline and the placement policy is
-    consulted at each arrival.  Three placement modes (``mode=``):
+    consulted at each arrival.  Two placement modes (``mode=``, see
+    :data:`repro.api.placements.PLACEMENT_MODES`):
 
     * ``"auto"`` (default) — an offline policy runs in *estimate* mode
       (:class:`~repro.accelos.placement.OfflinePolicyAdapter`: routing
       against a single-server backlog estimate); an online policy gets
       live fleet state and the re-balance hook.
-    * ``"offline"`` — the same estimate mode, with online policies,
-      re-balancing and attribution rejected.
     * ``"online"`` — force live-state placement: online policies run
       natively, offline policies are adapted with live loads.
 
@@ -369,9 +354,8 @@ class FleetOpenSystemExperiment(_LoopExperiment):
         """Streaming :meth:`run`: consume a lazy time-ordered arrival
         iterator through the loop in bounded memory.
 
-        ``mode="offline"`` is rejected (as by the spec's streaming
-        metrics mode); completed requests drain into the overall and
-        per-device record sinks (``sink_factory``, as for
+        Completed requests drain into the overall and per-device record
+        sinks (``sink_factory``, as for
         :meth:`OpenSystemExperiment.run_stream`) as they finish, and the
         :class:`FleetOpenSystemResult` is built from them (``records``
         and ``decisions`` are ``None``).  With a ``ledger`` the loop
@@ -381,35 +365,14 @@ class FleetOpenSystemExperiment(_LoopExperiment):
         return self._run(arrivals, scheme, False, sink_factory, ledger,
                          placement=placement, mode=mode, rebalance=rebalance)
 
-    def _loop(self, scheme_obj, exact, ledger, placement, mode, rebalance):
+    def _loop(self, scheme_obj, ledger, placement, mode, rebalance):
         """Validate the placement settings and build the drive loop over
         the fleet's sessions."""
-        if mode not in ("auto", "offline", "online"):
-            raise SimulationError(
-                "placement mode must be 'auto', 'offline' or 'online', "
-                "got {!r}".format(mode))
-        if mode == "offline" and not exact:
-            raise SimulationError(
-                "streaming fleet runs are closed-loop only: placement "
-                "mode must be 'auto' or 'online', got {!r}".format(mode))
+        check_placement_mode(mode)
         policy = placement_from_name(placement)
         is_online = isinstance(policy, OnlinePlacementPolicy)
         if rebalance in ("none",):
             rebalance = None
-        if mode == "offline":
-            if ledger is not None:
-                raise SimulationError(
-                    "attribution needs the closed loop's event timeline; "
-                    "offline placement cannot be attributed")
-            if is_online:
-                raise SimulationError(
-                    "placement {!r} is closed-loop-only; drop "
-                    "mode='offline' or pick an offline policy".format(
-                        policy.name))
-            if rebalance is not None:
-                raise SimulationError(
-                    "re-balancing needs the closed loop; drop "
-                    "mode='offline' or the rebalance setting")
         if mode == "online" and not is_online:
             # offline choose logic fed live simulator state
             policy = OfflinePolicyAdapter(policy, mode="live")

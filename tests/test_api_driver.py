@@ -7,13 +7,15 @@ Four contracts:
   redesign moved wiring, not numbers);
 * **streaming** — ``iter_runs`` yields ``(cell, result)`` pairs
   incrementally, in deterministic grid order;
-* **extensibility** — a user-registered toy scheme runs through
-  ``run(spec)``, the open-system harness and the golden-trace entry path
-  with no other changes;
+* **extensibility** — a user-registered toy scheme (one small FIFO
+  device session) runs through ``run(spec)``, the open-system harness,
+  fleets, streaming, attribution and the golden-trace entry path with
+  no other changes, and matches its closed-form schedule bit for bit;
 * **CLI** — ``python -m repro.api.run`` reproduces the checked-in smoke
   result byte for byte (the same diff CI enforces).
 """
 
+import bisect
 import json
 import os
 import subprocess
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import (ExperimentSpec, RequestRecord, SchedulingScheme,
+from repro.api import (ExperimentSpec, SchedulingScheme, SteppedSession,
                        arrival_rate_for_load, fleet_arrival_rate_for_load,
                        isolated_time, iter_runs, register_scheme, run,
                        scheme_names, unregister_scheme)
@@ -144,25 +146,75 @@ def test_resultset_get_requires_unique_match():
 
 # -- user-registered schemes everywhere ----------------------------------------
 
+def serial_schedule(arrivals, device):
+    """The oracle: the closed-form one-at-a-time schedule in ``(time,
+    index)`` order, as ``(name, arrival, start, finish, isolated,
+    tenant)`` per arrival in stream order."""
+    free_at = 0.0
+    records = [None] * len(arrivals)
+    order = sorted(range(len(arrivals)),
+                   key=lambda i: (arrivals[i].time, i))
+    for i in order:
+        a = arrivals[i]
+        start = max(free_at, a.time)
+        service = isolated_time(a.name, device)
+        records[i] = (a.name, a.time, start, start + service, service,
+                      a.tenant)
+        free_at = start + service
+    return records
+
+
+def record_fields(records):
+    return [(r.name, r.arrival, r.start, r.finish, r.isolated, r.tenant)
+            for r in records]
+
+
+class ToySession(SteppedSession):
+    """Strict one-at-a-time service in arrival order (test toy): the
+    queue head starts once the device is free and finishes one isolated
+    run time later.  Only the core of the session protocol — enough for
+    single devices and offline placement policies."""
+
+    def __init__(self, device):
+        self.device = device
+        self.waiting = []               # sorted (effective, key, arrival)
+        self.running = None             # (key, start, finish)
+        self.finished = []
+        self.free_at = 0.0
+
+    def submit(self, key, arrival, effective_time):
+        bisect.insort(self.waiting, (effective_time, key, arrival))
+
+    def peek(self):
+        if self.running is not None:
+            return self.running[2]
+        if self.waiting:
+            return max(self.free_at, self.waiting[0][0])
+        return None
+
+    def step(self):
+        if self.running is not None:
+            self.finished.append(self.running)
+            self.free_at, self.running = self.running[2], None
+            return self.free_at, 1
+        effective, key, arrival = self.waiting.pop(0)
+        start = max(self.free_at, effective)
+        self.running = (key, start,
+                        start + isolated_time(arrival.name, self.device))
+        return start, 0
+
+    def harvest(self):
+        finished, self.finished = self.finished, []
+        return finished
+
+
 class ToyScheme(SchedulingScheme):
-    """Strict one-at-a-time service in arrival order (test toy)."""
+    """The toy session as a registered scheme (no closed-batch mode)."""
 
     name = "toy-serial"
 
-    def open_records(self, arrivals, device, **knobs):
-        free_at = 0.0
-        records = [None] * len(arrivals)
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            a = arrivals[i]
-            start = max(free_at, a.time)
-            service = isolated_time(a.name, device)
-            records[i] = RequestRecord(a.name, a.time, start,
-                                       start + service, service,
-                                       tenant=a.tenant)
-            free_at = start + service
-        return records
+    def open_session(self, device, **knobs):
+        return ToySession(device)
 
 
 @pytest.fixture
@@ -221,42 +273,108 @@ def test_open_only_scheme_cannot_break_closed_sweeps(toy_scheme):
     from repro.harness import run_workload
     assert "toy-serial" in open_scheme_names()
     assert "toy-serial" not in closed_scheme_names()
-    assert not toy_scheme.supports_closed and toy_scheme.supports_open
+    assert not toy_scheme.supports_closed
+    assert toy_scheme.supports_open_session
     with pytest.raises(SimulationError,
                        match="no closed-batch mode") as excinfo:
         run_workload(("bfs", "sgemm"), "toy-serial", nvidia_k20m())
     assert "accelos" in str(excinfo.value)  # lists capable schemes
 
 
-def test_open_records_only_scheme_needs_a_session_beyond_one_device(
-        toy_scheme):
-    """The toy implements open_records but no open_session: exact
-    single-device runs work, while fleet, streaming and attributed runs
-    raise the capability error naming the session-capable schemes."""
+@pytest.mark.parametrize("scenario, load", [
+    ("steady", 0.8), ("bursty", 1.5), ("multi-tenant", 2.0)])
+def test_toy_session_matches_closed_form_serial_schedule(toy_scheme,
+                                                         scenario, load):
+    """The toy session's exact single-device records equal the
+    closed-form serial schedule bit for bit."""
+    device = nvidia_k20m()
+    stream = from_name(scenario, seed=11, load=load, count=24,
+                       device=device)
+    result = OpenSystemExperiment(device).run(stream, "toy-serial")
+    assert record_fields(result.records) == serial_schedule(stream, device)
+
+
+def test_toy_session_runs_fleet_streaming_and_attributed(toy_scheme):
+    """The same session serves a two-member fleet (each member serves
+    its round-robin share on the closed-form schedule), streaming runs
+    and attributed runs."""
     from repro.attribution import AttributionLedger
     from repro.harness import FleetOpenSystemExperiment
-    from repro.sim import DeviceFleet
+    from repro.cl import derated_device
+    from tests.test_streaming_equivalence import SUMMATION_RTOL
     device = nvidia_k20m()
-    stream = from_name("steady", seed=1, load=1.0, count=3, device=device)
-    assert len(OpenSystemExperiment(device).run(stream,
-                                                "toy-serial").records) == 3
-    fleet = DeviceFleet([("a", nvidia_k20m()), ("b", nvidia_k20m())])
-    runs = [
-        lambda: FleetOpenSystemExperiment(fleet).run(stream, "toy-serial",
-                                                     "round-robin"),
-        lambda: FleetOpenSystemExperiment(fleet).run_stream(
-            iter(stream), "toy-serial", "round-robin"),
-        lambda: OpenSystemExperiment(device).run_stream(iter(stream),
-                                                        "toy-serial"),
-        lambda: OpenSystemExperiment(device).run(
-            stream, "toy-serial", ledger=AttributionLedger([device.name])),
-    ]
-    for attempt in runs:
-        with pytest.raises(SimulationError,
-                           match="has no open_session") as excinfo:
-            attempt()
-        for name in ("baseline", "ek", "accelos"):
-            assert name in str(excinfo.value)
+    stream = from_name("multi-tenant", seed=4, load=1.5, count=20,
+                       device=device)
+    fleet = DeviceFleet([("a", device),
+                         ("b", derated_device(nvidia_k20m(), "K20m-half",
+                                              clock_scale=0.5))])
+    experiment = FleetOpenSystemExperiment(fleet)
+    exact = experiment.run(stream, "toy-serial", "round-robin")
+    assert [d.index for d in exact.decisions] \
+        == [i % 2 for i in range(len(stream))]
+    for index, member in enumerate(fleet):
+        mine = [i for i, d in enumerate(exact.decisions) if d.index == index]
+        want = serial_schedule([stream[i] for i in mine], member.device)
+        got = [exact.overall.records[i] for i in mine]
+        assert [(r.start, r.finish) for r in got] \
+            == [(start, finish) for _, _, start, finish, _, _ in want]
+    streamed = experiment.run_stream(iter(stream), "toy-serial",
+                                     "least-loaded")
+    assert streamed.count == len(stream)
+    assert streamed.antt == pytest.approx(
+        experiment.run(stream, "toy-serial", "least-loaded").antt,
+        rel=SUMMATION_RTOL)
+    single = OpenSystemExperiment(device)
+    audited = single.run(stream, "toy-serial",
+                         ledger=AttributionLedger([device.name]))
+    assert audited.attribution.requests == len(stream)
+    assert record_fields(audited.records) \
+        == record_fields(single.run(stream, "toy-serial").records)
+
+
+class SessionlessScheme(SchedulingScheme):
+    """Closed batches only: no device session (test toy)."""
+
+    name = "toy-sessionless"
+
+    def run_closed(self, names, device, jitter=None, **knobs):
+        raise AssertionError("never reached")
+
+
+def test_sessionless_scheme_raises_on_every_open_system_run():
+    """A scheme with no open_session raises the capability error naming
+    the session-capable schemes on every open-system run, exact
+    single-device runs included, and the open-system defaults skip it."""
+    from repro.api import open_scheme_names
+    from repro.attribution import AttributionLedger
+    from repro.harness import FleetOpenSystemExperiment
+    scheme = register_scheme(SessionlessScheme)
+    try:
+        assert scheme.name not in open_scheme_names()
+        device = nvidia_k20m()
+        stream = from_name("steady", seed=1, load=1.0, count=3,
+                           device=device)
+        fleet = DeviceFleet([("a", nvidia_k20m()), ("b", nvidia_k20m())])
+        single = OpenSystemExperiment(device)
+        runs = [
+            lambda: single.run(stream, scheme.name),
+            lambda: single.scheme_records(stream, scheme.name),
+            lambda: single.run_stream(iter(stream), scheme.name),
+            lambda: single.run(stream, scheme.name,
+                               ledger=AttributionLedger([device.name])),
+            lambda: FleetOpenSystemExperiment(fleet).run(
+                stream, scheme.name, "round-robin"),
+            lambda: FleetOpenSystemExperiment(fleet).run_stream(
+                iter(stream), scheme.name, "round-robin"),
+        ]
+        for attempt in runs:
+            with pytest.raises(SimulationError,
+                               match="has no open_session") as excinfo:
+                attempt()
+            for name in ("baseline", "ek", "accelos"):
+                assert name in str(excinfo.value)
+    finally:
+        unregister_scheme(scheme.name)
 
 
 def test_unknown_scheme_error_lists_registered_names():

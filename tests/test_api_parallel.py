@@ -1,7 +1,8 @@
 """Parallel, cached experiment driver (``run(spec, workers=, cache_dir=)``).
 
 Covers the determinism contract (parallel `to_json` bit-identical to
-serial for exact and streaming specs), the content-addressed result
+serial for exact and streaming specs, at any drawn worker count, and
+when a worker dies mid-grid), the content-addressed result
 cache (hit/miss/resume, corrupt entry => recompute, changed spec field
 => miss, the stream-seed collision regression), the serial fallback when
 no process pool is available, and the driver-plane bugfixes (caller name
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, ResultCache, cell_key, run, warm_caches
 from repro.api import driver as driver_mod
@@ -47,21 +49,36 @@ STREAMING_SPEC = dict(scenario="bursty", schemes=("baseline", "accelos"),
 
 # -- parallel-vs-serial equivalence -------------------------------------------
 
-def test_parallel_matches_serial_exact_single_device():
-    spec = ExperimentSpec(**EXACT_SPEC)
-    assert run(spec, workers=4).to_json() == run(spec, workers=1).to_json()
+# two seeds make four cells, so every drawn worker count gets its own
+# pool size (the pool never exceeds the pending cells)
+WORKERS = st.integers(2, 4)
+PARALLEL = settings(max_examples=3, deadline=None)
 
 
-def test_parallel_matches_serial_exact_fleet():
-    spec = ExperimentSpec(**FLEET_SPEC)
-    assert run(spec, workers=4).to_json() == run(spec, workers=1).to_json()
+@PARALLEL
+@given(workers=WORKERS)
+def test_parallel_matches_serial_exact_single_device(workers):
+    spec = ExperimentSpec(**dict(EXACT_SPEC, seeds=(7, 8)))
+    assert run(spec, workers=workers).to_json() \
+        == run(spec, workers=1).to_json()
 
 
-def test_parallel_matches_serial_streaming_fleet():
+@PARALLEL
+@given(workers=WORKERS)
+def test_parallel_matches_serial_exact_fleet(workers):
+    spec = ExperimentSpec(**dict(FLEET_SPEC, seeds=(3, 4)))
+    assert run(spec, workers=workers).to_json() \
+        == run(spec, workers=1).to_json()
+
+
+@PARALLEL
+@given(workers=WORKERS)
+def test_parallel_matches_serial_streaming_fleet(workers):
     # streaming cells must regenerate their single-use, unpicklable
     # arrival iterators inside the worker process
-    spec = ExperimentSpec(**STREAMING_SPEC)
-    assert run(spec, workers=4).to_json() == run(spec, workers=1).to_json()
+    spec = ExperimentSpec(**dict(STREAMING_SPEC, seeds=(3, 4)))
+    assert run(spec, workers=workers).to_json() \
+        == run(spec, workers=1).to_json()
 
 
 def test_parallel_merge_preserves_grid_order():
@@ -323,6 +340,43 @@ def test_parallel_failure_note_counts_cells_stored_beyond_the_merge(
     assert "after 1/4 cells merged in grid order" in notes
     assert "reused 0 cached cells and stored 3 more" in notes
     assert store.stores == 3 and len(store) == 3
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method(allow_none=False) != "fork",
+    reason="the dying cell is injected by patching the parent before "
+           "the pool forks")
+def test_dead_worker_cells_rerun_serially(tmp_path, monkeypatch):
+    """A worker that dies on one cell breaks the pool: every cell the
+    pool did not finish runs serially in the parent, the merge keeps
+    grid order, each cell is flushed to the cache, and no process
+    starts beyond the pool's two workers."""
+    spec = ExperimentSpec(**dict(EXACT_SPEC, seeds=(7, 8)))  # 4 cells
+    serial = run(spec).to_json()
+    doomed = _grid_cells(spec)[1]
+    parent = os.getpid()
+    original = driver_mod._SpecRunner.run_cell
+
+    def dies_in_a_worker(self, cell):
+        if cell == doomed and os.getpid() != parent:
+            os._exit(1)
+        return original(self, cell)
+
+    spawned = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def _spawn_process(self):
+            spawned.append(1)
+            super()._spawn_process()
+
+    monkeypatch.setattr(driver_mod._SpecRunner, "run_cell",
+                        dies_in_a_worker)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    store = ResultCache(tmp_path / "cache")
+    assert run(spec, workers=2, cache_dir=store).to_json() == serial
+    assert len(spawned) == 2
+    assert len(store) == spec.cell_count()
 
 
 # -- calibration-error caller name (bugfix) ------------------------------------

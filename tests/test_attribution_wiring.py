@@ -205,11 +205,6 @@ def test_attribution_metrics_require_the_flag():
     from repro.errors import SimulationError
     with pytest.raises(SimulationError, match="attribution"):
         ExperimentSpec(metrics=("antt", "tenant_occupancy"))
-    with pytest.raises(SimulationError, match="closed loop"):
-        ExperimentSpec(devices=({"id": "a", "base": "nvidia-k20m"},
-                                {"id": "b", "base": "nvidia-k20m"}),
-                       placements=("round-robin",),
-                       placement_mode="offline", attribution=True)
 
 
 # -- the memory bound -----------------------------------------------------

@@ -103,13 +103,12 @@ def test_exact_run_replaces_an_earlier_stream_count(kind):
 
 
 @pytest.mark.parametrize("mode, message", [
-    ("bogus", "placement mode must be 'auto', 'offline' or 'online', "
-              "got 'bogus'"),
-    ("offline", "streaming fleet runs are closed-loop only"),
-])
+    ("bogus", "unknown placement mode 'bogus' (valid: auto, online)"),
+    ("offline", "placement mode 'offline' was retired: use 'auto'"),
+], ids=["bogus", "offline"])
 def test_streaming_fleet_mode_errors(mode, message):
-    """An invalid mode gets the invalid-mode error; only a valid but
-    offline mode gets the streaming rejection."""
+    """An invalid mode gets the invalid-mode error; the retired offline
+    mode gets the error pointing to 'auto'."""
     experiment, placement = _experiment("fleet")
     with pytest.raises(SimulationError, match=re.escape(message)):
         experiment.run_stream(iter(_stream(1, 6)), "accelos", *placement,

@@ -1,9 +1,11 @@
 """Smoke runs of the documented extension recipes.
 
-``examples/custom_scheme.py`` (docs/API.md: register a scheme with only
-``open_records``) and ``examples/fleet.py`` (docs/PLACEMENT.md: every
-placement policy, offline and closed-loop, on a two-device fleet) run
-end to end in a fresh interpreter, as a user would run them.
+``examples/custom_scheme.py`` (docs/API.md: register a scheme whose one
+open-system contract is a small FIFO device session, then run it on one
+device and on a streaming, attributed two-device fleet) and
+``examples/fleet.py`` (docs/PLACEMENT.md: every placement policy,
+offline and closed-loop, on a two-device fleet) run end to end in a
+fresh interpreter, as a user would run them.
 """
 
 import os

@@ -9,6 +9,8 @@ that, the online protocol (live loads, burst detection, work stealing)
 is exercised directly.
 """
 
+import json
+
 import pytest
 
 from repro.accelos.placement import (AffinityPlacement,
@@ -77,15 +79,25 @@ def test_loop_reproduces_offline_path_bit_identically(scheme, policy_cls):
     assert loop.rebalances == 0
 
 
-def test_forced_offline_mode_matches_auto_for_legacy_policies():
-    fleet = hetero_fleet()
-    arrivals = bursty_stream(fleet, count=24)
-    experiment = FleetOpenSystemExperiment(fleet)
-    auto = experiment.run(arrivals, "accelos", LeastLoadedPlacement())
-    forced = experiment.run(arrivals, "accelos", LeastLoadedPlacement(),
-                            mode="offline")
-    assert [r.finish for r in auto.overall.records] \
-        == [r.finish for r in forced.overall.records]
+def test_retired_offline_mode_points_to_auto():
+    """``"offline"`` ran the estimate adapter of ``"auto"``: a spec, a
+    JSON spec or a harness call naming it gets one error naming
+    ``"auto"``."""
+    retired = "placement mode 'offline' was retired: use 'auto'"
+    devices = ({"id": "a"}, {"id": "b"})
+    with pytest.raises(SimulationError, match=retired):
+        ExperimentSpec(devices=devices, placement_mode="offline")
+    document = ExperimentSpec(devices=devices).to_dict()
+    document["placement_mode"] = "offline"
+    with pytest.raises(SimulationError, match=retired):
+        ExperimentSpec.from_json(json.dumps(document))
+    experiment = FleetOpenSystemExperiment(homo_fleet())
+    arrivals = trace_arrivals([("bfs", 0.0)])
+    with pytest.raises(SimulationError, match=retired):
+        experiment.run(arrivals, "accelos", "least-loaded", mode="offline")
+    with pytest.raises(SimulationError, match=retired):
+        experiment.run_stream(iter(arrivals), "accelos", "least-loaded",
+                              mode="offline")
 
 
 def test_pinned_requests_honoured_in_the_loop():
@@ -106,15 +118,12 @@ def test_loop_rejects_bad_mode_combinations():
     fleet = homo_fleet()
     experiment = FleetOpenSystemExperiment(fleet)
     arrivals = trace_arrivals([("bfs", 0.0)])
-    with pytest.raises(SimulationError, match="closed-loop-only"):
+    with pytest.raises(SimulationError, match="'offline' was retired"):
         experiment.run(arrivals, "accelos", "burst-aware", mode="offline")
-    with pytest.raises(SimulationError, match="re-balancing"):
-        experiment.run(arrivals, "accelos", "least-loaded",
-                       mode="offline", rebalance="work-stealing")
     with pytest.raises(SimulationError, match="live-state"):
         experiment.run(arrivals, "accelos", "least-loaded",
                        rebalance="work-stealing")
-    with pytest.raises(SimulationError, match="placement mode"):
+    with pytest.raises(SimulationError, match="unknown placement mode"):
         experiment.run(arrivals, "accelos", "least-loaded", mode="nope")
 
 
@@ -315,18 +324,18 @@ def test_spec_round_trips_new_fields():
 
 def test_spec_validates_new_fields_eagerly():
     fleet_devices = ({"id": "a"}, {"id": "b"})
-    with pytest.raises(SimulationError, match="placement mode"):
+    with pytest.raises(SimulationError,
+                       match=r"unknown placement mode 'sideways' "
+                             r"\(valid: auto, online\)"):
         ExperimentSpec(devices=fleet_devices, placement_mode="sideways")
     with pytest.raises(SimulationError, match="re-balancer"):
         ExperimentSpec(devices=fleet_devices, rebalance="magic")
-    with pytest.raises(SimulationError, match="closed-loop-only"):
+    with pytest.raises(SimulationError, match="'offline' was retired"):
         ExperimentSpec(devices=fleet_devices,
                        placements=("burst-aware",),
                        placement_mode="offline")
-    with pytest.raises(SimulationError, match="closed loop"):
-        ExperimentSpec(devices=fleet_devices,
-                       placement_mode="offline",
-                       rebalance="work-stealing")
+    with pytest.raises(SimulationError, match="'offline' was retired"):
+        ExperimentSpec(placement_mode="offline")
     with pytest.raises(SimulationError, match="live-state"):
         ExperimentSpec(devices=fleet_devices,
                        placements=("least-loaded",),
@@ -400,7 +409,7 @@ def test_pinned_migration_delay_applies_in_simulation():
         ("sgemm", 0.0, "t0"),
         ("sgemm", 0.001, "t0", "dev1"),
     ])
-    for mode in ("offline", "auto"):
+    for mode in ("auto", "online"):
         result = experiment.run(arrivals, "baseline",
                                 AffinityPlacement(penalty=5e-3), mode=mode)
         pinned_record = result.overall.records[1]

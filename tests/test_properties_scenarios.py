@@ -1,7 +1,7 @@
 """Property-based tests: allocator/scheduler invariants under every
 registered traffic scenario (hypothesis over seeds and offered loads).
 
-Four invariant families the scenario engine must never violate, whatever
+Five invariant families the scenario engine must never violate, whatever
 the traffic shape:
 
 * **device capacity** — every allocation the §3 sharing policy hands the
@@ -13,21 +13,29 @@ the traffic shape:
   serving others (no idle device with a non-empty queue), and every
   virtual group of every request is eventually executed exactly once;
 * **determinism** — the same (scenario, seed, load) replays bit-for-bit,
-  stream and simulation both.
+  stream and simulation both;
+* **tenant relabelling** — renaming the tenants of a stream through a
+  bijection only renames the per-tenant metrics and ledger rows.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accelos.sharing import KernelRequirements, compute_allocations
-from repro.api.schemes import scheme_from_name
-from repro.cl import nvidia_k20m
+from repro.api.schemes import BUILTIN_SCHEMES, scheme_from_name
+from repro.attribution import AttributionLedger
+from repro.attribution.provenance import tenant_label
+from repro.cl import derated_device, nvidia_k20m
 from repro.harness.experiment import isolated_time
-from repro.harness.open_system import (OpenSystemExperiment,
+from repro.harness.open_system import (FleetOpenSystemExperiment,
+                                       OpenSystemExperiment,
                                        sharing_allocator)
-from repro.sim import GPUSimulator
+from repro.sim import DeviceFleet, GPUSimulator
 from repro.sim.gpu import KERNEL_HANDOFF_LATENCY
-from repro.workloads import SCENARIOS, from_name, scenario
+from repro.workloads import SCENARIOS, ArrivalRequest, from_name, scenario
+from repro.workloads.parboil import PROFILE_NAMES
+
+from tests.test_streaming_equivalence import SUMMATION_RTOL
 
 DEVICE = nvidia_k20m()
 
@@ -388,3 +396,129 @@ def test_isolated_time_cache_consistency():
     from repro.harness.experiment import _base_spec
     assert isolated_time(name, DEVICE) \
         == fresh.run([_base_spec(name)]).makespan
+
+
+# -- tenant relabelling (metamorphic) ------------------------------------------
+
+FLEET = DeviceFleet([("fast", nvidia_k20m()),
+                     ("slow", derated_device(nvidia_k20m(), "K20m-half",
+                                             clock_scale=0.5))])
+
+# every metric of a result that does not split by tenant: bit-equal
+# under any relabelling
+OVERALL_METRICS = ("count", "antt", "stp", "unfairness", "mean_turnaround",
+                   "mean_queueing_delay", "makespan", "slowdown_tails",
+                   "queueing_tails")
+
+
+@st.composite
+def relabelled_streams(draw):
+    """A multi-tenant stream, the same stream with its tenants renamed
+    through a drawn bijection onto fresh labels (whose sort order is the
+    drawn permutation), and the ledger-label map of that bijection."""
+    stream = stream_for("multi-tenant", draw(SEEDS), draw(LOADS), count=12)
+    tenants = sorted({a.tenant for a in stream}, key=str)
+    order = draw(st.permutations(range(len(tenants))))
+    fresh = {t: "relabelled-{}".format(k) for t, k in zip(tenants, order)}
+    assert not set(fresh.values()) & set(PROFILE_NAMES)
+    relabelled = [ArrivalRequest(a.name, a.time, fresh[a.tenant], a.device)
+                  for a in stream]
+    return stream, relabelled, {tenant_label(t): label
+                                for t, label in fresh.items()}
+
+
+def assert_result_relabelled(original, relabelled, labels, context):
+    for metric in OVERALL_METRICS:
+        assert getattr(relabelled, metric) == getattr(original, metric), \
+            (metric,) + context
+    assert relabelled.tenant_slowdown_tails == {
+        labels[t]: tails
+        for t, tails in original.tenant_slowdown_tails.items()}, context
+    if original.records is not None:
+        assert [(r.name, r.arrival, r.start, r.finish, r.isolated,
+                 r.tenant) for r in relabelled.records] \
+            == [(r.name, r.arrival, r.start, r.finish, r.isolated,
+                 labels[r.tenant]) for r in original.records], context
+
+
+def assert_ledger_relabelled(original, relabelled, labels, context):
+    """Every per-tenant ledger row is the original one, renamed.  The
+    report's byte·seconds total and cross-tenant share are sums over
+    tenants in label order, so relabelling reorders them: those (and the
+    shares and maximum built from the total) agree within
+    ``SUMMATION_RTOL``."""
+    a, b = original.attribution, relabelled.attribution
+
+    def renamed(rows):
+        return {labels[t]: row for t, row in rows.items()}
+
+    assert b.tenants == sorted(labels[t] for t in a.tenants), context
+    assert b.occupancy == {device: renamed(rows)
+                           for device, rows in a.occupancy.items()}, context
+    for matrix in ("induced_p99", "induced_total"):
+        assert getattr(b, matrix) == {
+            labels[victim]: renamed(row)
+            for victim, row in getattr(a, matrix).items()}, \
+            (matrix,) + context
+    for rows in ("work", "migration_costs", "observed"):
+        assert getattr(b, rows) == renamed(getattr(a, rows)), \
+            (rows,) + context
+    for field in ("devices", "requests", "migrations", "makespan",
+                  "max_cross_tenant_induced_p99"):
+        assert getattr(b, field) == getattr(a, field), (field,) + context
+    assert b.occupancy_share == pytest.approx(
+        renamed(a.occupancy_share), rel=SUMMATION_RTOL), context
+    for field in ("tenant_occupancy", "cross_tenant_induced_share"):
+        assert getattr(b, field) == pytest.approx(
+            getattr(a, field), rel=SUMMATION_RTOL), (field,) + context
+
+
+def audited_single(stream, scheme, exact):
+    ledger = AttributionLedger([DEVICE.name])
+    experiment = OpenSystemExperiment(DEVICE)
+    if exact:
+        return experiment.run(stream, scheme, ledger=ledger)
+    return experiment.run_stream(iter(stream), scheme, ledger=ledger)
+
+
+def audited_fleet(stream, scheme, placement, exact):
+    ledger = AttributionLedger(FLEET.ids)
+    experiment = FleetOpenSystemExperiment(FLEET)
+    if exact:
+        return experiment.run(stream, scheme, placement, ledger=ledger)
+    return experiment.run_stream(iter(stream), scheme, placement,
+                                 ledger=ledger)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "streaming"])
+@pytest.mark.parametrize("scheme", BUILTIN_SCHEMES)
+@given(case=relabelled_streams())
+@settings(max_examples=6, deadline=None)
+def test_tenant_relabelling_permutes_single_device_metrics(scheme, exact,
+                                                           case):
+    stream, relabelled, labels = case
+    original = audited_single(stream, scheme, exact)
+    renamed = audited_single(relabelled, scheme, exact)
+    context = (scheme, exact, sorted(labels.items()))
+    assert_result_relabelled(original, renamed, labels, context)
+    assert_ledger_relabelled(original, renamed, labels, context)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "streaming"])
+@pytest.mark.parametrize("placement", ["round-robin", "least-loaded"])
+@given(case=relabelled_streams(), scheme=st.sampled_from(BUILTIN_SCHEMES))
+@settings(max_examples=6, deadline=None)
+def test_tenant_relabelling_permutes_fleet_metrics(placement, exact, case,
+                                                   scheme):
+    stream, relabelled, labels = case
+    original = audited_fleet(stream, scheme, placement, exact)
+    renamed = audited_fleet(relabelled, scheme, placement, exact)
+    context = (scheme, placement, exact, sorted(labels.items()))
+    assert_result_relabelled(original.overall, renamed.overall, labels,
+                             context)
+    assert renamed.per_device.keys() == original.per_device.keys()
+    for device_id, result in original.per_device.items():
+        assert_result_relabelled(result, renamed.per_device[device_id],
+                                 labels, (device_id,) + context)
+    assert renamed.device_share == original.device_share, context
+    assert_ledger_relabelled(original, renamed, labels, context)

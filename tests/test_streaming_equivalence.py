@@ -155,7 +155,7 @@ def test_streaming_fleet_run_matches_exact_metrics():
 
 def test_streaming_rejects_offline_placement_mode():
     from repro.errors import SimulationError
-    with pytest.raises(SimulationError, match="closed loop"):
+    with pytest.raises(SimulationError, match="'offline' was retired"):
         ExperimentSpec(
             scenario="steady", schemes=("accelos",), count=6,
             devices=({"id": "a", "base": "nvidia-k20m"},
