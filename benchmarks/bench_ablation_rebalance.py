@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import DEVICES
-from repro.harness import format_table
-from repro.harness.experiment import _accelos_specs, isolated_time
-from repro.accelos.adaptive import SchedulingPolicy
+from repro.api import scheme_from_name
+from repro.harness import format_table, isolated_time
 from repro.sim import GPUSimulator
 from repro.workloads import random_workloads
 
 
 def run_batch(names, device, rebalance):
-    specs = _accelos_specs(list(names), device, SchedulingPolicy.ADAPTIVE)
+    specs = scheme_from_name("accelos").batch_specs(list(names), device)
     sim = GPUSimulator(device, rebalance=rebalance)
     return sim.run(specs)
 

@@ -44,33 +44,18 @@ if __package__ in (None, ""):  # CLI invocation: make src/ importable
 if str(REPO_ROOT) not in sys.path:  # the tests.oracles package
     sys.path.insert(0, str(REPO_ROOT))
 
-from repro.cl import derated_device, nvidia_k20m
+from repro.cl import nvidia_k20m
 from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
                            format_table)
-from repro.sim import DeviceFleet
-from repro.workloads import calibrated_model
 
+from legs import (BURST_FACTOR, LOAD, PLACEMENT, SCENARIO, SCHEME, SEED,
+                  SMALL_KERNELS, WARMUP_COUNT, arrival_iter, build_fleet)
 from tests.oracles import reference_engine
 
 FULL_COUNT = 100_000
 SMOKE_COUNT = 20_000
 FULL_FLEET_COUNT = 100_000
 SMOKE_FLEET_COUNT = 10_000
-SEED = 2016
-LOAD = 0.8
-BURST_FACTOR = 1.4  # push the calibrated rate past saturation
-SCENARIO = "multi-tenant"
-SCHEME = "accelos"
-PLACEMENT = "least-loaded"
-
-# the §8.5 small-kernel regime: requests small enough that the device
-# keeps a deep concurrent population — the regime where per-event
-# engine cost dominates and the reference scans degrade
-SMALL_KERNELS = (
-    "mri-gridding_scan_inter1", "mri-q_ComputePhiMag",
-    "sad_larger_calc_16", "histo_final", "mri-gridding_scan_L1",
-    "sad_larger_calc_8", "mri-gridding_uniformAdd", "histo_prescan",
-)
 
 # speedup floors (events/sec fast over events/sec reference).  The
 # full-scale floor is the PR's acceptance bar; the smoke floor is
@@ -82,22 +67,6 @@ SMOKE_SPEEDUP_FLOOR = 1.8
 # (timing on shared single-core runners is too noisy to gate on)
 MIN_CPUS_TO_ENFORCE = 2
 
-
-def build_fleet():
-    return DeviceFleet([
-        ("fast", nvidia_k20m()),
-        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.5)),
-    ])
-
-
-def arrival_iter(count, seed=SEED):
-    """The lazy bursty multi-tenant stream (fresh single-use iterator)."""
-    model, rate = calibrated_model(SCENARIO, load=LOAD,
-                                   names=list(SMALL_KERNELS))
-    return model.iter_arrivals(rate * BURST_FACTOR, count, seed=seed)
-
-
-WARMUP_COUNT = 2_000
 _WARMED = False
 
 

@@ -49,29 +49,15 @@ if __package__ in (None, ""):  # CLI invocation: make src/ importable
 import pytest
 
 from repro.api import ExperimentSpec, run
-from repro.cl import derated_device, nvidia_k20m
 from repro.harness import FleetOpenSystemExperiment, format_table
 from repro.metrics import P2_RANK_TOLERANCE, P2_RELATIVE_SLACK
-from repro.sim import DeviceFleet
-from repro.workloads import calibrated_model
+
+from legs import (BURST_FACTOR, LOAD, PLACEMENT, SCENARIO, SCHEME, SEED,
+                  SMALL_KERNELS, WARMUP_COUNT, arrival_iter, build_fleet)
 
 SCALE_COUNT = 1_000_000
 SMOKE_COUNT = 100_000
 SMOKE_BASELINE_COUNT = 10_000
-SEED = 2016
-LOAD = 0.8
-BURST_FACTOR = 1.4  # push the calibrated rate past fleet saturation
-SCENARIO = "multi-tenant"
-SCHEME = "accelos"
-PLACEMENT = "least-loaded"
-
-# the §8.5 small-kernel regime: requests small enough that the fleet
-# keeps a deep concurrent population (and 10^6 of them stay tractable)
-SMALL_KERNELS = (
-    "mri-gridding_scan_inter1", "mri-q_ComputePhiMag",
-    "sad_larger_calc_16", "histo_final", "mri-gridding_scan_L1",
-    "sad_larger_calc_8", "mri-gridding_uniformAdd", "histo_prescan",
-)
 
 # peak tracemalloc budget for the streaming run: generous headroom over
 # the observed in-flight working set (single-digit MB at any n), tight
@@ -101,22 +87,6 @@ FIDELITY_SPEC = dict(
 )
 
 
-def build_fleet():
-    base = nvidia_k20m()
-    return DeviceFleet([
-        ("fast", base),
-        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.5)),
-    ])
-
-
-def arrival_iter(count, seed=SEED):
-    """The lazy bursty multi-tenant stream (fresh single-use iterator)."""
-    model, rate = calibrated_model(SCENARIO, load=LOAD,
-                                   names=list(SMALL_KERNELS))
-    return model.iter_arrivals(rate * BURST_FACTOR, count, seed=seed)
-
-
-WARMUP_COUNT = 2_000
 _WARMED = False
 
 

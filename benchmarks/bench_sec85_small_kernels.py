@@ -6,7 +6,7 @@ import pytest
 from benchmarks.conftest import DEVICES
 from repro.accelos.adaptive import effective_chunk
 from repro.harness import format_table
-from repro.harness.experiment import chunk_for_profile
+from repro.api.kernels import chunk_for_profile
 from repro.sim import ExecutionMode, GPUSimulator
 from repro.workloads import profile_by_name
 

@@ -12,20 +12,18 @@ paper used 16384 and 32768 — set the scale accordingly on a big machine).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.cl import amd_r9_295x2, nvidia_k20m
 from repro.harness import run_sweep, summarize
+from repro.harness.sweep import sweep_scale
 from repro.workloads import pairwise_workloads, random_workloads
 
 BENCH_REPETITIONS = 2
 
 
 def bench_sample_count():
-    scale = max(1, int(os.environ.get("REPRO_SWEEP_SCALE", "1")))
-    return 96 * scale
+    return 96 * sweep_scale()
 
 
 DEVICES = {

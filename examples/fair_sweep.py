@@ -2,7 +2,7 @@
 
 A reduced version of the paper's §8 campaign (figs. 9, 12, 13): random 2-,
 4- and 8-kernel workloads on both simulated platforms, under all three
-schemes.  Takes about a minute; scale up with REPRO_SWEEP_SCALE.
+schemes.  Takes about a minute; raise SAMPLES to grow it.
 
 Run:  python examples/fair_sweep.py
 """

@@ -22,7 +22,7 @@ from repro.accelos.runtime import AccelOSRuntime
 from repro.accelos.fleet import FleetRuntime
 from repro.accelos.placement import (
     AffinityPlacement, LeastLoadedPlacement, PlacementPolicy,
-    RoundRobinPlacement, default_policies)
+    RoundRobinPlacement)
 
 __all__ = [
     "chunk_size_for", "SchedulingPolicy",
@@ -30,5 +30,5 @@ __all__ = [
     "AccelOSTransform", "TransformedKernel",
     "VirtualNDRange", "AccelOSRuntime", "FleetRuntime",
     "PlacementPolicy", "RoundRobinPlacement",
-    "LeastLoadedPlacement", "AffinityPlacement", "default_policies",
+    "LeastLoadedPlacement", "AffinityPlacement",
 ]

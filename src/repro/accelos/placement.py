@@ -448,13 +448,3 @@ class WorkStealingRebalance(OnlinePlacementPolicy):
                                            thief.index, self.penalty),)
         return ()
 
-
-def default_policies():
-    """Compatibility alias for :func:`repro.api.placements.default_policies`.
-
-    The registry above this module is the single source of policy-name
-    truth; prefer importing from :mod:`repro.api.placements`.  Imported
-    lazily — this layer must not depend on the api layer at import time.
-    """
-    from repro.api.placements import default_policies as registry_policies
-    return registry_policies()

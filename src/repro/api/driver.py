@@ -44,8 +44,7 @@ in, and the harness can import the registries at module top.
 from __future__ import annotations
 
 from repro.api.cache import ResultCache, cell_key
-from repro.api.kernels import (arrival_rate_for_load,
-                               fleet_arrival_rate_for_load, warm_caches)
+from repro.api.kernels import mix_arrival_rate, warm_caches
 from repro.api.devices import build_device
 from repro.api.placements import placement_from_name
 from repro.api.results import ResultSet
@@ -102,14 +101,8 @@ def _stream_model(spec, load, device=None, fleet=None,
                 len(spec.devices),
                 "fleet=" if spec.is_fleet else "device="))
     model = scenario_from_name(spec.scenario)
-    mix = model.mix_weights()
-    if fleet is not None:
-        rate = fleet_arrival_rate_for_load(load, fleet, names=list(mix),
-                                           weights=list(mix.values()))
-    else:
-        rate = arrival_rate_for_load(load, device, names=list(mix),
-                                     weights=list(mix.values()))
-    return spec, model, rate
+    return spec, model, mix_arrival_rate(load, model.mix_weights(),
+                                         device=device, fleet=fleet)
 
 
 def build_stream(spec, load, seed, repetition, device=None, fleet=None):

@@ -1,9 +1,8 @@
 """Kernel-spec and calibration primitives shared by schemes and harness.
 
-These helpers used to live inside :mod:`repro.harness.experiment` and
-:mod:`repro.harness.open_system`; they are the layer *below* both the
-scheme registry and the harness — pure functions (plus caches) from the
-corpus profiles and device models to simulator inputs:
+These helpers are the layer *below* both the scheme registry and the
+harness — pure functions (plus caches) from the corpus profiles and
+device models to simulator inputs:
 
 * :func:`base_spec` / :func:`detailed_spec` — a corpus kernel's
   :class:`~repro.sim.spec.KernelExecSpec` (coarse sweep granularity, or
@@ -17,10 +16,9 @@ corpus profiles and device models to simulator inputs:
   sharing algorithm's inputs and its ``run_open`` callback form;
 * :func:`mean_isolated_service` and the two ``arrival_rate_for_load``
   calibrations built on it (single device and fleet — the fleet variant
-  delegates to the per-device one, it never re-derives the math).
-
-The harness re-exports everything here under its historical names, so
-existing imports keep working.
+  delegates to the per-device one, it never re-derives the math), plus
+  :func:`mix_arrival_rate`, the one step from a scenario's kernel mix to
+  its rate that both the scenario engine and the spec driver take.
 """
 
 from __future__ import annotations
@@ -248,3 +246,14 @@ def fleet_arrival_rate_for_load(load, fleet, names=None, weights=None):
                                     weights=weights)
         for member in fleet)
     return load * capacity
+
+
+def mix_arrival_rate(load, mix, device=None, fleet=None):
+    """The arrival rate offering ``load`` under a scenario's effective
+    kernel mix ``{name: weight}`` (``TrafficScenario.mix_weights()``):
+    to the whole ``fleet`` when one is given, else to ``device``."""
+    names, weights = list(mix), list(mix.values())
+    if fleet is not None:
+        return fleet_arrival_rate_for_load(load, fleet, names=names,
+                                           weights=weights)
+    return arrival_rate_for_load(load, device, names=names, weights=weights)

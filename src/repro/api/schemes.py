@@ -270,12 +270,10 @@ class ElasticOpenSession(SteppedSession):
             [base_spec(entry[3].name) for entry in eligible])[0]
         launched = eligible[:len(head.specs)]
         del self._waiting[:len(launched)]
-        trace = GPUSimulator(self.device).run(
-            self._scheduler.to_sim_specs(head))
-        for entry, interval in zip(launched, trace.intervals):
-            self._results[entry[2]] = (time + interval.start,
-                                       time + interval.finish)
-        self._busy_until = time + trace.makespan
+        intervals, self._busy_until = _replay_launch(
+            self.device, self._scheduler, head, time)
+        for entry, interval in zip(launched, intervals):
+            self._results[entry[2]] = interval
         self._inflight = len(launched)
         self._inflight_keys = [entry[2] for entry in launched]
         return time
@@ -406,10 +404,7 @@ class BaselineScheme(SchedulingScheme):
 
     def run_closed(self, names, device, jitter=None,
                    policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        trace = GPUSimulator(device).run([base_spec(n) for n in names],
-                                         cost_jitter=jitter)
-        return trace.turnarounds, [(iv.start, iv.finish)
-                                   for iv in trace.intervals]
+        return _closed_batch(device, [base_spec(n) for n in names], jitter)
 
     def run_single(self, name, device, policy=SchedulingPolicy.ADAPTIVE):
         iso = GPUSimulator(device).run([detailed_spec(name)]).makespan
@@ -436,14 +431,8 @@ class AccelOSScheme(SchedulingScheme):
         chunk at admission (from the solo allocation); the physical group
         count itself is re-decided by the allocator as the active set
         changes."""
-        base = base_spec(arrival.name)
-        solo = compute_allocations([requirements_from_spec(base)], device,
-                                   saturate=saturate)[0].groups
-        chunk = effective_chunk(
-            chunk_for_profile(profile_by_name(arrival.name), policy),
-            base.total_groups, solo)
-        return base.with_mode(ExecutionMode.ACCELOS, physical_groups=solo,
-                              chunk=chunk).with_arrival(arrival.time)
+        return _solo_accelos_spec(base_spec(arrival.name), device, policy,
+                                  saturate).with_arrival(arrival.time)
 
     def batch_specs(self, names, device, policy=SchedulingPolicy.ADAPTIVE,
                     saturate=True):
@@ -452,15 +441,8 @@ class AccelOSScheme(SchedulingScheme):
         allocations = compute_allocations(
             [requirements_from_spec(s) for s in specs], device,
             saturate=saturate)
-        out = []
-        for name, spec, allocation in zip(names, specs, allocations):
-            chunk = effective_chunk(
-                chunk_for_profile(profile_by_name(name), policy),
-                spec.total_groups, allocation.groups)
-            out.append(spec.with_mode(ExecutionMode.ACCELOS,
-                                      physical_groups=allocation.groups,
-                                      chunk=chunk))
-        return out
+        return [_accelos_spec(spec, allocation.groups, policy)
+                for spec, allocation in zip(specs, allocations)]
 
     # -- execution -----------------------------------------------------------
 
@@ -489,23 +471,13 @@ class AccelOSScheme(SchedulingScheme):
 
     def run_closed(self, names, device, jitter=None,
                    policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        specs = self.batch_specs(names, device, policy=policy,
-                                 saturate=saturate)
-        trace = GPUSimulator(device).run(specs, cost_jitter=jitter)
-        return trace.turnarounds, [(iv.start, iv.finish)
-                                   for iv in trace.intervals]
+        return _closed_batch(device, self.batch_specs(
+            names, device, policy=policy, saturate=saturate), jitter)
 
     def run_single(self, name, device, policy=SchedulingPolicy.ADAPTIVE):
         spec = detailed_spec(name)
         iso = GPUSimulator(device).run([spec]).makespan
-        allocation = compute_allocations([requirements_from_spec(spec)],
-                                         device)[0]
-        chunk = effective_chunk(
-            chunk_for_profile(profile_by_name(name), policy),
-            spec.total_groups, allocation.groups)
-        accel = spec.with_mode(ExecutionMode.ACCELOS,
-                               physical_groups=allocation.groups,
-                               chunk=chunk)
+        accel = _solo_accelos_spec(spec, device, policy)
         return GPUSimulator(device).run([accel]).makespan, iso
 
 
@@ -526,25 +498,53 @@ class ElasticKernelsScheme(SchedulingScheme):
     def run_closed(self, names, device, jitter=None,
                    policy=SchedulingPolicy.ADAPTIVE, saturate=True):
         scheduler = ElasticKernelsScheduler(device)
-        groups = scheduler.pack([base_spec(n) for n in names])
+        turnarounds, intervals = [], []
         offset = 0.0
-        turnarounds = [None] * len(names)
-        intervals = [None] * len(names)
-        cursor = 0
-        for group in groups:
-            specs = scheduler.to_sim_specs(group)
-            group_jitter = jitter[cursor:cursor + len(specs)] \
-                if jitter is not None else None
-            # fresh simulator per merged launch: launches serialise
-            trace = GPUSimulator(device).run(specs,
-                                             cost_jitter=group_jitter)
-            for local_index, iv in enumerate(trace.intervals):
-                index = cursor + local_index
-                turnarounds[index] = offset + iv.finish
-                intervals[index] = (offset + iv.start, offset + iv.finish)
-            offset += trace.makespan
-            cursor += len(specs)
+        for group in scheduler.pack([base_spec(n) for n in names]):
+            cursor = len(intervals)
+            launch, offset = _replay_launch(
+                device, scheduler, group, offset, None if jitter is None
+                else jitter[cursor:cursor + len(group.specs)])
+            intervals += launch
+            turnarounds += [finish for _start, finish in launch]
         return turnarounds, intervals
+
+
+# -- the computations the schemes share ---------------------------------------
+
+def _accelos_spec(spec, groups, policy):
+    """``spec`` as an accelOS kernel on ``groups`` physical groups, with
+    the §6.4 dequeue chunk the Kernel Scheduler derives for them."""
+    chunk = effective_chunk(chunk_for_profile(profile_by_name(spec.name),
+                                              policy),
+                            spec.total_groups, groups)
+    return spec.with_mode(ExecutionMode.ACCELOS, physical_groups=groups,
+                          chunk=chunk)
+
+
+def _solo_accelos_spec(spec, device, policy, saturate=True):
+    """:func:`_accelos_spec` on the §3 allocation ``spec`` gets alone."""
+    solo = compute_allocations([requirements_from_spec(spec)], device,
+                               saturate=saturate)[0].groups
+    return _accelos_spec(spec, solo, policy)
+
+
+def _closed_batch(device, specs, jitter):
+    """Run ``specs`` as one everything-at-t=0 batch: ``run_closed``'s
+    ``(turnarounds, intervals)``."""
+    trace = GPUSimulator(device).run(specs, cost_jitter=jitter)
+    return trace.turnarounds, [(iv.start, iv.finish)
+                               for iv in trace.intervals]
+
+
+def _replay_launch(device, scheduler, group, start, jitter=None):
+    """Simulate one Elastic Kernels merged launch on a fresh simulator
+    (launches serialise) starting at ``start``: the members'
+    ``(start, finish)`` intervals and the launch's end time."""
+    trace = GPUSimulator(device).run(scheduler.to_sim_specs(group),
+                                     cost_jitter=jitter)
+    return ([(start + iv.start, start + iv.finish)
+             for iv in trace.intervals], start + trace.makespan)
 
 
 def _missing_closed_error(scheme):

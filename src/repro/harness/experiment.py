@@ -20,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelos.adaptive import SchedulingPolicy
-from repro.api.kernels import (SINGLE_KERNEL_DETAIL, base_spec,
-                               chunk_for_profile, isolated_time,
-                               transform_chunks)
+from repro.api.kernels import isolated_time
 from repro.api.schemes import (BUILTIN_SCHEMES, require_closed,
                                scheme_from_name)
 from repro.metrics import (antt, individual_slowdowns, stp,
@@ -38,16 +36,6 @@ SCHEMES = BUILTIN_SCHEMES
 
 DEFAULT_REPETITIONS = 3
 JITTER_SIGMA = 0.01
-
-# Historical alias: the helper now lives in repro.api.kernels.
-_base_spec = base_spec
-
-
-def _accelos_specs(names, device, policy, saturate=True):
-    """Closed-batch accelOS specs (kept for ablation benchmarks; the
-    logic lives on the registered scheme object)."""
-    return scheme_from_name("accelos").batch_specs(
-        names, device, policy=policy, saturate=saturate)
 
 
 class WorkloadResult:

@@ -54,16 +54,10 @@ from __future__ import annotations
 from repro.accelos.adaptive import SchedulingPolicy
 from repro.accelos.placement import (OfflinePolicyAdapter,
                                      OnlinePlacementPolicy)
-# re-exported under their historical home: these primitives now live in
-# repro.api.kernels so schemes below the harness can share them
-from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
-                               fleet_arrival_rate_for_load, isolated_table,
-                               IsolatedTable, mean_isolated_service,
-                               requirements_from_spec, sharing_allocator)
+from repro.api.kernels import IsolatedTable, isolated_table
 from repro.api.placements import (check_placement_mode, placement_from_name,
                                   rebalancer_from_name)
-from repro.api.schemes import (RequestRecord,  # noqa: F401
-                               device_loop, loop_records, open_scheme_names,
+from repro.api.schemes import (device_loop, loop_records, open_scheme_names,
                                record_sink, require_session, scheme_from_name)
 from repro.errors import SimulationError
 from repro.metrics import ExactRecordSink, StreamingRecordSink
@@ -412,14 +406,3 @@ class FleetOpenSystemExperiment(_LoopExperiment):
                 self.run(arrivals, s, placement, mode=mode,
                          rebalance=rebalance)
                 for s in schemes}
-
-    def run_policies(self, arrivals, scheme, policies, mode="auto",
-                     rebalance=None):
-        """One scheme under several placement policies:
-        ``{policy_name: FleetOpenSystemResult}``."""
-        results = {}
-        for policy in policies:
-            policy = placement_from_name(policy)
-            results[policy.name] = self.run(arrivals, scheme, policy,
-                                            mode=mode, rebalance=rebalance)
-        return results

@@ -1,8 +1,8 @@
 """Sweep campaigns: many workloads x schemes, aggregated (figs. 9-14).
 
-Sweep sizes default to laptop scale; set ``REPRO_SWEEP_SCALE`` to grow the
-random 4-/8-kernel samples toward the paper's 16384/32768 (scale 1 = 384
-each, scale N multiplies).
+Sweep sizes default to laptop scale; ``REPRO_SWEEP_SCALE`` (read by
+:func:`sweep_scale`) multiplies the figure benchmarks' random 4-/8-kernel
+samples toward the paper's 16384/32768.
 """
 
 from __future__ import annotations
@@ -14,24 +14,12 @@ import numpy as np
 from repro.api.schemes import closed_scheme_names, reference_scheme
 from repro.harness.experiment import DEFAULT_REPETITIONS, run_workload
 from repro.metrics import fairness_improvement, throughput_speedup, worst_antt
-from repro.workloads import pairwise_workloads, random_workloads
 
 
 def sweep_scale():
+    """The ``REPRO_SWEEP_SCALE`` multiplier of the sweep sizes (at least
+    1; default 1)."""
     return max(1, int(os.environ.get("REPRO_SWEEP_SCALE", "1")))
-
-
-def default_workload_sets(pair_limit=None):
-    """The three request-size campaigns of §7.2."""
-    scale = sweep_scale()
-    pairs = pairwise_workloads()
-    if pair_limit is not None:
-        pairs = pairs[:pair_limit]
-    return {
-        2: pairs,
-        4: random_workloads(4, 384 * scale),
-        8: random_workloads(8, 384 * scale),
-    }
 
 
 def run_sweep(workloads, device, schemes=None,
@@ -105,10 +93,6 @@ class SweepSummary:
 
     def negative_fairness_fraction(self, scheme):
         values = self.fairness_improvements[scheme]
-        return sum(1 for v in values if v < 1.0) / len(values)
-
-    def slowdown_fraction(self, scheme):
-        values = self.throughput_speedups[scheme]
         return sum(1 for v in values if v < 1.0) / len(values)
 
 

@@ -230,9 +230,9 @@ class GPUSimulator:
     set on every arrival and completion.
     """
 
-    def __init__(self, device, hardware_scheduler=None, rebalance=False):
+    def __init__(self, device, rebalance=False):
         self.device = device
-        self.hardware_scheduler = hardware_scheduler or scheduler_for(device)
+        self.hardware_scheduler = scheduler_for(device)
         self.rebalance = rebalance
         self._open = False
         self._allocator = None
@@ -573,10 +573,6 @@ class GPUSimulator:
                     and (run.dispatch_ready_time is None
                          or self.events.now + 1e-15 < run.spec.arrival_time))
         return not run.active
-
-    def open_queued(self):
-        """Withdrawable runs in arrival order (the migration candidates)."""
-        return [run for run in self.runs if self.open_withdrawable(run)]
 
     def open_withdraw(self, run):
         """Remove a still-queued request (it migrates to another device).

@@ -61,10 +61,6 @@ class ExecutionTrace:
     def turnarounds(self):
         return [iv.turnaround for iv in self.intervals]
 
-    @property
-    def queueing_delays(self):
-        return [iv.queueing_delay for iv in self.intervals]
-
     def execution_overlap(self):
         """Paper §7.4: ``O = T(c) / T(t)`` (delegates to
         :func:`repro.metrics.overlap.execution_overlap`)."""

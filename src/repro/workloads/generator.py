@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from repro.util import make_rng
-from repro.workloads.parboil import PROFILE_NAMES, profile_by_name
+from repro.workloads.parboil import PROFILE_NAMES
 
 
 def pairwise_workloads():
@@ -43,8 +43,3 @@ def alphabetic_pairs():
     pairs = [(names[i], names[i + 1]) for i in range(0, len(names) - 1, 2)]
     pairs.append((names[-1], names[0]))
     return pairs
-
-
-def profiles_for(workload):
-    """Resolve a tuple of kernel names to their profiles."""
-    return [profile_by_name(name) for name in workload]

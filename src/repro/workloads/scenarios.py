@@ -594,12 +594,10 @@ def calibrated_model(name, load=1.0, device=None, names=None):
     if device is None:
         from repro.cl import nvidia_k20m
         device = nvidia_k20m()
-    # lazy import: harness depends on workloads, not the other way around
-    from repro.harness.open_system import arrival_rate_for_load
-    mix = model.mix_weights()
-    rate = arrival_rate_for_load(load, device, names=list(mix),
-                                 weights=list(mix.values()))
-    return model, rate
+    # lazy import: the api layer depends on workloads, not the other way
+    # around
+    from repro.api.kernels import mix_arrival_rate
+    return model, mix_arrival_rate(load, model.mix_weights(), device=device)
 
 
 def from_name(name, seed=0, load=1.0, count=64, device=None, names=None):

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api import scheme_from_name
+from repro.api.schemes import loop_records
 from repro.baselines.elastic_kernels import (MAX_MERGE,
                                              ElasticKernelsScheduler,
                                              elastic_merge_kernels)
-from repro.cl import nvidia_k20m
+from repro.cl import amd_r9_295x2, nvidia_k20m
 from repro.interp import KernelLauncher
 from repro.interp.memory import alloc_buffer
 from repro.ir import compile_source, verify_module
 from repro.kernelc import types as T
 from repro.sim import ExecutionMode, KernelExecSpec
+from repro.workloads import PROFILE_NAMES, ArrivalRequest
 
 
 def spec(name, n=512, wg=256, regs=16, lmem=0):
@@ -143,3 +147,20 @@ def test_elastic_merge_shares_one_binary():
     names = set(merged.functions)
     assert any(n.startswith("ek_a_") for n in names)
     assert any(n.startswith("ek_b_") for n in names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(st.sampled_from(PROFILE_NAMES), min_size=1,
+                      max_size=10),
+       make_device=st.sampled_from([nvidia_k20m, amd_r9_295x2]))
+def test_closed_batch_is_the_open_session_at_time_zero(names, make_device):
+    """Both callers of EK's one launch replay agree: a closed batch (no
+    jitter) and the open session fed the same names all arriving at t=0
+    pack the same launches and time them bit for bit."""
+    device = make_device()
+    scheme = scheme_from_name("ek")
+    turnarounds, intervals = scheme.run_closed(names, device)
+    records = loop_records(scheme, [ArrivalRequest(n, 0.0) for n in names],
+                           device)
+    assert [(r.start, r.finish) for r in records] == intervals
+    assert [r.turnaround for r in records] == turnarounds

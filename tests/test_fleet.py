@@ -5,7 +5,8 @@ import pytest
 
 from repro.accelos import FleetRuntime
 from repro.accelos.placement import (AffinityPlacement, LeastLoadedPlacement,
-                                     RoundRobinPlacement, default_policies)
+                                     RoundRobinPlacement)
+from repro.api import default_policies
 from repro.cl import NDRange, derated_device, nvidia_k20m
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,

@@ -9,7 +9,7 @@ from repro.api.kernels import isolated_table
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.harness import (format_table, isolated_time, run_single_kernel,
                            run_workload, run_sweep, summarize)
-from repro.harness.experiment import chunk_for_profile, transform_chunks
+from repro.api.kernels import chunk_for_profile, transform_chunks
 from repro.workloads import profile_by_name
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from repro.cl import nvidia_k20m
 from repro.errors import SimulationError
-from repro.harness.open_system import (OpenSystemExperiment,
-                                       arrival_rate_for_load,
-                                       sharing_allocator)
+from repro.api.kernels import arrival_rate_for_load, sharing_allocator
+from repro.harness.open_system import OpenSystemExperiment
 from repro.sim import ExecutionMode, GPUSimulator, KernelExecSpec
 from repro.sim.gpu import KERNEL_HANDOFF_LATENCY
 from repro.sim.resources import max_resident_groups

@@ -22,14 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accelos.sharing import KernelRequirements, compute_allocations
+from repro.api.kernels import sharing_allocator
 from repro.api.schemes import BUILTIN_SCHEMES, scheme_from_name
 from repro.attribution import AttributionLedger
 from repro.attribution.provenance import tenant_label
 from repro.cl import derated_device, nvidia_k20m
 from repro.harness.experiment import isolated_time
 from repro.harness.open_system import (FleetOpenSystemExperiment,
-                                       OpenSystemExperiment,
-                                       sharing_allocator)
+                                       OpenSystemExperiment)
 from repro.sim import DeviceFleet, GPUSimulator
 from repro.sim.gpu import KERNEL_HANDOFF_LATENCY
 from repro.workloads import SCENARIOS, ArrivalRequest, from_name, scenario
@@ -343,7 +343,7 @@ def test_composite_mix_weights_reach_children():
 def test_fleet_arrival_rate_for_load_weighted_mix():
     """The fleet load helper honours mix weights like its single-device
     counterpart: an all-on-one-kernel mix matches the solo-name rate."""
-    from repro.harness.open_system import fleet_arrival_rate_for_load
+    from repro.api.kernels import fleet_arrival_rate_for_load
     from repro.sim import DeviceFleet
 
     fleet = DeviceFleet([("a", nvidia_k20m()), ("b", nvidia_k20m())])
@@ -360,7 +360,7 @@ def test_arrival_rate_for_load_weighted_mix():
     """The shared load->rate helper honours mix weights: a mix
     concentrated on a longer kernel needs a lower rate for the same
     offered load."""
-    from repro.harness.open_system import arrival_rate_for_load
+    from repro.api.kernels import arrival_rate_for_load
 
     names = ("bfs", "lbm")
     uniform = arrival_rate_for_load(1.0, DEVICE, names=names)
@@ -393,9 +393,9 @@ def test_isolated_time_cache_consistency():
     cached value must match a fresh simulation (guards cache poisoning)."""
     fresh = GPUSimulator(DEVICE)
     name = scenario("steady").names[0]
-    from repro.harness.experiment import _base_spec
+    from repro.api.kernels import base_spec
     assert isolated_time(name, DEVICE) \
-        == fresh.run([_base_spec(name)]).makespan
+        == fresh.run([base_spec(name)]).makespan
 
 
 # -- tenant relabelling (metamorphic) ------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 
 from repro.accelos.placement import LeastLoadedPlacement
 from repro.cl import nvidia_k20m
+from repro.api.schemes import RequestRecord
 from repro.harness.open_system import (FleetOpenSystemExperiment,
-                                       OpenSystemExperiment, RequestRecord)
+                                       OpenSystemExperiment)
 from repro.metrics import (per_tenant_tails, percentile, request_tails,
                            tail_summary)
 from repro.sim import DeviceFleet

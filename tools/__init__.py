@@ -1,6 +1,6 @@
 """Repository tooling: documentation checks and the static-analysis suite.
 
 ``python -m tools.analysis`` is the unified entry point (CI ``analysis``
-job); ``tools/check_docs.py`` remains as a thin compatibility shim over
-the ``docs`` checkers.
+job); ``python -m tools.analysis --select W`` runs only the ``docs``
+checkers.
 """

@@ -1,7 +1,7 @@
-"""Documentation checkers (the former ``tools/check_docs.py``).
+"""Documentation checkers (``python -m tools.analysis --select W``).
 
-Two classes of rot, now reported as structured findings through the
-unified entry point (``tools/check_docs.py`` remains as a shim):
+Two classes of rot, reported as structured findings through the
+unified entry point:
 
 =======  ====================================================================
 code     rot

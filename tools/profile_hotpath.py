@@ -2,9 +2,10 @@
 
 The optimisation loop behind ``docs/PERFORMANCE.md`` is: run this
 harness, read the ranked hot-function table, make the change, re-run
-the A/B bench against the reference oracle.  It drives the same bursty
-multi-tenant stream as ``benchmarks/bench_engine.py`` through
-cProfile and prints the top functions by own-time (``tottime``) —
+the A/B bench against the reference oracle.  It drives the small-kernel
+leg of ``benchmarks/legs.py`` — the bursty multi-tenant stream
+``benchmarks/bench_engine.py`` and ``benchmarks/bench_scale.py`` run —
+through cProfile and prints the top functions by own-time (``tottime``) —
 the number that tells you where the interpreter actually spends its
 per-event budget, as opposed to cumulative time, which every caller
 up the stack inherits.
@@ -45,44 +46,24 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from legs import (PLACEMENT, SCHEME, WARMUP_COUNT,  # noqa: E402
+                  arrival_iter, build_fleet)
 
 DEFAULT_COUNT = 10_000
-WARMUP_COUNT = 2_000
-SEED = 2016
-LOAD = 0.8
-BURST_FACTOR = 1.4
-SCENARIO = "multi-tenant"
 SCHEMES = ("baseline", "ek", "accelos")
-DEFAULT_SCHEME = "accelos"
-PLACEMENT = "least-loaded"
-SMALL_KERNELS = (
-    "mri-gridding_scan_inter1", "mri-q_ComputePhiMag",
-    "sad_larger_calc_16", "histo_final", "mri-gridding_scan_L1",
-    "sad_larger_calc_8", "mri-gridding_uniformAdd", "histo_prescan",
-)
 
 
-def arrival_iter(count, seed=SEED):
-    from repro.workloads import calibrated_model
-    model, rate = calibrated_model(SCENARIO, load=LOAD,
-                                   names=list(SMALL_KERNELS))
-    return model.iter_arrivals(rate * BURST_FACTOR, count, seed=seed)
-
-
-def build_runner(fleet, scheme=DEFAULT_SCHEME):
+def build_runner(fleet, scheme=SCHEME):
     """``(make, run)`` thunk pair for the chosen leg and scheme."""
     if fleet:
-        from repro.cl import derated_device, nvidia_k20m
         from repro.harness import FleetOpenSystemExperiment
-        from repro.sim import DeviceFleet
 
         def make():
-            return FleetOpenSystemExperiment(DeviceFleet([
-                ("fast", nvidia_k20m()),
-                ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.5)),
-            ]))
+            return FleetOpenSystemExperiment(build_fleet())
 
         def run(experiment, count):
             return experiment.run_stream(arrival_iter(count), scheme,
@@ -99,7 +80,7 @@ def build_runner(fleet, scheme=DEFAULT_SCHEME):
     return make, run
 
 
-def profile_stream(count, fleet=False, scheme=DEFAULT_SCHEME, sort="tottime",
+def profile_stream(count, fleet=False, scheme=SCHEME, sort="tottime",
                    top=25, output=None):
     """Profile one streaming run; returns the report text."""
     make, run = build_runner(fleet, scheme)
@@ -154,7 +135,7 @@ def main(argv=None):
                           "JSON instead of a built-in leg")
     parser.add_argument("--scheme", choices=SCHEMES,
                         help="scheme of the built-in legs (default "
-                             "{})".format(DEFAULT_SCHEME))
+                             "{})".format(SCHEME))
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"],
                         help="pstats sort column (default tottime)")
@@ -172,8 +153,7 @@ def main(argv=None):
                            output=args.output))
     else:
         print(profile_stream(args.count, fleet=args.fleet,
-                             scheme=args.scheme or DEFAULT_SCHEME,
-                             sort=args.sort,
+                             scheme=args.scheme or SCHEME, sort=args.sort,
                              top=args.top, output=args.output))
     return 0
 
