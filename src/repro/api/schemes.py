@@ -191,7 +191,11 @@ class SteppedSession:
     ``submit`` and ``harvest``, plus ``queued``, ``withdraw``,
     ``backlog_seconds`` and ``active_count`` for online placement
     policies and re-balancers, which read live state.
+    ``events_processed`` counts the session's engine events; a session
+    that runs no simulator keeps the default, 0.
     """
+
+    events_processed = 0
 
     def advance(self, limit=None, inclusive=False, stop_on_finish=False):
         time = None
@@ -237,6 +241,8 @@ class ElasticOpenSession(SteppedSession):
         self._inflight_keys = []
         self._harvestable = []
         self._results = {}
+        # engine events of every merged launch simulated so far
+        self.events_processed = 0
 
     def submit(self, key, arrival, effective_time):
         entry = (effective_time, self._seq, key, arrival)
@@ -270,8 +276,9 @@ class ElasticOpenSession(SteppedSession):
             [base_spec(entry[3].name) for entry in eligible])[0]
         launched = eligible[:len(head.specs)]
         del self._waiting[:len(launched)]
-        intervals, self._busy_until = _replay_launch(
+        intervals, self._busy_until, events = _replay_launch(
             self.device, self._scheduler, head, time)
+        self.events_processed += events
         for entry, interval in zip(launched, intervals):
             self._results[entry[2]] = interval
         self._inflight = len(launched)
@@ -502,7 +509,7 @@ class ElasticKernelsScheme(SchedulingScheme):
         offset = 0.0
         for group in scheduler.pack([base_spec(n) for n in names]):
             cursor = len(intervals)
-            launch, offset = _replay_launch(
+            launch, offset, _events = _replay_launch(
                 device, scheduler, group, offset, None if jitter is None
                 else jitter[cursor:cursor + len(group.specs)])
             intervals += launch
@@ -540,11 +547,13 @@ def _closed_batch(device, specs, jitter):
 def _replay_launch(device, scheduler, group, start, jitter=None):
     """Simulate one Elastic Kernels merged launch on a fresh simulator
     (launches serialise) starting at ``start``: the members'
-    ``(start, finish)`` intervals and the launch's end time."""
-    trace = GPUSimulator(device).run(scheduler.to_sim_specs(group),
-                                     cost_jitter=jitter)
+    ``(start, finish)`` intervals, the launch's end time and the
+    simulator's engine event count."""
+    simulator = GPUSimulator(device)
+    trace = simulator.run(scheduler.to_sim_specs(group), cost_jitter=jitter)
     return ([(start + iv.start, start + iv.finish)
-             for iv in trace.intervals], start + trace.makespan)
+             for iv in trace.intervals], start + trace.makespan,
+            simulator.events_processed)
 
 
 def _missing_closed_error(scheme):

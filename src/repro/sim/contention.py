@@ -58,8 +58,10 @@ class BandwidthTracker:
         share are throttled; a compute-bound WG co-resident with memory hogs
         keeps making progress (its small demand is served).  Uniform
         memory-bound mixes degenerate to the classic ``D / BW`` stretch.
-        ``GPUSimulator.open_advance`` inlines this for accelOS chunk
-        draws; keep the two in step.
+        ``GPUSimulator.open_advance`` inlines this for accelOS and
+        Elastic Kernels chunk draws, and ``GPUSimulator._start_hw_wgs``
+        and ``_try_place_slot`` for a work group about to start; keep
+        the copies in step.
         """
         if total <= self.capacity or resident == 0:
             return 1.0

@@ -16,8 +16,8 @@ ARRIVAL_TIER = 0
 # Tier of every other event.
 EVENT_TIER = 1
 
-# EventQueue.push's rejections, shared with the inlined push of the
-# accelOS chunk loop (GPUSimulator.open_advance).
+# EventQueue.push's rejections, shared with the engine's inlined pushes
+# (GPUSimulator.open_advance, _start_hw_wgs and _try_place_slot).
 NAN_TIME_ERROR = "event scheduled at NaN time"
 PAST_TIME_ERROR = "event scheduled in the past ({} < {})"
 

@@ -345,10 +345,8 @@ class FleetSimulator:
         return self._isolated[index][name]
 
     def events_processed(self):
-        """Total simulator events across device sessions (sessions without
-        a counter — e.g. Elastic Kernels replay — contribute zero)."""
-        return sum(getattr(session, "events_processed", 0)
-                   for session in self.sessions)
+        """Total simulator events across device sessions."""
+        return sum(session.events_processed for session in self.sessions)
 
     # -- the loop ----------------------------------------------------------
 

@@ -57,6 +57,14 @@ is one :class:`_Slot` record, created when it is placed and dropped when
 it retires.  In between it is the payload of its one pending chunk
 event, and it carries its CU, its occupancy factor, its bandwidth demand
 and the size of the chunk in flight.
+
+**Event loop:** :meth:`GPUSimulator.open_advance` runs every mode.  It
+processes each mode's common event inline: an accelOS slot's completion
+that draws its next chunk, an Elastic Kernels slot's completion that
+draws its next statically assigned group, and a firmware work group's
+completion that needs no full dispatch pass.  Every other event goes to
+:meth:`GPUSimulator.open_step`, and the event sequence is the one
+``open_step`` alone produces.
 """
 
 from __future__ import annotations
@@ -238,11 +246,12 @@ class GPUSimulator:
         self._allocator = None
         # Per-event observer: ``event_observer(time, payload)`` is called
         # once for every event, before it is processed, by open_step and
-        # by open_advance's inline chunk draw alike; attaching one does
-        # not change which path handles an event.  A chunk event's
-        # payload is its slot record (``_Slot``: ``payload.run`` is the
-        # request); open_step has already popped the event, while the
-        # inline draw still holds it at the heap's root.
+        # by open_advance's inline arms alike; attaching one does not
+        # change which path handles an event.  A chunk event's payload
+        # is its slot record (``_Slot``: ``payload.run`` is the request),
+        # a firmware completion's ``(run, cu, wg, rate)``; open_step has
+        # already popped the event, while the inline arms still hold it
+        # at the heap's root.
         self.event_observer = None
 
     # -- public -----------------------------------------------------------
@@ -436,34 +445,48 @@ class GPUSimulator:
         that finishes a request (a fleet's re-balance point).  Returns
         the time of the last event processed, or None if there was none.
 
-        This is the accelOS chunk loop.  Nearly every event of an accelOS
-        run is a chunk completion whose slot just draws its next chunk,
-        so the loop does that inline: count, draw, and replace the heap's
-        root with the slot's next event (one ``heapreplace`` sift, which
-        pops in the same order as a pop then a push because every key
-        ``(time, tier, seq)`` is unique), with :meth:`EventQueue.push`'s
-        checks.  A completion whose slot retires (queue drained, or a
-        shrink pending) is popped and goes to :meth:`_retire_slot`, and
-        every other event to :meth:`open_step`; the event sequence is
-        the one :meth:`open_step` alone produces.
+        This is the event loop of all three execution modes.  Nearly
+        every event is a work group (or chunk) completion whose handling
+        is short, so the loop does the common ones inline, with
+        :meth:`EventQueue.push`'s checks, the observer call and the
+        event count:
+
+        * a software slot's completion draws its next chunk (accelOS:
+          from the shared virtual-group queue; Elastic Kernels: its next
+          statically assigned group), and the slot's next event replaces
+          the heap's root (one ``heapreplace`` sift, which pops in the
+          same order as a pop then a push because every key ``(time,
+          tier, seq)`` is unique).  A slot that retires instead (queue
+          drained, or an accelOS shrink pending) is popped and goes to
+          :meth:`_retire_slot`;
+        * a firmware work group's completion that finishes no request
+          releases its CU, and then needs no dispatch pass when the run
+          owning the dispatch window can only start groups on that CU
+          without draining (they start here), when no run has pending
+          groups, or when the first pending run waits for its arrival
+          or its handoff window.
+
+        Every other event goes to :meth:`open_step`; the event sequence
+        is the one :meth:`open_step` alone produces.
         """
         events = self.events
         heap = events._heap
         counter = events._counter
         step = self.open_step
-        fused = self._software_mode == ExecutionMode.ACCELOS
+        accelos = self._software_mode == ExecutionMode.ACCELOS
         bandwidth = self.bandwidth
         capacity = bandwidth.capacity
         observer = self.event_observer
         finished = self.finished_requests
         time = None
         while heap:
-            # a chunk event's payload is its slot record
+            # a software chunk event's payload is its slot record (a
+            # firmware completion's is a tuple)
             next_time, _, _, slot = heap[0]
             if limit is not None and (next_time > limit if inclusive
                                       else next_time >= limit):
                 break
-            if fused and slot.__class__ is _Slot:
+            if slot.__class__ is _Slot:
                 time = next_time
                 now = events.now
                 if next_time > now:
@@ -473,47 +496,135 @@ class GPUSimulator:
                     observer(next_time, slot)
                 run = slot.run
                 run.completed += slot.done
-                base = run.next_vgroup
-                if base < run.total and run.shrink_slots == 0:
-                    # The accelOS arm of _draw_chunk, inlined with the
-                    # bandwidth stretch (BandwidthTracker._stretch) and
-                    # EventQueue.push; keep the copies (here and in
-                    # _try_place_slot) in step.  A slot that draws
-                    # finishes no request.
-                    chunk = run.chunk_size
-                    end = base + chunk
-                    if end > run.total:
-                        end = run.total
-                    run.next_vgroup = end
-                    slot.done = end - base
-                    demand = bandwidth.demand
-                    if demand <= capacity:
-                        stretch = 1.0
-                    else:
-                        resident = bandwidth.resident
-                        if resident == 0 or slot.rate <= capacity / resident:
+                if accelos:
+                    base = run.next_vgroup
+                    if base < run.total and run.shrink_slots == 0:
+                        # The accelOS arm of _draw_chunk, inlined with
+                        # the bandwidth stretch (BandwidthTracker._stretch)
+                        # and EventQueue.push; keep the copies (here, in
+                        # the Elastic Kernels arm below and in
+                        # _try_place_slot) in step.  A slot that draws
+                        # finishes no request.
+                        chunk = run.chunk_size
+                        end = base + chunk
+                        if end > run.total:
+                            end = run.total
+                        run.next_vgroup = end
+                        slot.done = end - base
+                        demand = bandwidth.demand
+                        if demand <= capacity:
                             stretch = 1.0
                         else:
-                            stretch = demand / capacity
-                    at = now + (run.chunk_work[base // chunk] * slot.occ
-                                * stretch + run.overhead)
-                    if not at >= now - 1e-12:   # NaN or in the past
-                        raise SimulationError(
-                            NAN_TIME_ERROR if isnan(at)
-                            else PAST_TIME_ERROR.format(at, now))
-                    heapreplace(heap, (at, EVENT_TIER, next(counter), slot))
-                    continue
-                # the slot retires: its queue drained, or a shrink is
-                # pending (the accelOS retire arms of _draw_chunk)
-                heappop(heap)
-                if base < run.total:
-                    run.shrink_slots -= 1
+                            resident = bandwidth.resident
+                            if (resident == 0
+                                    or slot.rate <= capacity / resident):
+                                stretch = 1.0
+                            else:
+                                stretch = demand / capacity
+                        at = now + (run.chunk_work[base // chunk] * slot.occ
+                                    * stretch + run.overhead)
+                        if not at >= now - 1e-12:   # NaN or in the past
+                            raise SimulationError(
+                                NAN_TIME_ERROR if isnan(at)
+                                else PAST_TIME_ERROR.format(at, now))
+                        heapreplace(heap,
+                                    (at, EVENT_TIER, next(counter), slot))
+                        continue
+                    # the slot retires: its queue drained, or a shrink is
+                    # pending (the accelOS retire arms of _draw_chunk)
+                    heappop(heap)
+                    if base < run.total:
+                        run.shrink_slots -= 1
+                else:
+                    queue = run.slot_assignments[slot.index]
+                    if queue:
+                        # The Elastic Kernels arm of _draw_chunk (no
+                        # dequeue overhead), inlined likewise.
+                        work = float(run.costs[queue.popleft()])
+                        slot.done = 1
+                        demand = bandwidth.demand
+                        if demand <= capacity:
+                            stretch = 1.0
+                        else:
+                            resident = bandwidth.resident
+                            if (resident == 0
+                                    or slot.rate <= capacity / resident):
+                                stretch = 1.0
+                            else:
+                                stretch = demand / capacity
+                        at = now + work * slot.occ * stretch
+                        if not at >= now - 1e-12:   # NaN or in the past
+                            raise SimulationError(
+                                NAN_TIME_ERROR if isnan(at)
+                                else PAST_TIME_ERROR.format(at, now))
+                        heapreplace(heap,
+                                    (at, EVENT_TIER, next(counter), slot))
+                        continue
+                    # the slot's static assignment is drained
+                    heappop(heap)
                 self._retire_slot(slot)
+            # a tuple payload outside accelOS runs is a firmware
+            # completion (an Elastic Kernels run, a closed batch, has no
+            # arrival events)
+            elif (not accelos and slot.__class__ is tuple
+                  and self._hw_inline(slot, next_time)):
+                time = next_time
+                continue
             else:
                 time = step()
             if stop_on_finish and self.finished_requests != finished:
                 break
         return time
+
+    def _hw_inline(self, payload, time):
+        """Process the firmware completion at the heap's root inline, if
+        it needs no dispatch pass (see :meth:`open_advance`); False,
+        having changed nothing, when it goes to :meth:`open_step`.
+
+        :meth:`_process_hw_event` for a completion that finishes no
+        request, with :meth:`_hw_dispatch` cut to what its pass would
+        do: start the owner's groups on the freed CU only (through
+        :meth:`_start_hw_wgs`), or nothing; keep the copies in step.
+        The dispatch cursors stay where they are: both are monotone, so
+        the next pass advances them to the same runs.
+        """
+        run, cu, _, rate = payload
+        if run.completed + 1 >= run.total:
+            return False                # finishes a request
+        events = self.events
+        now = events.now
+        if time > now:
+            now = time
+        runs = self.runs
+        head = self._hw_head
+        owner = self._hw_partial
+        if owner is not None:
+            # the pass would reach the dispatch window's owner first and
+            # try the freed CU only; unless its queue there could drain
+            # the run, the owner keeps the window and the pass ends
+            if (head == len(runs) or runs[head] is not owner
+                    or len(owner.cu_queues[cu.index])
+                    >= owner.pending_count):
+                return False
+        elif head < len(runs):
+            # no owner: the pass starts nothing if the first run with
+            # pending groups waits for its arrival or handoff window, or
+            # (head == len(runs)) if no run has pending groups
+            waiting = runs[head]
+            ready = waiting.dispatch_ready_time
+            if not (waiting.pending_count
+                    and (now + 1e-15 < waiting.spec.arrival_time
+                         or (ready is not None and now + 1e-15 < ready))):
+                return False
+        events.now = now
+        self.events_processed += 1
+        if self.event_observer is not None:
+            self.event_observer(time, payload)
+        self._complete_hw_wg(run, cu, rate)
+        heappop(events._heap)
+        if owner is not None:
+            self._start_hw_wgs(owner, cu, now)
+        return True
 
     def open_advance_before(self, time):
         """Process every event strictly before ``time`` (the causality
@@ -694,7 +805,7 @@ class GPUSimulator:
         run.cu_queues = [deque() for _ in range(num_cus)]
         for wg in range(run.total):
             run.cu_queues[wg % num_cus].append(wg)
-        # the kernel's steady-state per-CU residency (see _start_hw_wg)
+        # the kernel's steady-state per-CU residency (see _start_hw_wgs)
         run.k_steady = min(run.k_max, -(-run.total // num_cus))
 
     def _process_hw_event(self, payload):
@@ -713,6 +824,9 @@ class GPUSimulator:
         ended with groups still pending, every other CU either had no
         queued WG of it or could not fit one then, and has only lost
         capacity since; so only ``freed_cu`` is tried.
+        :meth:`_hw_inline` skips the pass for a completion whose pass
+        would start groups on ``freed_cu`` only, or none; keep its
+        conditions in step with the early exits here.
         """
         now = self.events.now
         runs = self.runs
@@ -735,15 +849,13 @@ class GPUSimulator:
                 break
             if now + 1e-15 < run.dispatch_ready_time:
                 break
-            spec = run.spec
             cus = self.cus
             if run is partial and freed_cu is not None:
                 cus = (freed_cu,)
+            queues = run.cu_queues
             for cu in cus:
-                queue = run.cu_queues[cu.index]
-                while queue and cu.fits(spec):
-                    wg = queue.popleft()
-                    self._start_hw_wg(run, cu, wg, now)
+                if queues[cu.index]:
+                    self._start_hw_wgs(run, cu, now)
             if run.pending_count > 0:
                 self._hw_partial = run
                 break  # this kernel still owns the dispatch window
@@ -765,32 +877,72 @@ class GPUSimulator:
         self._hw_settled = settled
         return head, settled
 
-    def _start_hw_wg(self, run, cu, wg, now):
-        cu.admit(run.spec)
-        k = run.cu_resident.get(cu.index, 0) + 1
-        run.cu_resident[cu.index] = k
-        # Rate the WG at the kernel's steady-state residency (bounded by how
-        # much work the kernel has at all): WG durations in this model are
-        # lifetime averages, so neither ramp-up nor drain-tail instants get
-        # a transient speed boost — the software-scheduled modes rate their
-        # slots the same way, keeping the comparison symmetric.
-        k = max(k, run.k_steady)
-        occ = run.occ_cache.get(k)
-        if occ is None:
-            occ = run.occ_cache[k] = run.occupancy_factor(k)
-        rate = run.spec.mem_rate_per_wg / occ
-        stretch = self.bandwidth.stretch(rate)
-        self.bandwidth.add_rate(rate)
-        run.resident += 1
-        run.pending_count -= 1
-        run.mark_start(now)
-        if run.pending_count == 0:
-            run.mark_dispatch_done(now)
-        cost = float(run.costs[wg]) * occ * stretch
-        self.events.push(now + cost, (run, cu, wg, rate))
+    def _start_hw_wgs(self, run, cu, now):
+        """Start ``run``'s groups queued on ``cu`` while they fit there.
+
+        :meth:`CUState.admit`, :meth:`BandwidthTracker.stretch` and
+        ``add_rate``, and :meth:`EventQueue.push` are inlined, with the
+        footprint read once from the run.
+        """
+        queue = run.cu_queues[cu.index]
+        threads, regs, lmem = run.footprint
+        rate_per_wg = run.spec.mem_rate_per_wg
+        bandwidth = self.bandwidth
+        capacity = bandwidth.capacity
+        heap = self.events._heap
+        counter = self.events._counter
+        while (queue and cu.slots_free >= 1 and cu.threads_free >= threads
+               and cu.registers_free >= regs
+               and cu.local_mem_free >= lmem):
+            wg = queue.popleft()
+            cu.threads_free -= threads
+            cu.registers_free -= regs
+            cu.local_mem_free -= lmem
+            cu.slots_free -= 1
+            k = run.cu_resident.get(cu.index, 0) + 1
+            run.cu_resident[cu.index] = k
+            # Rate the WG at the kernel's steady-state residency (bounded
+            # by how much work the kernel has at all): WG durations in
+            # this model are lifetime averages, so neither ramp-up nor
+            # drain-tail instants get a transient speed boost — the
+            # software-scheduled modes rate their slots the same way,
+            # keeping the comparison symmetric.
+            if k < run.k_steady:
+                k = run.k_steady
+            occ = run.occ_cache.get(k)
+            if occ is None:
+                occ = run.occ_cache[k] = run.occupancy_factor(k)
+            rate = rate_per_wg / occ
+            demand = bandwidth.demand + rate
+            if demand <= capacity or rate <= capacity / (bandwidth.resident
+                                                         + 1):
+                stretch = 1.0
+            else:
+                stretch = demand / capacity
+            bandwidth.demand = demand
+            bandwidth.resident += 1
+            run.resident += 1
+            run.pending_count -= 1
+            # a run's first pass may find no CU with room, so its first
+            # group can start on a later completion's freed CU
+            if run.start_time is None:
+                run.start_time = now
+            if run.pending_count == 0:
+                run.mark_dispatch_done(now)
+            at = now + float(run.costs[wg]) * occ * stretch
+            if not at >= now - 1e-12:   # NaN or in the past
+                raise SimulationError(NAN_TIME_ERROR if isnan(at)
+                                      else PAST_TIME_ERROR.format(at, now))
+            heappush(heap, (at, EVENT_TIER, next(counter),
+                            (run, cu, wg, rate)))
 
     def _complete_hw_wg(self, run, cu, rate):
-        cu.release(run.spec)
+        # inlined cu.release(run.spec) via the cached footprint
+        threads, regs, lmem = run.footprint
+        cu.threads_free += threads
+        cu.registers_free += regs
+        cu.local_mem_free += lmem
+        cu.slots_free += 1
         self.bandwidth.remove_rate(rate)
         run.cu_resident[cu.index] -= 1
         run.resident -= 1
@@ -1150,7 +1302,8 @@ class GPUSimulator:
         The entry point of every draw that the inline draws of
         :meth:`open_advance` and :meth:`_try_place_slot` do not make: a
         closed batch's first chunks, a slot placed onto a drained or
-        shrinking run, and Elastic Kernels.
+        shrinking accelOS run or onto an Elastic Kernels run, and a
+        chunk event processed by :meth:`open_step` itself.
         """
         run = slot.run
         if mode == ExecutionMode.ACCELOS:
@@ -1174,6 +1327,7 @@ class GPUSimulator:
             overhead = run.overhead
             slot.done = end - base
         else:  # ELASTIC: frozen per-slot assignment, no dequeue cost
+            # open_advance inlines this arm; keep the copies in step
             queue = run.slot_assignments[slot.index]
             if not queue:
                 self._retire_slot(slot)

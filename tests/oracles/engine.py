@@ -16,11 +16,15 @@ maintained by the inherited code, but nothing here reads it.  It also
 keeps no scaled-cost cache, so every run scales its own cost array;
 every chunk draw sums its window of that array afresh instead of reading
 the engine's chunk-work table; events are processed one
-:meth:`open_step` at a time, never by the inline chunk draw of the
-engine's :meth:`open_advance`; a placed slot is activated and draws
-its first chunk through :meth:`_activate_slot` and :meth:`_draw_chunk`
-rather than the engine's inline first draw; and a grow re-attempts
-every slot placement after one fails.  Like the engine, the lifecycle
+:meth:`open_step` at a time, never by the inline arms of the engine's
+:meth:`open_advance` (accelOS and Elastic Kernels draws, firmware
+completions that skip the dispatch pass); a firmware group starts
+through ``CUState.admit``, ``BandwidthTracker.stretch``/``add_rate``
+and ``EventQueue.push``, one :meth:`_start_hw_wg` call per group; a
+placed slot is activated and draws its first chunk through
+:meth:`_activate_slot` and :meth:`_draw_chunk` rather than the engine's
+inline first draw; and a grow re-attempts every slot placement after
+one fails.  Like the engine, the lifecycle
 overrides take the engine's slot records (``_Slot``: run, CU, index,
 occupancy, bandwidth rate and the chunk in flight), which are also the
 payloads of chunk events.

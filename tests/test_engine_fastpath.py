@@ -45,11 +45,13 @@ from repro.api.schemes import SCHEMES
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.errors import SchedulingError
 from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
-from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator
-from repro.workloads import PROFILE_NAMES, from_name
+from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator, KernelExecSpec
+from repro.sim.gpu import KERNEL_HANDOFF_LATENCY
+from repro.workloads import PROFILE_NAMES, from_name, trace_arrivals
 
-from tests.oracles import (FIRMWARE_ELIGIBLE, reference_allocations,
-                           reference_engine, swapped_engine)
+from tests.oracles import (FIRMWARE_ELIGIBLE, ReferenceGPUSimulator,
+                           reference_allocations, reference_engine,
+                           swapped_engine)
 from tests.test_engine_goldens import work_stealing_result
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -96,6 +98,11 @@ SEED = st.integers(min_value=0, max_value=2**16)
 FIRMWARE_DEVICE = st.sampled_from((nvidia_k20m, amd_r9_295x2))
 
 
+def _quarter_k20m():
+    return derated_device(nvidia_k20m(), "K20m-quarter", clock_scale=0.5,
+                          cu_scale=0.25)
+
+
 def _stream_timings(device, stream, scheme):
     records = OpenSystemExperiment(device).scheme_records(stream, scheme)
     return [(r.name, r.arrival, r.start, r.finish) for r in records]
@@ -120,13 +127,26 @@ def test_random_streams_are_path_invariant(scenario, scheme, load, seed,
 
 class CursorCheckedSimulator(GPUSimulator):
     """Recomputes both firmware dispatch cursors by scanning the run
-    list, at every hardware event's dispatch and after every submit,
-    withdraw and harvest; after every dispatch pass, checks that the run
-    left owning the dispatch window has no queued WG that fits a CU.
-    Failures name the device, the time and the run index.  ``checks``
-    counts the dispatch-time cursor comparisons."""
+    list, at every dispatch pass and after every submit, withdraw and
+    harvest; after every dispatch pass, checks that the run left owning
+    the dispatch window has no queued WG that fits a CU.
+
+    ``open_advance`` processes most completions inline, with no
+    dispatch pass, so the event observer checks both again before every
+    event, inline or stepped, and ``open_advance`` after its last one:
+    the cursors may lag, but never lead, the scan, and the window's
+    owner can start no queued WG.  Failures name the device, the time
+    and the run index.  ``checks`` counts the dispatch-time cursor
+    comparisons, ``inline_checks`` the events checked that did not go
+    through ``open_step``."""
 
     checks = 0
+    inline_checks = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.event_observer = self._before_event
+        self._stepping = False
 
     def _scan(self):
         """``(first run with pending groups, first blocking run)``."""
@@ -159,19 +179,43 @@ class CursorCheckedSimulator(GPUSimulator):
 
     def _hw_dispatch(self, freed_cu=None):
         super()._hw_dispatch(freed_cu)
-        # the run left owning the dispatch window (after a full or a
-        # freed-CU pass) can start no queued WG on any CU
+        self._check_owner("dispatch, freed CU {}".format(
+            None if freed_cu is None else freed_cu.index))
+
+    def _check_owner(self, when):
+        """The run owning the dispatch window (after a full or a
+        freed-CU pass) can start no queued WG on any CU."""
         run = self._hw_partial
         if run is None:
             return
         for cu in self.cus:
             if run.cu_queues[cu.index] and cu.fits(run.spec):
                 raise AssertionError(
-                    "{} at t={!r}: run index {} ({}) left WGs queued on "
-                    "CU {} that fit there (freed CU {})".format(
-                        self.device.name, self.events.now,
-                        self.runs.index(run), run.spec.name, cu.index,
-                        None if freed_cu is None else freed_cu.index))
+                    "{} at t={!r} ({}): run index {} ({}) left WGs queued "
+                    "on CU {} that fit there".format(
+                        self.device.name, self.events.now, when,
+                        self.runs.index(run), run.spec.name, cu.index))
+
+    def _before_event(self, time, payload):
+        if self._open_mode != ExecutionMode.HARDWARE:
+            return
+        self._check_bounds("event")
+        self._check_owner("event")
+        if not self._stepping:
+            type(self).inline_checks += 1
+
+    def open_step(self):
+        self._stepping = True
+        try:
+            return super().open_step()
+        finally:
+            self._stepping = False
+
+    def open_advance(self, limit=None, inclusive=False, stop_on_finish=False):
+        time = super().open_advance(limit, inclusive, stop_on_finish)
+        self._check_bounds("advance")
+        self._check_owner("advance")
+        return time
 
     def _check_bounds(self, when):
         """Between events the cursors may lag, but never lead, the scan."""
@@ -205,9 +249,11 @@ def _on_all_engines(thunk):
     with reference_engine():
         reference = thunk()
     checks = CursorCheckedSimulator.checks
+    inline_checks = CursorCheckedSimulator.inline_checks
     with swapped_engine(CursorCheckedSimulator):
         checked = thunk()
     assert CursorCheckedSimulator.checks > checks
+    assert CursorCheckedSimulator.inline_checks > inline_checks
     assert reference == engine
     assert checked == engine
     return engine
@@ -274,6 +320,74 @@ def test_baseline_work_stealing_fleet_is_path_invariant(device_factory,
     result = fleet_run()
     assert result.migrations > 0
     _on_all_engines(lambda: repr(vars(fleet_run())))
+
+
+# -- same-instant bursts through the loop's firmware arm ----------------------
+
+def _burst_run(device, arrivals, scheme="baseline"):
+    """Records and the engine event count of one exact run."""
+    experiment = OpenSystemExperiment(device)
+    result = experiment.run(arrivals, scheme)
+    records = [(r.name, r.arrival, r.start, r.finish)
+               for r in result.records]
+    return records, experiment.events_processed
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(("sgemm", "bfs", "spmv", "histo_main",
+                          "mri-q_ComputePhiMag",
+                          "mri-gridding_uniformAdd")),
+    first=st.integers(min_value=1, max_value=4),
+    second=st.integers(min_value=1, max_value=4),
+    gap=st.sampled_from((0.0, 5e-5, 2e-4, 1e-3)),
+    device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2,
+                                    _quarter_k20m)),
+)
+# the owner of the dispatch window finds no CU with room when its
+# handoff window opens, so its first group starts on a later
+# completion's freed CU, inline
+@example(name="mri-q_ComputePhiMag", first=2, second=2, gap=0.0,
+         device_factory=_quarter_k20m)
+def test_same_instant_firmware_bursts_match_the_one_event_oracle(
+        name, first, second, gap, device_factory):
+    """Two bursts of one profile under the firmware scheduler, each at a
+    single arrival instant: kernels queue behind each other and their
+    groups complete together, so ``open_advance`` resolves most
+    completions inline (a freed CU for the dispatch window's owner, no
+    pending groups, a handoff window still closed) while the heap's
+    counter breaks the ties.  Records and engine event counts must
+    equal the one-event oracle's, and the cursor checks must hold."""
+    entries = [(name, 0.0)] * first + [(name, gap)] * second
+    arrivals = trace_arrivals(entries)
+    records, events = _on_all_engines(
+        lambda: _burst_run(device_factory(), arrivals))
+    assert events > len(entries)
+
+
+def test_completion_as_the_handoff_window_opens_dispatches_at_once():
+    """A 26-group kernel of 1024-thread groups (two per K20m CU)
+    dispatches whole at t=0, so the one-group kernel behind it gets its
+    handoff window, open at ``KERNEL_HANDOFF_LATENCY``.  The first
+    kernel's group 0 completes before that, and its group 13 exactly
+    then, ahead of the dispatch kick.  That completion finds the window
+    open, so the second kernel's group starts on the freed CU at once,
+    stretched by the bandwidth the first kernel's 24 resident groups
+    still demand (each group demands a tenth of the device's)."""
+    rate = nvidia_k20m().mem_bw_gbs * 1e8
+
+    def batch(simulator):
+        trace = simulator(nvidia_k20m()).run([
+            KernelExecSpec("first", 1024, [KERNEL_HANDOFF_LATENCY / 2]
+                           + [KERNEL_HANDOFF_LATENCY] * 25, rate, 16, 0),
+            KernelExecSpec("second", 1024, [KERNEL_HANDOFF_LATENCY], rate,
+                           16, 0)])
+        return [(iv.start, iv.finish) for iv in trace.intervals]
+    intervals = batch(GPUSimulator)
+    start, finish = intervals[1]
+    assert start == KERNEL_HANDOFF_LATENCY
+    assert finish == pytest.approx(KERNEL_HANDOFF_LATENCY * (1 + 25 / 10))
+    assert intervals == batch(ReferenceGPUSimulator)
 
 
 # -- withdraw/migration interleavings -----------------------------------------
@@ -468,11 +582,6 @@ def test_memo_is_order_insensitive(requirements, shuffle_seed):
     # on the *shuffled* order would produce — replay is undetectable
     assert list(again) \
         == [a.groups for a in compute_allocations(shuffled, device)]
-
-
-def _quarter_k20m():
-    return derated_device(nvidia_k20m(), "K20m-quarter", clock_scale=0.5,
-                          cu_scale=0.25)
 
 
 # the active set behind the first memo/direct disagreement of the parent

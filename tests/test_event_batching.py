@@ -5,8 +5,8 @@ co-simulation advance a device to a horizon in one call instead of one
 ``peek``/``step`` round trip per event.  The per-event loops they
 replaced are kept here as reference drivers: on hypothesis-drawn fleets
 and streams both must produce the same placements, migrations, harvest
-order, timings and engine event counts.  The checks a chunk completion
-must keep on both of its paths (``open_step``, and the inline draw of
+order, timings and engine event counts.  The checks a completion must
+keep on both of its paths (``open_step``, and the inline arms of
 ``open_advance``) are regression-locked at the end.
 """
 
@@ -379,7 +379,7 @@ def test_nan_chunk_cost_raises_when_a_completion_draws_it():
 
 
 def test_nan_chunk_cost_raises_in_the_inline_draw():
-    # the same draw, made by open_advance's inline chunk loop
+    # the same draw, made by open_advance's inline accelOS arm
     sim = _open_accelos({"n": 1})
     sim.open_submit(_accelos_spec("nan", [1e-4, 1e-4, float("nan"), 1e-4]))
     sim.open_step()
@@ -396,6 +396,36 @@ def test_chunk_completion_scheduled_in_the_past_raises(process):
     sim.open_step()
     with pytest.raises(SimulationError, match="event scheduled in the past"):
         getattr(sim, process)()
+
+
+def test_firmware_start_on_a_freed_cu_rejects_a_nan_time():
+    # 1024-thread groups: two fit a K20m CU, so the arrival's pass
+    # starts groups 0-25 and the NaN group 26 waits on CU 0 until group
+    # 0 completes; open_step's dispatch pass and open_advance's inline
+    # start on the freed CU must both reject it
+    def processes():
+        sim = GPUSimulator(nvidia_k20m())
+        sim.open_begin(ExecutionMode.HARDWARE)
+        sim.open_submit(KernelExecSpec(
+            "nan", 1024, [1e-4] * 26 + [float("nan")] + [1e-4] * 12, 1e6,
+            16, 0))
+        sim.open_step()             # the arrival's dispatch pass
+        return sim
+    for process in ("open_step", "open_advance"):
+        sim = processes()
+        with pytest.raises(SimulationError,
+                           match="event scheduled at NaN time"):
+            getattr(sim, process)()
+        assert sim.events_processed == 2
+
+
+def test_elastic_draw_rejects_a_nan_time():
+    # one slot: placement draws group 0, and its completion draws the
+    # NaN group 1 in open_advance's inline Elastic Kernels arm
+    spec = KernelExecSpec("nan", 256, [1e-4, float("nan")], 1e6, 16, 0,
+                          mode=ExecutionMode.ELASTIC, physical_groups=1)
+    with pytest.raises(SimulationError, match="event scheduled at NaN time"):
+        GPUSimulator(nvidia_k20m()).run([spec])
 
 
 def test_event_observer_sees_every_event_once_on_either_path():

@@ -4,12 +4,14 @@ Every placed work group of an accelOS or Elastic Kernels run is one slot
 record (``repro.sim.gpu._Slot``) and the payload of its one pending chunk
 event.  Two checks guard that lifecycle:
 
-* **Forced ties.**  Identical accelOS kernels (same profile, hence same
-  chunk) submitted in bursts at identical times make chunk completions
+* **Forced ties.**  Identical kernels (same profile, hence same chunk)
+  submitted in bursts at identical times make chunk completions
   coincide, so the heap's insertion counter decides the pop order at
   every step.  The engine (inline draws that replace the heap's root,
   inline first draws at placement) must match the one-event reference
-  oracle bit for bit, records and engine event counts alike.
+  oracle bit for bit, records and engine event counts alike: accelOS
+  and Elastic Kernels open sessions, and Elastic Kernels closed
+  batches, whose merged launches each run on a fresh simulator.
 * **Slot invariants.**  :class:`SlotCheckedSimulator` enumerates the
   live slots from the heap's slot payloads before every event and after
   every advance, and checks each CU's free capacity, the bandwidth
@@ -23,14 +25,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api.schemes as schemes
+from repro.api.kernels import base_spec
+from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.cl import nvidia_k20m
-from repro.harness import OpenSystemExperiment
 from repro.sim import ExecutionMode, GPUSimulator
 from repro.sim.gpu import _Slot
 from repro.workloads import trace_arrivals
 
 from tests.oracles import reference_engine, swapped_engine
-from tests.test_engine_fastpath import _quarter_k20m, _trace_payload
+from tests.test_engine_fastpath import (_burst_run, _quarter_k20m,
+                                        _trace_payload)
 from tests.test_engine_goldens import stream_records
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -152,39 +157,73 @@ def _checked(thunk):
 
 # -- forced ties: identical kernels in identical-time bursts ------------------
 
-def _tie_run(device, arrivals):
-    """Records and the engine event count of one exact accelOS run."""
-    experiment = OpenSystemExperiment(device)
-    result = experiment.run(arrivals, "accelos")
-    records = [(r.name, r.arrival, r.start, r.finish)
-               for r in result.records]
-    return records, experiment.events_processed
+TIE_PROFILE = st.sampled_from(("sgemm", "bfs", "spmv", "stencil",
+                                "histo_main", "mri-q_ComputeQ"))
+TIE_DEVICE = st.sampled_from((nvidia_k20m, _quarter_k20m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=TIE_PROFILE,
+    first=st.integers(min_value=2, max_value=6),
+    second=st.integers(min_value=2, max_value=6),
+    gap=st.sampled_from((5e-5, 2e-4, 1e-3, 5e-3)),
+    device_factory=TIE_DEVICE,
+    scheme=st.sampled_from(("accelos", "ek")),
+)
+def test_forced_ties_match_the_one_event_oracle(name, first, second, gap,
+                                                device_factory, scheme):
+    """Two bursts of one profile, each at a single arrival instant: every
+    slot of a burst starts together and draws equal-length chunks (or,
+    under Elastic Kernels, equal static shares), so completions tie
+    throughout.  The engine must pop them in the oracle's order."""
+    entries = [(name, 0.0)] * first + [(name, gap)] * second
+    arrivals = trace_arrivals(entries)
+    device = device_factory()
+    engine = _burst_run(device, arrivals, scheme)
+    with reference_engine():
+        reference = _burst_run(device_factory(), arrivals, scheme)
+    assert engine == reference
+    assert _checked(lambda: _burst_run(device_factory(), arrivals,
+                                       scheme)) == engine
+    assert engine[1] > len(entries)
+
+
+def _ek_closed_batch(device, names):
+    """Each merged launch of an Elastic Kernels closed batch, replayed
+    back to back: its intervals, end time and engine event count."""
+    scheduler = ElasticKernelsScheduler(device)
+    launches = []
+    offset = 0.0
+    for group in scheduler.pack([base_spec(name) for name in names]):
+        intervals, offset, events = schemes._replay_launch(
+            device, scheduler, group, offset)
+        launches.append((intervals, offset, events))
+    return launches
 
 
 @settings(max_examples=20, deadline=None)
 @given(
-    name=st.sampled_from(("sgemm", "bfs", "spmv", "stencil", "histo_main",
-                          "mri-q_ComputeQ")),
-    first=st.integers(min_value=2, max_value=6),
-    second=st.integers(min_value=2, max_value=6),
-    gap=st.sampled_from((5e-5, 2e-4, 1e-3, 5e-3)),
-    device_factory=st.sampled_from((nvidia_k20m, _quarter_k20m)),
+    name=TIE_PROFILE,
+    other=TIE_PROFILE,
+    count=st.integers(min_value=1, max_value=6),
+    others=st.integers(min_value=0, max_value=3),
+    device_factory=TIE_DEVICE,
 )
-def test_forced_ties_match_the_one_event_oracle(name, first, second, gap,
-                                                device_factory):
-    """Two bursts of one profile, each at a single arrival instant: every
-    slot of a burst starts together and draws equal-length chunks, so
-    completions tie throughout.  The engine must pop them in the
-    oracle's order."""
-    entries = [(name, 0.0)] * first + [(name, gap)] * second
-    arrivals = trace_arrivals(entries)
-    device = device_factory()
-    engine = _tie_run(device, arrivals)
+def test_ek_closed_batches_match_the_one_event_oracle(name, other, count,
+                                                      others,
+                                                      device_factory):
+    """A closed batch of identical kernels (plus a few of a second
+    profile) packs into merged launches whose slots start together on
+    equal static shares, so their draws tie at every step."""
+    names = [name] * count + [other] * others
+    engine = _ek_closed_batch(device_factory(), names)
     with reference_engine():
-        reference = _tie_run(device_factory(), arrivals)
+        reference = _ek_closed_batch(device_factory(), names)
     assert engine == reference
-    assert _checked(lambda: _tie_run(device_factory(), arrivals)) == engine
-    assert engine[1] > len(entries)
+    assert _checked(lambda: _ek_closed_batch(device_factory(),
+                                             names)) == engine
+    assert all(events > 0 for _, _, events in engine)
 
 
 # -- the slot invariants over the golden streams ------------------------------

@@ -90,7 +90,7 @@ def profile_stream(count, fleet=False, scheme=SCHEME, sort="tottime",
     profiler.enable()
     run(experiment, count)
     profiler.disable()
-    events = getattr(experiment, "events_processed", 0)
+    events = experiment.events_processed
     header = "{} leg, {}, {} requests, {} engine events".format(
         "fleet" if fleet else "single-device", scheme, count, events)
     return _report(profiler, header, sort, top, output)
