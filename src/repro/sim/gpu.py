@@ -61,10 +61,15 @@ and the size of the chunk in flight.
 **Event loop:** :meth:`GPUSimulator.open_advance` runs every mode.  It
 processes each mode's common event inline: an accelOS slot's completion
 that draws its next chunk, an Elastic Kernels slot's completion that
-draws its next statically assigned group, and a firmware work group's
-completion that needs no full dispatch pass.  Every other event goes to
-:meth:`GPUSimulator.open_step`, and the event sequence is the one
+draws its next statically assigned group, and every firmware work
+group's completion, which releases its CU and goes to the one firmware
+dispatcher, :meth:`GPUSimulator._hw_dispatch`.  Every other event goes
+to :meth:`GPUSimulator.open_step`, and the event sequence is the one
 ``open_step`` alone produces.
+
+**Placement:** every software slot, of a closed batch or an open run,
+takes its CU through one scan-and-admit,
+:meth:`GPUSimulator._admit_slot`.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from repro.sim.contention import BandwidthTracker
 from repro.sim.engine import (ARRIVAL_TIER, EVENT_TIER, NAN_TIME_ERROR,
                               PAST_TIME_ERROR, EventQueue)
 from repro.sim.hw_sched import scheduler_for
-from repro.sim.resources import CUState
+from repro.sim.resources import CUState, per_cu_residency
 from repro.sim.spec import ExecutionMode
 from repro.sim.trace import ExecutionTrace, KernelInterval
 
@@ -98,16 +103,8 @@ def device_cost_scale(device):
 
 
 def per_cu_residency_cap(spec, device):
-    """Maximum WGs of ``spec`` resident on one CU."""
-    cap = min(
-        device.max_wgs_per_cu,
-        device.max_threads_per_cu // spec.wg_threads if spec.wg_threads else 0,
-        (device.registers_per_cu // spec.registers_per_group
-         if spec.registers_per_group else device.max_wgs_per_cu),
-        (device.local_mem_per_cu // spec.local_mem_per_wg
-         if spec.local_mem_per_wg else device.max_wgs_per_cu),
-    )
-    return max(1, cap)
+    """Maximum WGs of ``spec`` resident on one CU (at least one)."""
+    return max(1, per_cu_residency(spec, device))
 
 
 def chunk_work_table(costs, chunk):
@@ -249,9 +246,9 @@ class GPUSimulator:
         # by open_advance's inline arms alike; attaching one does not
         # change which path handles an event.  A chunk event's payload
         # is its slot record (``_Slot``: ``payload.run`` is the request),
-        # a firmware completion's ``(run, cu, wg, rate)``; open_step has
-        # already popped the event, while the inline arms still hold it
-        # at the heap's root.
+        # a firmware completion's ``(run, cu, wg, rate)``; open_step and
+        # the firmware arm have already popped the event, while the slot
+        # arms still hold it at the heap's root.
         self.event_observer = None
 
     # -- public -----------------------------------------------------------
@@ -281,7 +278,7 @@ class GPUSimulator:
             self._run_software(mode)
         return self._collect_trace(mode)
 
-    def run_open(self, specs, allocator=None, cost_jitter=None):
+    def run_open(self, specs, allocator=None):
         """Simulate an open system: specs enter at their ``arrival_time``.
 
         * **hardware** mode: a kernel joins the firmware scheduler's queue
@@ -313,8 +310,7 @@ class GPUSimulator:
         order = sorted(range(len(specs)),
                        key=lambda i: (specs[i].arrival_time, i))
         for i in order:
-            jitter = 1.0 if cost_jitter is None else float(cost_jitter[i])
-            self.open_submit(specs[i], jitter=jitter, index=i)
+            self.open_submit(specs[i], index=i)
         self.open_drain()
         return self.open_trace()
 
@@ -348,7 +344,7 @@ class GPUSimulator:
         self._pending_slots = deque()
         self._admission_queue = deque()
 
-    def open_submit(self, spec, jitter=1.0, index=None):
+    def open_submit(self, spec, index=None):
         """Add one request to the running open system.
 
         Submissions must come in arrival order (the FIFO contract of
@@ -369,28 +365,24 @@ class GPUSimulator:
         first = self._live_submissions == 0
         self._live_submissions += 1
         run_index = index if index is not None else len(self.runs)
-        if jitter == 1.0:
-            # Streams re-submit the same profile (one shared wg_costs array
-            # per kernel) thousands of times; scale it once per simulator
-            # and share the scaled array — and its chunk-work table per
-            # chunk size — across those runs.  Both are read-only
-            # downstream and hold exactly what per-run state would.
-            entry = self._costs_cache.get(id(spec.wg_costs))
-            if entry is None or entry[0] is not spec.wg_costs:
-                entry = (spec.wg_costs, spec.wg_costs * self._cost_scale, {})
-                self._costs_cache[id(spec.wg_costs)] = entry
-            chunk_work = None
-            if spec.mode == ExecutionMode.ACCELOS:
-                tables = entry[2]
-                chunk_work = tables.get(spec.chunk)
-                if chunk_work is None:
-                    chunk_work = tables[spec.chunk] = chunk_work_table(
-                        entry[1], spec.chunk)
-            run = _KernelRun(run_index, spec, self.device, self._cost_scale,
-                             costs=entry[1], chunk_work=chunk_work)
-        else:
-            run = _KernelRun(run_index, spec, self.device,
-                             self._cost_scale * jitter)
+        # Streams re-submit the same profile (one shared wg_costs array
+        # per kernel) thousands of times; scale it once per simulator and
+        # share the scaled array — and its chunk-work table per chunk
+        # size — across those runs.  Both are read-only downstream and
+        # hold exactly what per-run state would.
+        entry = self._costs_cache.get(id(spec.wg_costs))
+        if entry is None or entry[0] is not spec.wg_costs:
+            entry = (spec.wg_costs, spec.wg_costs * self._cost_scale, {})
+            self._costs_cache[id(spec.wg_costs)] = entry
+        chunk_work = None
+        if spec.mode == ExecutionMode.ACCELOS:
+            tables = entry[2]
+            chunk_work = tables.get(spec.chunk)
+            if chunk_work is None:
+                chunk_work = tables[spec.chunk] = chunk_work_table(
+                    entry[1], spec.chunk)
+        run = _KernelRun(run_index, spec, self.device, self._cost_scale,
+                         costs=entry[1], chunk_work=chunk_work)
         # Keep the run list sorted by (arrival, submission order): it IS
         # the FIFO priority order of the hardware dispatch window and the
         # allocator's iteration order.  Plain arrival-order submission
@@ -459,15 +451,14 @@ class GPUSimulator:
           tier, seq)`` is unique).  A slot that retires instead (queue
           drained, or an accelOS shrink pending) is popped and goes to
           :meth:`_retire_slot`;
-        * a firmware work group's completion that finishes no request
-          releases its CU, and then needs no dispatch pass when the run
-          owning the dispatch window can only start groups on that CU
-          without draining (they start here), when no run has pending
-          groups, or when the first pending run waits for its arrival
-          or its handoff window.
+        * a firmware work group's completion releases its CU and calls
+          :meth:`_hw_dispatch` with it, whose early exits skip the
+          dispatch pass when it would start nothing or only the window
+          owner's groups on that CU.
 
-        Every other event goes to :meth:`open_step`; the event sequence
-        is the one :meth:`open_step` alone produces.
+        Every other event (a dispatch kick, a software arrival) goes to
+        :meth:`open_step`; the event sequence is the one
+        :meth:`open_step` alone produces.
         """
         events = self.events
         heap = events._heap
@@ -565,66 +556,23 @@ class GPUSimulator:
                 self._retire_slot(slot)
             # a tuple payload outside accelOS runs is a firmware
             # completion (an Elastic Kernels run, a closed batch, has no
-            # arrival events)
-            elif (not accelos and slot.__class__ is tuple
-                  and self._hw_inline(slot, next_time)):
+            # arrival events): _process_hw_event's completion arm, inlined
+            elif not accelos and slot.__class__ is tuple:
+                heappop(heap)
                 time = next_time
-                continue
+                if next_time > events.now:
+                    events.now = next_time
+                self.events_processed += 1
+                if observer is not None:
+                    observer(next_time, slot)
+                run, cu, _, rate = slot
+                self._complete_hw_wg(run, cu, rate)
+                self._hw_dispatch(cu)
             else:
                 time = step()
             if stop_on_finish and self.finished_requests != finished:
                 break
         return time
-
-    def _hw_inline(self, payload, time):
-        """Process the firmware completion at the heap's root inline, if
-        it needs no dispatch pass (see :meth:`open_advance`); False,
-        having changed nothing, when it goes to :meth:`open_step`.
-
-        :meth:`_process_hw_event` for a completion that finishes no
-        request, with :meth:`_hw_dispatch` cut to what its pass would
-        do: start the owner's groups on the freed CU only (through
-        :meth:`_start_hw_wgs`), or nothing; keep the copies in step.
-        The dispatch cursors stay where they are: both are monotone, so
-        the next pass advances them to the same runs.
-        """
-        run, cu, _, rate = payload
-        if run.completed + 1 >= run.total:
-            return False                # finishes a request
-        events = self.events
-        now = events.now
-        if time > now:
-            now = time
-        runs = self.runs
-        head = self._hw_head
-        owner = self._hw_partial
-        if owner is not None:
-            # the pass would reach the dispatch window's owner first and
-            # try the freed CU only; unless its queue there could drain
-            # the run, the owner keeps the window and the pass ends
-            if (head == len(runs) or runs[head] is not owner
-                    or len(owner.cu_queues[cu.index])
-                    >= owner.pending_count):
-                return False
-        elif head < len(runs):
-            # no owner: the pass starts nothing if the first run with
-            # pending groups waits for its arrival or handoff window, or
-            # (head == len(runs)) if no run has pending groups
-            waiting = runs[head]
-            ready = waiting.dispatch_ready_time
-            if not (waiting.pending_count
-                    and (now + 1e-15 < waiting.spec.arrival_time
-                         or (ready is not None and now + 1e-15 < ready))):
-                return False
-        events.now = now
-        self.events_processed += 1
-        if self.event_observer is not None:
-            self.event_observer(time, payload)
-        self._complete_hw_wg(run, cu, rate)
-        heappop(events._heap)
-        if owner is not None:
-            self._start_hw_wgs(owner, cu, now)
-        return True
 
     def open_advance_before(self, time):
         """Process every event strictly before ``time`` (the causality
@@ -821,17 +769,41 @@ class GPUSimulator:
 
         ``freed_cu`` is the CU a WG completion just released.  When the
         run that reaches the CU pass is the one whose previous pass
-        ended with groups still pending, every other CU either had no
-        queued WG of it or could not fit one then, and has only lost
-        capacity since; so only ``freed_cu`` is tried.
-        :meth:`_hw_inline` skips the pass for a completion whose pass
-        would start groups on ``freed_cu`` only, or none; keep its
-        conditions in step with the early exits here.
+        ended with groups still pending (the dispatch window's owner),
+        every other CU either had no queued WG of it or could not fit
+        one then, and has only lost capacity since; so only ``freed_cu``
+        is tried.
+
+        Three early exits skip the pass (and the cursor update, which
+        stays lazy: both cursors are monotone, so the next pass advances
+        them to the same runs): (a) the owner is the head run and its
+        queue on ``freed_cu`` cannot drain it, so it keeps the window
+        and starts groups on that CU only; (b) no run has pending
+        groups; (c) there is no owner and the first pending run waits
+        for its arrival or its handoff window.  A stale head cursor
+        falls through to the pass.
         """
         now = self.events.now
         runs = self.runs
+        head = self._hw_head
+        owner = self._hw_partial
+        if owner is not None:
+            if (freed_cu is not None and head < len(runs)
+                    and runs[head] is owner
+                    and len(owner.cu_queues[freed_cu.index])
+                    < owner.pending_count):
+                self._start_hw_wgs(owner, freed_cu, now)     # (a)
+                return
+        elif head == len(runs):
+            return                                           # (b)
+        else:                                                # (c)
+            waiting = runs[head]
+            ready = waiting.dispatch_ready_time
+            if (waiting.pending_count
+                    and (now + 1e-15 < waiting.spec.arrival_time
+                         or (ready is not None and now + 1e-15 < ready))):
+                return
         head, settled = self._hw_cursors()
-        partial = self._hw_partial
         self._hw_partial = None
         for index in range(head, len(runs)):
             run = runs[index]
@@ -850,7 +822,7 @@ class GPUSimulator:
             if now + 1e-15 < run.dispatch_ready_time:
                 break
             cus = self.cus
-            if run is partial and freed_cu is not None:
+            if run is owner and freed_cu is not None:
                 cus = (freed_cu,)
             queues = run.cu_queues
             for cu in cus:
@@ -969,16 +941,14 @@ class GPUSimulator:
                                         for s in range(slots)]
 
         self._pending_slots = deque()
-        self._place_software_slots(mode)
+        self._place_software_slots()
         self.open_advance()
         self._check_software_drained()
 
     def _process_software_event(self, payload):
         if payload.__class__ is _Slot:
             payload.run.completed += payload.done
-            self._draw_chunk(payload, self._software_mode)
-            return
-        if payload is None:
+            self._draw_chunk(payload)
             return
         run = payload[1]     # ("arrival", run)
         if run.withdrawn:
@@ -1033,7 +1003,7 @@ class GPUSimulator:
                 "software-scheduled batch deadlocked: slots could never be "
                 "placed (allocation exceeds per-CU packing)")
 
-    def _place_software_slots(self, mode):
+    def _place_software_slots(self):
         """Place physical WGs on CUs, interleaved across kernels.
 
         The device-level allocation is feasible by construction, but per-CU
@@ -1042,8 +1012,9 @@ class GPUSimulator:
         work groups experience on hardware.  Round-robin interleaving makes
         sure every kernel gets resident slots from the start.
 
-        Placement is two-phase: admit everything first, then compute each
-        slot's occupancy factor from the final per-CU residency, then draw
+        Placement is three-phase: admit every slot first (through
+        :meth:`_admit_slot`), then compute each slot's occupancy factor
+        and bandwidth demand from the final per-CU residency, then draw
         the first chunks — so co-placed slots of one kernel see a
         consistent occupancy.
         """
@@ -1053,24 +1024,28 @@ class GPUSimulator:
             for run in self.runs:
                 if slot_index >= run.slots_to_place:
                     continue
-                cu = self._freest_cu(run.spec)
-                if cu is None:
+                slot = self._admit_slot(run, slot_index)
+                if slot is None:
                     self._pending_slots.append((run, slot_index))
                     run.pending_slots += 1
                     self._pending_inc(run)
                     continue
-                cu.admit(run.spec)
-                run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
-                run.resident += 1
-                run.live_slots += 1
-                placements.append(_Slot(run, cu, slot_index))
+                placements.append(slot)
         for run in self.runs:
             run.slots_to_place = 0
 
+        bandwidth = self.bandwidth
         for slot in placements:
-            self._activate_slot(slot)
+            run = slot.run
+            k = run.cu_resident[slot.cu.index]
+            occ = run.occ_cache.get(k)
+            if occ is None:
+                occ = run.occ_cache[k] = run.occupancy_factor(k)
+            slot.occ = occ
+            slot.rate = run.spec.mem_rate_per_wg / occ
+            bandwidth.add_rate(slot.rate)
         for slot in placements:
-            self._draw_chunk(slot, mode)
+            self._draw_chunk(slot)
 
     # -- open-system re-allocation ------------------------------------------
 
@@ -1156,25 +1131,18 @@ class GPUSimulator:
 
     # -- slot lifecycle ------------------------------------------------------
 
-    def _activate_slot(self, slot):
-        run = slot.run
-        k = run.cu_resident[slot.cu.index]
-        # occupancy_factor(k) is a pure function of k for a fixed spec;
-        # memoise it per run (k is bounded by k_max)
-        occ = run.occ_cache.get(k)
-        if occ is None:
-            occ = run.occ_cache[k] = run.occupancy_factor(k)
-        slot.occ = occ
-        slot.rate = run.spec.mem_rate_per_wg / occ
-        self.bandwidth.add_rate(slot.rate)
+    def _admit_slot(self, run, slot_index):
+        """Admit slot ``slot_index`` of ``run`` on the freest CU that fits
+        it (the most free threads, earliest index on ties) and return the
+        new slot, not yet activated; None, changing nothing, if no CU
+        fits.
 
-    def _try_place_slot(self, run, slot_index):
-        """Place slot ``slot_index`` of ``run`` on the freest CU that fits
-        it, activate it and draw its first chunk; False if no CU fits."""
-        # fused scan-and-admit: same selection as _freest_cu (max
-        # threads_free among fitting CUs, earliest index on ties), with
-        # the footprint read once from the run and the admit-time fits()
-        # recheck dropped — the scan just proved the fit
+        The one placement scan of closed batches and open runs alike:
+        the fit test of :meth:`CUState.fits` and the update of
+        :meth:`CUState.admit`, with the footprint read once from the
+        run and the admit-time recheck dropped (the scan just proved
+        the fit).
+        """
         threads, regs, lmem = run.footprint
         cu = None
         best_free = -1
@@ -1187,23 +1155,31 @@ class GPUSimulator:
                 cu = cand
                 best_free = free
         if cu is None:
-            return False
+            return None
         cu.threads_free = best_free - threads
         cu.registers_free -= regs
         cu.local_mem_free -= lmem
         cu.slots_free -= 1
-        k = run.cu_resident.get(cu.index, 0) + 1
-        run.cu_resident[cu.index] = k
+        run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
         run.resident += 1
         run.live_slots += 1
+        return _Slot(run, cu, slot_index)
+
+    def _try_place_slot(self, run, slot_index):
+        """Place slot ``slot_index`` of ``run`` through :meth:`_admit_slot`,
+        activate it and draw its first chunk; False if no CU fits."""
+        slot = self._admit_slot(run, slot_index)
+        if slot is None:
+            return False
         events = self.events
         now = events.now
         if run.start_time is None:   # inlined mark_start
             run.start_time = now
-        # _activate_slot and the accelOS draw of _draw_chunk, inlined
-        # with BandwidthTracker.add_rate and EventQueue.push; keep the
-        # copies (here and in open_advance) in step
-        slot = _Slot(run, cu, slot_index)
+        # the activation of _place_software_slots and the accelOS draw
+        # of _draw_chunk, inlined with BandwidthTracker.add_rate and
+        # EventQueue.push; keep the copies (here and in open_advance) in
+        # step
+        k = run.cu_resident[slot.cu.index]
         occ = run.occ_cache.get(k)
         if occ is None:
             occ = run.occ_cache[k] = run.occupancy_factor(k)
@@ -1215,7 +1191,7 @@ class GPUSimulator:
         base = run.next_vgroup
         if (self._software_mode != ExecutionMode.ACCELOS
                 or base >= run.total or run.shrink_slots > 0):
-            self._draw_chunk(slot, self._software_mode)
+            self._draw_chunk(slot)
             return True
         chunk = run.chunk_size
         end = base + chunk
@@ -1277,26 +1253,7 @@ class GPUSimulator:
         still_pending.extend(self._pending_slots)
         self._pending_slots = still_pending
 
-    def _freest_cu(self, spec):
-        # max threads_free among CUs that fit the spec, earliest index on
-        # ties — with the spec's footprint hoisted and CUState.fits
-        # inlined (it runs per CU per placement attempt)
-        threads = spec.wg_threads
-        regs = spec.registers_per_group
-        lmem = spec.local_mem_per_wg
-        best = None
-        best_free = -1
-        for cu in self.cus:
-            free = cu.threads_free
-            if (free > best_free and free >= threads
-                    and cu.slots_free >= 1
-                    and cu.registers_free >= regs
-                    and cu.local_mem_free >= lmem):
-                best = cu
-                best_free = free
-        return best
-
-    def _draw_chunk(self, slot, mode):
+    def _draw_chunk(self, slot):
         """A slot is idle: pull its next chunk of virtual groups (or retire).
 
         The entry point of every draw that the inline draws of
@@ -1306,7 +1263,7 @@ class GPUSimulator:
         chunk event processed by :meth:`open_step` itself.
         """
         run = slot.run
-        if mode == ExecutionMode.ACCELOS:
+        if self._software_mode == ExecutionMode.ACCELOS:
             base = run.next_vgroup
             if base >= run.total:
                 self._retire_slot(slot)

@@ -45,9 +45,10 @@ class CUState:
             self.index, self.threads_free, self.slots_free)
 
 
-def max_resident_groups(spec, device):
-    """Device-wide cap on concurrently resident WGs of ``spec``."""
-    per_cu = min(
+def per_cu_residency(spec, device):
+    """WGs of ``spec`` that one empty CU holds at once, unclamped: the
+    tightest of the slot, thread, register and local-memory limits."""
+    return min(
         device.max_wgs_per_cu,
         device.max_threads_per_cu // spec.wg_threads if spec.wg_threads else 0,
         (device.registers_per_cu // spec.registers_per_group
@@ -55,4 +56,8 @@ def max_resident_groups(spec, device):
         (device.local_mem_per_cu // spec.local_mem_per_wg
          if spec.local_mem_per_wg else device.max_wgs_per_cu),
     )
-    return max(0, per_cu) * device.num_cus
+
+
+def max_resident_groups(spec, device):
+    """Device-wide cap on concurrently resident WGs of ``spec``."""
+    return max(0, per_cu_residency(spec, device)) * device.num_cus

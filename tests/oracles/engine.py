@@ -5,11 +5,14 @@ procedure of :class:`repro.sim.gpu.GPUSimulator` with the original scan
 that the engine's incremental structures replaced: admission re-sums
 the footprint of every admitted run, a re-allocation filters the whole
 run list and counts queued slots by scanning the pending deque, a shrink
-rebuilds that deque, placement goes through ``CUState.fits``/``admit``/
-``release``, and a pending-slot pass never stops early.  The firmware
-dispatcher walks the run list from index 0 on every hardware event,
-checks the head of every run it reaches by scanning all earlier runs
-with the original FIFO/exclusive predicates, and tries every CU.  The
+rebuilds that deque, placement (of closed batches and open runs alike)
+scans the CUs in its own :meth:`_freest_cu` and goes through
+``CUState.fits``/``admit``/``release`` rather than the engine's
+:meth:`_admit_slot`, and a pending-slot pass never stops early.  The
+firmware dispatcher has no early exit: it walks the run list from
+index 0 on every hardware event, checks the head of every run it
+reaches by scanning all earlier runs with the original FIFO/exclusive
+predicates, and tries every CU.  The
 engine's running state (admission totals, the live-active set, per-run
 pending counters, the footprint index, the dispatch cursors) is still
 maintained by the inherited code, but nothing here reads it.  It also
@@ -18,13 +21,14 @@ every chunk draw sums its window of that array afresh instead of reading
 the engine's chunk-work table; events are processed one
 :meth:`open_step` at a time, never by the inline arms of the engine's
 :meth:`open_advance` (accelOS and Elastic Kernels draws, firmware
-completions that skip the dispatch pass); a firmware group starts
+completions); a firmware group starts
 through ``CUState.admit``, ``BandwidthTracker.stretch``/``add_rate``
 and ``EventQueue.push``, one :meth:`_start_hw_wg` call per group; a
 placed slot is activated and draws its first chunk through
 :meth:`_activate_slot` and :meth:`_draw_chunk` rather than the engine's
-inline first draw; and a grow re-attempts every slot placement after
-one fails.  Like the engine, the lifecycle
+inline first draw (a closed batch activates its slots through
+:meth:`_activate_slot` too); and a grow re-attempts every slot
+placement after one fails.  Like the engine, the lifecycle
 overrides take the engine's slot records (``_Slot``: run, CU, index,
 occupancy, bandwidth rate and the chunk in flight), which are also the
 payloads of chunk events.
@@ -93,10 +97,10 @@ class ReferenceGPUSimulator(GPUSimulator):
                 break
         return time
 
-    def _draw_chunk(self, slot, mode):
+    def _draw_chunk(self, slot):
         run = slot.run
         now = self.events.now
-        if mode == ExecutionMode.ACCELOS:
+        if self._software_mode == ExecutionMode.ACCELOS:
             base = run.next_vgroup
             if base >= run.total:
                 self._retire_slot(slot)
@@ -242,8 +246,33 @@ class ReferenceGPUSimulator(GPUSimulator):
         run.mark_start(self.events.now)
         slot = _Slot(run, cu, slot_index)
         self._activate_slot(slot)
-        self._draw_chunk(slot, self._software_mode)
+        self._draw_chunk(slot)
         return True
+
+    def _place_software_slots(self):
+        placements = []
+        max_slots = max((run.slots_to_place for run in self.runs), default=0)
+        for slot_index in range(max_slots):
+            for run in self.runs:
+                if slot_index >= run.slots_to_place:
+                    continue
+                cu = self._freest_cu(run.spec)
+                if cu is None:
+                    self._pending_slots.append((run, slot_index))
+                    run.pending_slots += 1
+                    self._pending_inc(run)
+                    continue
+                cu.admit(run.spec)
+                run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
+                run.resident += 1
+                run.live_slots += 1
+                placements.append(_Slot(run, cu, slot_index))
+        for run in self.runs:
+            run.slots_to_place = 0
+        for slot in placements:
+            self._activate_slot(slot)
+        for slot in placements:
+            self._draw_chunk(slot)
 
     def _place_pending_slots(self):
         if not self._pending_slots:

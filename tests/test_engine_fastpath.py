@@ -227,8 +227,8 @@ class CursorCheckedSimulator(GPUSimulator):
         if self._hw_settled > want_settled:
             self._fail("_hw_settled", self._hw_settled, want_settled, when)
 
-    def open_submit(self, spec, jitter=1.0, index=None):
-        run = super().open_submit(spec, jitter=jitter, index=index)
+    def open_submit(self, spec, index=None):
+        run = super().open_submit(spec, index=index)
         self._check_bounds("submit " + spec.name)
         return run
 

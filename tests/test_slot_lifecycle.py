@@ -2,7 +2,7 @@
 
 Every placed work group of an accelOS or Elastic Kernels run is one slot
 record (``repro.sim.gpu._Slot``) and the payload of its one pending chunk
-event.  Two checks guard that lifecycle:
+event.  Three checks guard that lifecycle:
 
 * **Forced ties.**  Identical kernels (same profile, hence same chunk)
   submitted in bursts at identical times make chunk completions
@@ -10,8 +10,13 @@ event.  Two checks guard that lifecycle:
   every step.  The engine (inline draws that replace the heap's root,
   inline first draws at placement) must match the one-event reference
   oracle bit for bit, records and engine event counts alike: accelOS
-  and Elastic Kernels open sessions, and Elastic Kernels closed
-  batches, whose merged launches each run on a fresh simulator.
+  and Elastic Kernels open sessions, Elastic Kernels closed batches,
+  whose merged launches each run on a fresh simulator, and accelOS
+  closed batches, with and without the ``rebalance`` extension.
+* **Slot placement.**  Every CU of a device is alike, so a placement
+  scan that broke ties toward a later CU would mirror the schedule and
+  leave every timing unchanged; the CU of every slot event is compared
+  with the oracle's scan instead.
 * **Slot invariants.**  :class:`SlotCheckedSimulator` enumerates the
   live slots from the heap's slot payloads before every event and after
   every advance, and checks each CU's free capacity, the bandwidth
@@ -27,13 +32,15 @@ from hypothesis import given, settings, strategies as st
 
 import repro.api.schemes as schemes
 from repro.api.kernels import base_spec
+from repro.api.schemes import SCHEMES
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.cl import nvidia_k20m
 from repro.sim import ExecutionMode, GPUSimulator
 from repro.sim.gpu import _Slot
 from repro.workloads import trace_arrivals
 
-from tests.oracles import reference_engine, swapped_engine
+from tests.oracles import (ReferenceGPUSimulator, reference_engine,
+                           swapped_engine)
 from tests.test_engine_fastpath import (_burst_run, _quarter_k20m,
                                         _trace_payload)
 from tests.test_engine_goldens import stream_records
@@ -189,9 +196,16 @@ def test_forced_ties_match_the_one_event_oracle(name, first, second, gap,
     assert engine[1] > len(entries)
 
 
-def _ek_closed_batch(device, names):
-    """Each merged launch of an Elastic Kernels closed batch, replayed
-    back to back: its intervals, end time and engine event count."""
+def _closed_batch(device, names, scheme, rebalance):
+    """Each launch of a closed batch: its intervals, end time and engine
+    event count.  Elastic Kernels replays its merged launches back to
+    back; accelOS runs one launch on the batch's §3 allocation."""
+    if scheme == "accelos":
+        specs = SCHEMES.from_name("accelos").batch_specs(names, device)
+        simulator = schemes.GPUSimulator(device, rebalance=rebalance)
+        trace = simulator.run(specs)
+        return [([(iv.start, iv.finish) for iv in trace.intervals],
+                 trace.makespan, simulator.events_processed)]
     scheduler = ElasticKernelsScheduler(device)
     launches = []
     offset = 0.0
@@ -202,28 +216,79 @@ def _ek_closed_batch(device, names):
     return launches
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     name=TIE_PROFILE,
     other=TIE_PROFILE,
     count=st.integers(min_value=1, max_value=6),
     others=st.integers(min_value=0, max_value=3),
     device_factory=TIE_DEVICE,
+    scheme=st.sampled_from(("ek", "accelos")),
+    rebalance=st.booleans(),
 )
 def test_ek_closed_batches_match_the_one_event_oracle(name, other, count,
                                                       others,
-                                                      device_factory):
+                                                      device_factory,
+                                                      scheme, rebalance):
     """A closed batch of identical kernels (plus a few of a second
-    profile) packs into merged launches whose slots start together on
-    equal static shares, so their draws tie at every step."""
+    profile) starts its slots together on equal shares (Elastic
+    Kernels' static split, accelOS's equal chunks), so their draws tie
+    at every step.  An accelOS batch's allocation can exceed what one
+    CU pass places, so slots queue at placement; with ``rebalance``
+    every retire also grants freed capacity to the most starved
+    kernel."""
+    rebalance = rebalance and scheme == "accelos"
     names = [name] * count + [other] * others
-    engine = _ek_closed_batch(device_factory(), names)
+    engine = _closed_batch(device_factory(), names, scheme, rebalance)
     with reference_engine():
-        reference = _ek_closed_batch(device_factory(), names)
+        reference = _closed_batch(device_factory(), names, scheme,
+                                  rebalance)
     assert engine == reference
-    assert _checked(lambda: _ek_closed_batch(device_factory(),
-                                             names)) == engine
+    assert _checked(lambda: _closed_batch(device_factory(), names, scheme,
+                                          rebalance)) == engine
     assert all(events > 0 for _, _, events in engine)
+
+
+def _slot_events(simulator_class, device, names, scheme, rebalance):
+    """``(time, run index, slot index, CU index)`` of every slot event
+    of a closed batch (Elastic Kernels: its first merged launch)."""
+    if scheme == "accelos":
+        specs = SCHEMES.from_name("accelos").batch_specs(names, device)
+    else:
+        scheduler = ElasticKernelsScheduler(device)
+        group = next(iter(scheduler.pack([base_spec(n) for n in names])))
+        specs = scheduler.to_sim_specs(group)
+    events = []
+
+    def observe(time, payload):
+        if isinstance(payload, _Slot):
+            events.append((time, payload.run.index, payload.index,
+                           payload.cu.index))
+    simulator = simulator_class(device, rebalance=rebalance)
+    simulator.event_observer = observe
+    simulator.run(specs)
+    return events
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    names=st.lists(TIE_PROFILE, min_size=1, max_size=5),
+    device_factory=TIE_DEVICE,
+    scheme=st.sampled_from(("ek", "accelos")),
+    rebalance=st.booleans(),
+)
+def test_slots_land_on_the_cus_the_reference_scan_picks(names,
+                                                        device_factory,
+                                                        scheme, rebalance):
+    """Each slot, placed at the batch's start, from the pending queue or
+    by a ``rebalance`` grant, takes the CU with the most free threads,
+    the earliest on ties, as the oracle's ``_freest_cu`` does."""
+    rebalance = rebalance and scheme == "accelos"
+    engine = _slot_events(GPUSimulator, device_factory(), names, scheme,
+                          rebalance)
+    assert engine
+    assert engine == _slot_events(ReferenceGPUSimulator, device_factory(),
+                                  names, scheme, rebalance)
 
 
 # -- the slot invariants over the golden streams ------------------------------
