@@ -46,7 +46,7 @@ from repro.api.kernels import (base_spec, chunk_for_profile, detailed_spec,
                                isolated_table, requirements_from_spec,
                                sharing_allocator)
 from repro.api.registry import Registry
-from repro.baselines.elastic_kernels import ElasticKernelsScheduler
+from repro.baselines.elastic_kernels import MAX_MERGE, ElasticKernelsScheduler
 from repro.errors import SimulationError
 from repro.sim import (DeviceFleet, ExecutionMode, FleetSimulator,
                        GPUSimulator, QueuedRequest)
@@ -212,6 +212,12 @@ class SteppedSession:
         return None if time is None else (time, finished)
 
 
+# Most distinct merged launches one Elastic Kernels session keeps (the
+# AllocationMemo's bound): a long stream keeps meeting new launches, so
+# an unbounded memo would grow with the stream.
+LAUNCH_MEMO_CAPACITY = 512
+
+
 class ElasticOpenSession(SteppedSession):
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
@@ -227,6 +233,22 @@ class ElasticOpenSession(SteppedSession):
     start).  Requests waiting for the device to drain are
     withdrawable — exactly the still-queued work a re-balancer may
     migrate.
+
+    A merged launch is a pure function of its members' names and static
+    splits on the session's device (``base_spec`` does not depend on the
+    device, the merge overhead only on the member count), so the session
+    replays each distinct launch once, at t=0, and keeps it in a memo of
+    at most :data:`LAUNCH_MEMO_CAPACITY` launches (oldest evicted
+    first); every launch adds its start time to the stored times, as
+    :func:`_replay_launch` adds ``start``, so a recalled launch is bit
+    for bit a replayed one.  The memo lives on the session, not in the
+    process, so an engine swapped into the scheme layer
+    (``tests/oracles/engine.py``) simulates every session's launches.
+
+    Counters: ``events_processed`` is the engine events of every merged
+    launch, recalled ones included (each adds its stored count);
+    ``launch_misses`` counts the launches replayed and ``launch_hits``
+    those recalled from the memo.
     """
 
     def __init__(self, device):
@@ -241,8 +263,12 @@ class ElasticOpenSession(SteppedSession):
         self._inflight_keys = []
         self._harvestable = []
         self._results = {}
-        # engine events of every merged launch simulated so far
+        # ((name, groups), ...) of a merged launch -> its t=0 replay,
+        # in insertion order
+        self._launches = {}
         self.events_processed = 0
+        self.launch_hits = 0
+        self.launch_misses = 0
 
     def submit(self, key, arrival, effective_time):
         entry = (effective_time, self._seq, key, arrival)
@@ -270,20 +296,41 @@ class ElasticOpenSession(SteppedSession):
     def _launch(self):
         time = max(self._now, self._waiting[0][0])
         self._now = time
-        eligible = [entry for entry in self._waiting
-                    if entry[0] <= time + 1e-12]
-        head = self._scheduler.pack(
-            [base_spec(entry[3].name) for entry in eligible])[0]
-        launched = eligible[:len(head.specs)]
+        # the eligible requests are a prefix of the sorted queue, and the
+        # head group depends only on its first MAX_MERGE entries
+        cutoff = time + 1e-12
+        launched = []
+        for entry in self._waiting:
+            if entry[0] > cutoff or len(launched) == MAX_MERGE:
+                break
+            launched.append(entry)
+        head = self._scheduler.pack_head(
+            [base_spec(entry[3].name) for entry in launched])
+        del launched[len(head.specs):]
         del self._waiting[:len(launched)]
-        intervals, self._busy_until, events = _replay_launch(
-            self.device, self._scheduler, head, time)
+        intervals, makespan, events = self._replay(head)
+        self._busy_until = time + makespan
         self.events_processed += events
-        for entry, interval in zip(launched, intervals):
-            self._results[entry[2]] = interval
+        for entry, (start, finish) in zip(launched, intervals):
+            self._results[entry[2]] = (time + start, time + finish)
         self._inflight = len(launched)
         self._inflight_keys = [entry[2] for entry in launched]
         return time
+
+    def _replay(self, group):
+        """``group``'s :func:`_replay_launch` at t=0, from the memo."""
+        key = tuple(zip([spec.name for spec in group.specs],
+                        group.allocations))
+        launch = self._launches.get(key)
+        if launch is None:
+            self.launch_misses += 1
+            launch = _replay_launch(self.device, self._scheduler, group, 0.0)
+            if len(self._launches) >= LAUNCH_MEMO_CAPACITY:
+                del self._launches[next(iter(self._launches))]
+            self._launches[key] = launch
+        else:
+            self.launch_hits += 1
+        return launch
 
     def queued(self):
         return [QueuedRequest(key, arrival.name, arrival.tenant, effective)
@@ -548,7 +595,9 @@ def _replay_launch(device, scheduler, group, start, jitter=None):
     """Simulate one Elastic Kernels merged launch on a fresh simulator
     (launches serialise) starting at ``start``: the members'
     ``(start, finish)`` intervals, the launch's end time and the
-    simulator's engine event count."""
+    simulator's engine event count.  The launch is simulated at t=0 and
+    ``start`` added to its times, so the open session's memo stores a
+    ``start=0.0`` replay and adds each launch's own start."""
     simulator = GPUSimulator(device)
     trace = simulator.run(scheduler.to_sim_specs(group), cost_jitter=jitter)
     return ([(start + iv.start, start + iv.finish)

@@ -80,26 +80,41 @@ class ElasticKernelsScheduler:
 
         Each kernel asks for its full occupancy; if the current group cannot
         host at least ``MIN_STATIC_SHARE`` of that after proportional
-        shrinking, the group is closed and a new launch begins.
+        shrinking, the group is closed and a new launch begins.  Packing is
+        greedy, so this is :meth:`pack_head` again on what each group
+        leaves behind.
         """
         groups = []
-        current = []
-        for spec in specs:
-            trial = current + [spec]
-            allocation = self._static_split(trial) if len(trial) <= MAX_MERGE \
-                else None
-            if allocation is None:
-                if not current:
-                    raise SchedulingError(
-                        "kernel {} does not fit the device alone".format(
-                            spec.name))
-                groups.append(self._finish_group(current))
-                current = [spec]
-            else:
-                current = trial
-        if current:
-            groups.append(self._finish_group(current))
+        position = 0
+        while position < len(specs):
+            group = self.pack_head(specs[position:position + MAX_MERGE])
+            groups.append(group)
+            position += len(group.specs)
         return groups
+
+    def pack_head(self, specs):
+        """The first merged group :meth:`pack` forms from ``specs``
+        (non-empty).
+
+        The trials stop at the first that fails; the group's allocation
+        is its last successful trial's split.  A trial of more than
+        ``MAX_MERGE`` members is refused unsplit, so the group depends
+        only on the first ``MAX_MERGE`` specs.
+        """
+        members, allocation = [], None
+        for spec in specs:
+            if len(members) == MAX_MERGE:
+                break
+            trial = self._static_split(members + [spec])
+            if trial is None:
+                break
+            members.append(spec)
+            allocation = trial
+        if allocation is None:
+            raise SchedulingError(
+                "kernel {} does not fit the device alone".format(
+                    specs[0].name))
+        return MergedGroup(members, allocation)
 
     def _static_split(self, specs):
         """Work-proportional static split (EK's occupancy-greedy heuristic).
@@ -138,12 +153,6 @@ class ElasticKernelsScheduler:
         return (threads <= self.device.max_threads
                 and regs <= self.device.total_registers
                 and lmem <= self.device.total_local_mem)
-
-    def _finish_group(self, specs):
-        allocation = self._static_split(specs)
-        if allocation is None:
-            raise SchedulingError("static split failed for a closed group")
-        return MergedGroup(specs, allocation)
 
     def to_sim_specs(self, group):
         """Simulator specs for one merged launch (elastic mode)."""

@@ -15,9 +15,15 @@
   estimate before any device simulates) and :func:`run_offline` (then
   every device's sub-stream simulated on its own), the differential
   oracle for offline placement in the drive loop
-  (tests/test_fleet.py, tests/test_fleet_online.py).
+  (tests/test_fleet.py, tests/test_fleet_online.py);
+* :mod:`tests.oracles.elastic` — Elastic Kernels as first written:
+  :func:`reference_pack` (the whole-queue packer) and
+  :class:`ReplayEveryLaunchSession` (the open session with no launch
+  memo), the oracles for the head-only packer and the launch memo
+  (tests/test_elastic_kernels.py).
 """
 
+from tests.oracles.elastic import ReplayEveryLaunchSession, reference_pack
 from tests.oracles.engine import (FIRMWARE_ELIGIBLE, ReferenceGPUSimulator,
                                   reference_engine, swapped_engine)
 from tests.oracles.placement import place, place_arrivals, run_offline
@@ -25,4 +31,5 @@ from tests.oracles.sharing import reference_allocations
 
 __all__ = ["FIRMWARE_ELIGIBLE", "ReferenceGPUSimulator", "reference_engine",
            "swapped_engine", "place", "place_arrivals", "run_offline",
-           "reference_allocations"]
+           "reference_allocations", "reference_pack",
+           "ReplayEveryLaunchSession"]
