@@ -59,10 +59,10 @@ class BandwidthTracker:
         keeps making progress (its small demand is served).  Uniform
         memory-bound mixes degenerate to the classic ``D / BW`` stretch.
         ``GPUSimulator.open_advance`` inlines this for accelOS and
-        Elastic Kernels chunk draws, ``GPUSimulator._start_hw_wgs`` for
-        every firmware work group about to start, and
-        ``_try_place_slot`` for an open run's slot about to start; keep
-        the copies in step.
+        Elastic Kernels chunk draws and for a firmware group restarted
+        in place, ``GPUSimulator._start_hw_wgs`` for every other
+        firmware work group about to start, and ``_try_place_slot`` for
+        an open run's slot about to start; keep the copies in step.
         """
         if total <= self.capacity or resident == 0:
             return 1.0

@@ -62,8 +62,10 @@ and the size of the chunk in flight.
 processes each mode's common event inline: an accelOS slot's completion
 that draws its next chunk, an Elastic Kernels slot's completion that
 draws its next statically assigned group, and every firmware work
-group's completion, which releases its CU and goes to the one firmware
-dispatcher, :meth:`GPUSimulator._hw_dispatch`.  Every other event goes
+group's completion: one of the dispatch window's owner restarts the
+owner's next queued group on its CU in place, any other releases its CU
+and goes to the one firmware dispatcher,
+:meth:`GPUSimulator._hw_dispatch`.  Every other event goes
 to :meth:`GPUSimulator.open_step`, and the event sequence is the one
 ``open_step`` alone produces.
 
@@ -246,9 +248,9 @@ class GPUSimulator:
         # by open_advance's inline arms alike; attaching one does not
         # change which path handles an event.  A chunk event's payload
         # is its slot record (``_Slot``: ``payload.run`` is the request),
-        # a firmware completion's ``(run, cu, wg, rate)``; open_step and
-        # the firmware arm have already popped the event, while the slot
-        # arms still hold it at the heap's root.
+        # a firmware completion's ``(run, cu, wg, rate)``; open_step has
+        # already popped the event, while open_advance's inline arms
+        # still hold it at the heap's root.
         self.event_observer = None
 
     # -- public -----------------------------------------------------------
@@ -451,10 +453,22 @@ class GPUSimulator:
           tier, seq)`` is unique).  A slot that retires instead (queue
           drained, or an accelOS shrink pending) is popped and goes to
           :meth:`_retire_slot`;
-        * a firmware work group's completion releases its CU and calls
-          :meth:`_hw_dispatch` with it, whose early exits skip the
-          dispatch pass when it would start nothing or only the window
-          owner's groups on that CU.
+        * a firmware work group's completion of the dispatch window's
+          owner (``_hw_partial``), when the owner is ``runs[_hw_head]``
+          and its queue on the freed CU is non-empty and shorter than
+          its pending count, restarts in place: the owner fit no queued
+          group there before, so exactly the freed footprint fits one,
+          at the same ``cu_resident`` count.  The CU release and admit
+          and ``cu_resident``'s −1/+1 are skipped, since their integers
+          net to zero; ``remove_rate`` (with its negative-demand guard),
+          then the add and the stretch of :meth:`_start_hw_wgs`, run in
+          that order; and the group's event replaces the heap's root.
+          Keep this arm in step with :meth:`_complete_hw_wg` and
+          :meth:`_start_hw_wgs`;
+        * any other firmware completion is popped, releases its CU
+          (:meth:`_complete_hw_wg`) and calls :meth:`_hw_dispatch` with
+          it, whose early exits skip the dispatch pass when it would
+          start nothing or only the window owner's groups on that CU.
 
         Every other event (a dispatch kick, a software arrival) goes to
         :meth:`open_step`; the event sequence is the one
@@ -558,14 +572,48 @@ class GPUSimulator:
             # completion (an Elastic Kernels run, a closed batch, has no
             # arrival events): _process_hw_event's completion arm, inlined
             elif not accelos and slot.__class__ is tuple:
-                heappop(heap)
                 time = next_time
-                if next_time > events.now:
-                    events.now = next_time
+                now = events.now
+                if next_time > now:
+                    now = events.now = next_time
                 self.events_processed += 1
                 if observer is not None:
                     observer(next_time, slot)
                 run, cu, _, rate = slot
+                queue = run.cu_queues[cu.index]
+                if (run is self._hw_partial and queue
+                        and len(queue) < run.pending_count
+                        and self.runs[self._hw_head] is run):
+                    # The owner restarts in place: _complete_hw_wg and
+                    # _hw_dispatch's exit (a) fused (see the docstring).
+                    # The run keeps pending groups, so it finishes
+                    # nothing and keeps the window.
+                    run.completed += 1
+                    run.pending_count -= 1
+                    bandwidth.remove_rate(rate)
+                    wg = queue.popleft()
+                    k = run.cu_resident[cu.index]
+                    if k < run.k_steady:
+                        k = run.k_steady
+                    occ = run.occ_cache.get(k)
+                    if occ is None:
+                        occ = run.occ_cache[k] = run.occupancy_factor(k)
+                    rate = run.spec.mem_rate_per_wg / occ
+                    demand = bandwidth.demand = bandwidth.demand + rate
+                    resident = bandwidth.resident = bandwidth.resident + 1
+                    if demand <= capacity or rate <= capacity / resident:
+                        stretch = 1.0
+                    else:
+                        stretch = demand / capacity
+                    at = now + float(run.costs[wg]) * occ * stretch
+                    if not at >= now - 1e-12:   # NaN or in the past
+                        raise SimulationError(
+                            NAN_TIME_ERROR if isnan(at)
+                            else PAST_TIME_ERROR.format(at, now))
+                    heapreplace(heap, (at, EVENT_TIER, next(counter),
+                                       (run, cu, wg, rate)))
+                    continue
+                heappop(heap)
                 self._complete_hw_wg(run, cu, rate)
                 self._hw_dispatch(cu)
             else:
@@ -750,9 +798,8 @@ class GPUSimulator:
     def _build_cu_queues(self, run):
         """Assign ``run``'s WGs round-robin to static per-CU queues."""
         num_cus = self.device.num_cus
-        run.cu_queues = [deque() for _ in range(num_cus)]
-        for wg in range(run.total):
-            run.cu_queues[wg % num_cus].append(wg)
+        run.cu_queues = [deque(range(cu, run.total, num_cus))
+                         for cu in range(num_cus)]
         # the kernel's steady-state per-CU residency (see _start_hw_wgs)
         run.k_steady = min(run.k_max, -(-run.total // num_cus))
 
@@ -774,14 +821,21 @@ class GPUSimulator:
         one then, and has only lost capacity since; so only ``freed_cu``
         is tried.
 
-        Three early exits skip the pass (and the cursor update, which
+        Four early exits skip the pass (and the cursor update, which
         stays lazy: both cursors are monotone, so the next pass advances
         them to the same runs): (a) the owner is the head run and its
         queue on ``freed_cu`` cannot drain it, so it keeps the window
-        and starts groups on that CU only; (b) no run has pending
-        groups; (c) there is no owner and the first pending run waits
-        for its arrival or its handoff window.  A stale head cursor
-        falls through to the pass.
+        and starts groups on that CU only (:meth:`open_advance` restarts
+        a completion of the owner's own group in place instead, so this
+        exit serves other runs' completions and :meth:`open_step`'s);
+        (b) no run has pending groups; (c) there is no owner and the
+        first pending run waits for its arrival or its handoff window;
+        (d) there is no owner and the run at the settled cursor, before
+        the head cursor, blocks its successors (the exclusive policy
+        while the oldest unfinished kernel runs): every run with pending
+        groups sits behind it, so none is eligible.  Under FIFO no run
+        before the head cursor has pending groups, so none blocks and
+        (d) never fires.  A stale head cursor falls through to the pass.
         """
         now = self.events.now
         runs = self.runs
@@ -803,6 +857,10 @@ class GPUSimulator:
                     and (now + 1e-15 < waiting.spec.arrival_time
                          or (ready is not None and now + 1e-15 < ready))):
                 return
+            settled = self._hw_settled
+            if (settled < head
+                    and self.hardware_scheduler.blocks(runs[settled])):
+                return                                       # (d)
         head, settled = self._hw_cursors()
         self._hw_partial = None
         for index in range(head, len(runs)):
@@ -852,64 +910,93 @@ class GPUSimulator:
     def _start_hw_wgs(self, run, cu, now):
         """Start ``run``'s groups queued on ``cu`` while they fit there.
 
-        :meth:`CUState.admit`, :meth:`BandwidthTracker.stretch` and
-        ``add_rate``, and :meth:`EventQueue.push` are inlined, with the
-        footprint read once from the run.
+        The wave is admitted in one step: the count that fits is the
+        least of the queue's length, the free slots and each free
+        resource over the run's footprint (a zero footprint never
+        binds), and the CU's integers, ``cu_resident``, ``resident``
+        and ``pending_count`` change once.  Each group is then rated in
+        turn, as :meth:`CUState.admit`, :meth:`BandwidthTracker.stretch`
+        and ``add_rate`` and :meth:`EventQueue.push` one at a time
+        would: its co-residency ``k`` rises by one per group, and its
+        demand is added, and its stretch taken, before the next group's.
+        :meth:`open_advance`'s in-place restart copies the rating of one
+        group; keep the two in step.
         """
         queue = run.cu_queues[cu.index]
         threads, regs, lmem = run.footprint
+        # the wave: every queued group that fits the CU now (a zero
+        # footprint never binds, as in the one-group fit test)
+        count = len(queue)
+        if cu.slots_free < count:
+            count = cu.slots_free
+        if threads > 0 and cu.threads_free // threads < count:
+            count = cu.threads_free // threads
+        if regs > 0 and cu.registers_free // regs < count:
+            count = cu.registers_free // regs
+        if lmem > 0 and cu.local_mem_free // lmem < count:
+            count = cu.local_mem_free // lmem
+        if count <= 0:
+            return
+        cu.threads_free -= threads * count
+        cu.registers_free -= regs * count
+        cu.local_mem_free -= lmem * count
+        cu.slots_free -= count
+        cu_resident = run.cu_resident
+        k = cu_resident.get(cu.index, 0)
+        cu_resident[cu.index] = k + count
+        run.resident += count
+        run.pending_count -= count
+        # a run's first pass may find no CU with room, so its first
+        # group can start on a later completion's freed CU
+        if run.start_time is None:
+            run.start_time = now
+        if run.pending_count == 0:
+            run.mark_dispatch_done(now)
+        k_steady = run.k_steady
+        occ_cache = run.occ_cache
+        costs = run.costs
         rate_per_wg = run.spec.mem_rate_per_wg
         bandwidth = self.bandwidth
         capacity = bandwidth.capacity
+        demand = bandwidth.demand
+        resident = bandwidth.resident
         heap = self.events._heap
         counter = self.events._counter
-        while (queue and cu.slots_free >= 1 and cu.threads_free >= threads
-               and cu.registers_free >= regs
-               and cu.local_mem_free >= lmem):
+        for _ in range(count):
             wg = queue.popleft()
-            cu.threads_free -= threads
-            cu.registers_free -= regs
-            cu.local_mem_free -= lmem
-            cu.slots_free -= 1
-            k = run.cu_resident.get(cu.index, 0) + 1
-            run.cu_resident[cu.index] = k
+            k += 1
             # Rate the WG at the kernel's steady-state residency (bounded
             # by how much work the kernel has at all): WG durations in
             # this model are lifetime averages, so neither ramp-up nor
             # drain-tail instants get a transient speed boost — the
             # software-scheduled modes rate their slots the same way,
             # keeping the comparison symmetric.
-            if k < run.k_steady:
-                k = run.k_steady
-            occ = run.occ_cache.get(k)
+            level = k if k > k_steady else k_steady
+            occ = occ_cache.get(level)
             if occ is None:
-                occ = run.occ_cache[k] = run.occupancy_factor(k)
+                occ = occ_cache[level] = run.occupancy_factor(level)
             rate = rate_per_wg / occ
-            demand = bandwidth.demand + rate
-            if demand <= capacity or rate <= capacity / (bandwidth.resident
-                                                         + 1):
+            # each group's demand is added, and its stretch taken, in
+            # turn: one sum over the wave would round differently
+            demand = demand + rate
+            resident += 1
+            if demand <= capacity or rate <= capacity / resident:
                 stretch = 1.0
             else:
                 stretch = demand / capacity
-            bandwidth.demand = demand
-            bandwidth.resident += 1
-            run.resident += 1
-            run.pending_count -= 1
-            # a run's first pass may find no CU with room, so its first
-            # group can start on a later completion's freed CU
-            if run.start_time is None:
-                run.start_time = now
-            if run.pending_count == 0:
-                run.mark_dispatch_done(now)
-            at = now + float(run.costs[wg]) * occ * stretch
+            at = now + float(costs[wg]) * occ * stretch
             if not at >= now - 1e-12:   # NaN or in the past
                 raise SimulationError(NAN_TIME_ERROR if isnan(at)
                                       else PAST_TIME_ERROR.format(at, now))
             heappush(heap, (at, EVENT_TIER, next(counter),
                             (run, cu, wg, rate)))
+        bandwidth.demand = demand
+        bandwidth.resident = resident
 
     def _complete_hw_wg(self, run, cu, rate):
-        # inlined cu.release(run.spec) via the cached footprint
+        # inlined cu.release(run.spec) via the cached footprint;
+        # open_advance's in-place restart folds this into a start, so
+        # keep the two in step
         threads, regs, lmem = run.footprint
         cu.threads_free += threads
         cu.registers_free += regs

@@ -21,9 +21,10 @@ every chunk draw sums its window of that array afresh instead of reading
 the engine's chunk-work table; events are processed one
 :meth:`open_step` at a time, never by the inline arms of the engine's
 :meth:`open_advance` (accelOS and Elastic Kernels draws, firmware
-completions); a firmware group starts
-through ``CUState.admit``, ``BandwidthTracker.stretch``/``add_rate``
-and ``EventQueue.push``, one :meth:`_start_hw_wg` call per group; a
+completions and the window owner's in-place restarts); a firmware group
+starts through ``CUState.admit``, ``BandwidthTracker.stretch``/``add_rate``
+and ``EventQueue.push``, one :meth:`_start_hw_wg` call per group, never
+a whole wave at once; a
 placed slot is activated and draws its first chunk through
 :meth:`_activate_slot` and :meth:`_draw_chunk` rather than the engine's
 inline first draw (a closed batch activates its slots through
