@@ -40,7 +40,8 @@ from hypothesis import example, given, settings, strategies as st
 import repro.accelos.sharing as sharing
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations, requirement_key)
-from repro.api import ExperimentSpec, run
+from repro.api import ExperimentSpec, run, schemes
+from repro.api.kernels import base_spec
 from repro.api.schemes import SCHEMES
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.errors import SchedulingError
@@ -333,35 +334,56 @@ def _burst_run(device, arrivals, scheme="baseline"):
     return records, experiment.events_processed
 
 
-@settings(max_examples=20, deadline=None)
+def _closed_burst_run(device, names):
+    """Intervals and the engine event count of one closed batch, on the
+    scheme layer's simulator (the one the oracles swap)."""
+    simulator = schemes.GPUSimulator(device)
+    trace = simulator.run([base_spec(name) for name in names])
+    intervals = [(iv.name, iv.start, iv.finish, iv.dispatch_done)
+                 for iv in trace.intervals]
+    return intervals, simulator.events_processed
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    name=st.sampled_from(("sgemm", "bfs", "spmv", "histo_main",
-                          "mri-q_ComputePhiMag",
-                          "mri-gridding_uniformAdd")),
-    first=st.integers(min_value=1, max_value=4),
-    second=st.integers(min_value=1, max_value=4),
-    gap=st.sampled_from((0.0, 5e-5, 2e-4, 1e-3)),
+    # each burst's profiles arrive together, the burst's gap after the
+    # previous one (0: the same instant)
+    bursts=st.lists(st.tuples(
+        st.lists(st.sampled_from(PROFILE_NAMES), min_size=1, max_size=4),
+        st.sampled_from((0.0, 0.0, 5e-5, 2e-4, 1e-3))),
+        min_size=1, max_size=3),
+    closed=st.booleans(),
     device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2,
                                     _quarter_k20m)),
 )
 # the owner of the dispatch window finds no CU with room when its
 # handoff window opens, so its first group starts on a later
 # completion's freed CU, inline
-@example(name="mri-q_ComputePhiMag", first=2, second=2, gap=0.0,
-         device_factory=_quarter_k20m)
+@example(bursts=[(["mri-q_ComputePhiMag"] * 2, 0.0),
+                 (["mri-q_ComputePhiMag"] * 2, 0.0)],
+         closed=False, device_factory=_quarter_k20m)
 def test_same_instant_firmware_bursts_match_the_one_event_oracle(
-        name, first, second, gap, device_factory):
-    """Two bursts of one profile under the firmware scheduler, each at a
-    single arrival instant: kernels queue behind each other and their
-    groups complete together, so ``open_advance`` resolves most
-    completions inline (a freed CU for the dispatch window's owner, no
-    pending groups, a handoff window still closed) while the heap's
-    counter breaks the ties.  Records and engine event counts must
-    equal the one-event oracle's, and the cursor checks must hold."""
-    entries = [(name, 0.0)] * first + [(name, gap)] * second
-    arrivals = trace_arrivals(entries)
-    records, events = _on_all_engines(
-        lambda: _burst_run(device_factory(), arrivals))
+        bursts, closed, device_factory):
+    """Bursts of mixed profiles under the firmware scheduler, each at a
+    single arrival instant, or all of them as one closed batch: kernels
+    queue behind each other and their groups complete together, so
+    ``open_advance`` resolves most completions inline (a freed CU for
+    the dispatch window's owner, no pending groups, a handoff window
+    still closed) while the heap's counter breaks the ties.  Records or
+    intervals and engine event counts must equal the one-event oracle's,
+    and the cursor checks must hold, on the FIFO K20m, the exclusive
+    R9 295X2 and a quarter K20m."""
+    entries, now = [], 0.0
+    for names, gap in bursts:
+        now += gap
+        entries += [(name, now) for name in names]
+    if closed:
+        _, events = _on_all_engines(lambda: _closed_burst_run(
+            device_factory(), [name for name, _ in entries]))
+    else:
+        arrivals = trace_arrivals(entries)
+        _, events = _on_all_engines(
+            lambda: _burst_run(device_factory(), arrivals))
     assert events > len(entries)
 
 
