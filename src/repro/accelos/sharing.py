@@ -86,6 +86,34 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
     ``share_ratio`` optionally weights kernels (§2.2: "This can easily be
     achieved by changing the sharing ratio"); ``None`` means equal sharing,
     otherwise it is a list of finite positive weights, one per kernel.
+    The algorithm itself is :func:`allocate_groups`, run on the
+    requirements' :func:`requirement_key` tuples.
+    """
+    if not requirements:
+        return []
+    weights = None
+    if share_ratio is not None:
+        k = len(requirements)
+        if len(share_ratio) != k or not all(
+                math.isfinite(w) and w > 0 for w in share_ratio):
+            raise SchedulingError("share_ratio must list a finite positive "
+                                  "weight per kernel")
+        weights = [w * k / sum(share_ratio) for w in share_ratio]
+    groups = allocate_groups([requirement_key(req) for req in requirements],
+                             device, saturate=saturate, weights=weights)
+    return [Allocation(req, count)
+            for req, count in zip(requirements, groups)]
+
+
+def allocate_groups(keys, device, saturate=True, weights=None,
+                    base_shares=None):
+    """The §3 algorithm on :func:`requirement_key` tuples; returns the
+    list of group counts, aligned with ``keys``.
+
+    ``weights`` holds one normalised weight per kernel (they sum to
+    ``len(keys)``); ``None`` means equal sharing.  A key whose
+    ``wg_threads`` or ``total_groups`` is not positive raises
+    :class:`SchedulingError` with :class:`KernelRequirements`' text.
 
     Three phases: per-kernel base shares (each weight's fraction of the
     thread, local-memory and register budgets, clamped to ``[1,
@@ -98,57 +126,64 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
     Both loops keep their candidates in a heap keyed by the selection key
     plus the list index, so ties on the full key still go to the first in
     list order, as a linear scan would.  The shrink heap holds the
-    allocations above one group; saturation pops a candidate for good
-    once it no longer fits (the running thread/local-memory/register
-    totals only grow, so it never fits again) or reaches its
-    ``total_groups``.  Each granted or taken group costs O(log K), not a
-    rescan of all K allocations.
+    kernels above one group; saturation pops a candidate for good once it
+    no longer fits (the running thread/local-memory/register totals only
+    grow, so it never fits again) or reaches its ``total_groups``.  Each
+    granted or taken group costs O(log K), not a rescan of all K kernels.
 
     Both tie rules go through the name, so the result does not depend on
-    the order of the requirements (for equal weights, and as long as equal
-    names mean equal requirements) — :class:`AllocationMemo` relies on
-    that.  tests/oracles/sharing.py holds the literal re-summing version
-    this must match.
+    the order of the keys (for equal weights, and as long as equal names
+    mean equal keys) — :class:`AllocationMemo` relies on that.
+    tests/oracles/sharing.py holds the literal re-summing version this
+    must match.
+
+    ``base_shares`` (equal weights only) maps a key to its base share at
+    this ``len(keys)`` on this device: a key found there skips the
+    base-share arithmetic, and a key computed here is added to it.  The
+    caller keeps one such table per kernel count and device.
     """
-    if not requirements:
-        return []
-    k = len(requirements)
-    if share_ratio is None:
+    k = len(keys)
+    if weights is None:
         weights = [1.0] * k
-    else:
-        if len(share_ratio) != k or not all(
-                math.isfinite(w) and w > 0 for w in share_ratio):
-            raise SchedulingError("share_ratio must list a finite positive "
-                                  "weight per kernel")
-        weights = [w * k / sum(share_ratio) for w in share_ratio]
     max_threads = device.max_threads
     total_lmem = device.total_local_mem
     total_regs = device.total_registers
 
-    allocations = []
+    groups = []
     threads = lmem = regs = 0
-    for req, weight in zip(requirements, weights):
-        share = weight / k
-        x = int(max_threads * share // req.wg_threads)
-        if req.local_mem_bytes > 0:
-            y = int(total_lmem * share // req.local_mem_bytes)
-        else:
-            y = req.total_groups
-        rpg = req.registers_per_group
-        if rpg > 0:
-            z = int(total_regs * share // rpg)
-        else:
-            z = req.total_groups
-        groups = max(1, min(x, y, z, req.total_groups))
-        allocations.append(Allocation(req, groups))
-        threads += groups * req.wg_threads
-        lmem += groups * req.local_mem_bytes
-        regs += groups * rpg
+    for key, weight in zip(keys, weights):
+        _name, wg_threads, local_mem, regs_per_thread, total = key
+        rpg = regs_per_thread * wg_threads
+        base = None if base_shares is None else base_shares.get(key)
+        if base is None:
+            if wg_threads <= 0:
+                raise SchedulingError("work-group size must be positive")
+            if total <= 0:
+                raise SchedulingError(
+                    "kernel must have at least one work group")
+            share = weight / k
+            x = int(max_threads * share // wg_threads)
+            if local_mem > 0:
+                y = int(total_lmem * share // local_mem)
+            else:
+                y = total
+            if rpg > 0:
+                z = int(total_regs * share // rpg)
+            else:
+                z = total
+            base = max(1, min(x, y, z, total))
+            if base_shares is not None:
+                base_shares[key] = base
+        groups.append(base)
+        threads += base * wg_threads
+        lmem += base * local_mem
+        regs += base * rpg
 
     # The clamp to >= 1 group can oversubscribe pathological mixes; shrink
     # the largest allocations until everything fits (never below 1).
-    heap = [(-a.groups * a.requirements.wg_threads, a.requirements.name, i)
-            for i, a in enumerate(allocations) if a.groups > 1]
+    heap = [(-count * key[1], key[0], i)
+            for i, (key, count) in enumerate(zip(keys, groups))
+            if count > 1]
     heapq.heapify(heap)
     while not (threads <= max_threads and lmem <= total_lmem
                and regs <= total_regs):
@@ -159,54 +194,53 @@ def compute_allocations(requirements, device, saturate=True, share_ratio=None):
                 "cannot fit {} concurrent kernels on {}".format(
                     k, device.name))
         _key, name, i = heap[0]
-        largest = allocations[i]
-        req = largest.requirements
-        largest.groups -= 1
-        threads -= req.wg_threads
-        lmem -= req.local_mem_bytes
-        regs -= req.registers_per_group
-        if largest.groups > 1:
-            heapq.heapreplace(
-                heap, (-largest.groups * req.wg_threads, name, i))
+        _name, wg_threads, local_mem, regs_per_thread, _total = keys[i]
+        count = groups[i] - 1
+        groups[i] = count
+        threads -= wg_threads
+        lmem -= local_mem
+        regs -= regs_per_thread * wg_threads
+        if count > 1:
+            heapq.heapreplace(heap, (-count * wg_threads, name, i))
         else:
             heapq.heappop(heap)
 
     if not saturate:
-        return allocations
+        return groups
     # Saturation only ever adds to the running totals, so a candidate that
     # does not fit now never fits again: it leaves the heap for good.
-    heap = [(a.groups * a.requirements.wg_threads / weight,
-             a.requirements.name, i)
-            for i, (a, weight) in enumerate(zip(allocations, weights))
-            if a.groups < a.requirements.total_groups]
+    heap = [(count * key[1] / weight, key[0], i)
+            for i, (key, count, weight) in enumerate(zip(keys, groups,
+                                                         weights))
+            if count < key[4]]
     heapq.heapify(heap)
     while heap:
         _key, name, i = heap[0]
-        smallest = allocations[i]
-        req = smallest.requirements
-        if (threads + req.wg_threads > max_threads
-                or lmem + req.local_mem_bytes > total_lmem
-                or regs + req.registers_per_group > total_regs):
+        _name, wg_threads, local_mem, regs_per_thread, total = keys[i]
+        rpg = regs_per_thread * wg_threads
+        if (threads + wg_threads > max_threads
+                or lmem + local_mem > total_lmem
+                or regs + rpg > total_regs):
             heapq.heappop(heap)
             continue
-        smallest.groups += 1
-        threads += req.wg_threads
-        lmem += req.local_mem_bytes
-        regs += req.registers_per_group
-        if smallest.groups < req.total_groups:
+        count = groups[i] + 1
+        groups[i] = count
+        threads += wg_threads
+        lmem += local_mem
+        regs += rpg
+        if count < total:
             heapq.heapreplace(
-                heap, (smallest.groups * req.wg_threads / weights[i], name, i))
+                heap, (count * wg_threads / weights[i], name, i))
         else:
             heapq.heappop(heap)
-    return allocations
+    return groups
 
 
 def requirement_key(req):
     """The canonical hashable identity of one :class:`KernelRequirements`.
 
     Two requirements with equal keys are interchangeable inputs to the §3
-    algorithm: :func:`compute_allocations` reads exactly these five fields
-    and nothing else.
+    algorithm: :func:`allocate_groups` runs on exactly these five fields.
     """
     return (req.name, req.wg_threads, req.local_mem_bytes,
             req.registers_per_thread, req.total_groups)
@@ -226,19 +260,19 @@ class AllocationMemo:
     completion, but a stream drawn from a small kernel corpus cycles
     through a small set of active multisets — so the re-plan is usually a
     repeat.  The memo keys on the canonical (sorted) multiset of
-    requirement keys: a lookup stable-sorts the requirements, recalls the
-    group counts of the sorted set (a miss runs
-    :func:`compute_allocations` on it), and maps them back to the
-    caller's order.
+    requirement keys: a lookup stable-sorts the keys, recalls the group
+    counts of the sorted set (a miss runs :func:`allocate_groups` on the
+    sorted keys), and maps them back to the caller's order.
 
     Replay safety rests on the algorithm being *permutation-equivariant*
     for equal weights: the base shares are per-kernel, the shrink loop and
-    the greedy loop both break ties through ``requirements.name``, and
-    requirements sharing a full key are symmetric under a stable sort.  That is only guaranteed for equal
-    sharing — a ``share_ratio`` attaches position-dependent weights whose
-    ties resolve by list order — so the memo deliberately has no
-    ``share_ratio`` parameter; weighted plans must call
-    :func:`compute_allocations` directly.  See docs/PERFORMANCE.md.
+    the greedy loop both break ties through the kernel name, and
+    requirements sharing a full key are symmetric under a stable sort.
+    That is only guaranteed for equal sharing — a ``share_ratio``
+    attaches position-dependent weights whose ties resolve by list order
+    — so the memo deliberately has no ``share_ratio`` parameter; weighted
+    plans must call :func:`compute_allocations` directly.  See
+    docs/PERFORMANCE.md.
 
     One further precondition: selection ties must only occur between
     requirements sharing a *full* key.  The greedy tiebreak is
@@ -254,10 +288,17 @@ class AllocationMemo:
     evicts the oldest entry first.  Eviction only turns a later hit into
     a miss that computes the same answer again.  Stored multisets share
     one copy of each requirement key, so an entry costs two tuples.
+
+    A miss reads its base shares from a table kept per kernel count K:
+    with equal weights a base share depends only on K and the key (the
+    device is fixed per memo), so a key met again at the same K skips the
+    base-share arithmetic.  The table is never evicted; it holds at most
+    one entry per distinct key per K met, so it is bounded by the
+    distinct keys times the largest K, not by the stream length.
     """
 
     __slots__ = ("device", "saturate", "hits", "misses", "_groups_by_set",
-                 "_keys")
+                 "_keys", "_base_shares")
 
     def __init__(self, device, saturate=True):
         self.device = device
@@ -270,18 +311,24 @@ class AllocationMemo:
         self._groups_by_set = {}
         # requirement key -> its shared copy (one per kernel profile)
         self._keys = {}
+        # K -> {requirement key -> base share among K kernels}
+        self._base_shares = {}
 
     def groups_for(self, requirements):
         """Group targets for ``requirements``, in the caller's order."""
-        keys = [requirement_key(req) for req in requirements]
         return self.groups_for_keyed(
-            keys, lambda: list(requirements))
+            [requirement_key(req) for req in requirements], None)
 
     def groups_for_keyed(self, keys, build_requirements):
-        """Like :meth:`groups_for`, but ``build_requirements`` (returning
-        the :class:`KernelRequirements` list aligned with ``keys``) is only
-        called on a miss — callers holding cheaper key sources (simulator
-        specs) skip constructing requirement objects on the hot path."""
+        """Group targets for the :func:`requirement_key` tuples ``keys``,
+        in the caller's order: callers holding cheaper key sources
+        (simulator specs) build no requirement objects at all.
+
+        ``build_requirements`` is unused (callers pass ``None``): a miss
+        runs :func:`allocate_groups` on the keys themselves.  It stays in
+        the signature because perfbench's trace shim wraps this method
+        with it.
+        """
         order = sorted(range(len(keys)), key=keys.__getitem__)
         # Tuples here are built from lists.  A generator's tuple is
         # allocated at a guessed size and resized, and freeing it grows
@@ -292,15 +339,21 @@ class AllocationMemo:
         groups = self._groups_by_set.get(cache_key)
         if groups is None:
             self.misses += 1
-            requirements = build_requirements()
-            allocations = compute_allocations(
-                [requirements[i] for i in order], self.device,
-                saturate=self.saturate)
-            groups = tuple([a.groups for a in allocations])
+            # the shared copy of each key already met; a new key joins
+            # the shared copies only once its set computed, so a rejected
+            # set leaves nothing behind
+            shared = self._keys
+            cache_key = tuple([shared.get(key, key) for key in cache_key])
+            k = len(cache_key)
+            base_shares = self._base_shares.get(k)
+            if base_shares is None:
+                base_shares = self._base_shares[k] = {}
+            groups = tuple(allocate_groups(
+                cache_key, self.device, saturate=self.saturate,
+                base_shares=base_shares))
             table = self._groups_by_set
             if len(table) >= MEMO_CAPACITY:
                 del table[next(iter(table))]
-            shared = self._keys
             table[tuple([shared.setdefault(key, key)
                          for key in cache_key])] = groups
         else:

@@ -181,11 +181,11 @@ def sharing_allocator(device, saturate=True):
 
     def allocate(specs):
         # spec fields are already int-coerced, so these tuples equal the
-        # requirement_key() of the KernelRequirements built on a miss
-        keys = [(s.name, s.wg_threads, s.local_mem_per_wg,
-                 s.registers_per_thread, s.total_groups) for s in specs]
+        # requirement_key() of requirements_from_spec(s)
         return memo_obj.groups_for_keyed(
-            keys, lambda: [requirements_from_spec(s) for s in specs])
+            [(s.name, s.wg_threads, s.local_mem_per_wg,
+              s.registers_per_thread, s.total_groups) for s in specs],
+            None)
 
     allocate.memo = memo_obj
     return allocate

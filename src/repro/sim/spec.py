@@ -43,6 +43,7 @@ class KernelExecSpec:
         self.name = name
         self.wg_threads = int(wg_threads)
         self.wg_costs = wg_costs
+        self.total_groups = int(wg_costs.size)
         self.mem_rate_per_wg = float(mem_rate_per_wg)  # bytes/s demanded
         self.registers_per_thread = int(registers_per_thread)
         self.local_mem_per_wg = int(local_mem_per_wg)
@@ -67,10 +68,6 @@ class KernelExecSpec:
         if mode != ExecutionMode.HARDWARE and not physical_groups:
             raise SimulationError(
                 "{} execution needs a physical group count".format(mode))
-
-    @property
-    def total_groups(self):
-        return int(self.wg_costs.size)
 
     @property
     def total_work(self):
@@ -98,13 +95,31 @@ class KernelExecSpec:
             sched_overhead, self.sat_occupancy, self.arrival_time)
 
     def with_arrival(self, arrival_time):
-        """A copy entering the system at ``arrival_time`` seconds."""
-        return KernelExecSpec(
-            self.name, self.wg_threads, self.wg_costs,
-            self.mem_rate_per_wg, self.registers_per_thread,
-            self.local_mem_per_wg, self.mode, self.physical_groups,
-            self.chunk, self.sched_overhead, self.sat_occupancy,
-            arrival_time)
+        """A copy entering the system at ``arrival_time`` seconds.
+
+        Every other field was validated when this spec was built, so the
+        copy shares them (``wg_costs`` included) instead of checking them
+        again: the open-system path calls this once per request.
+        """
+        if arrival_time < 0:
+            raise SimulationError("arrival_time must be non-negative")
+        # assigned in __init__'s order, so the copy keeps the instances'
+        # shared attribute layout (a __dict__ copy would not)
+        spec = KernelExecSpec.__new__(KernelExecSpec)
+        spec.name = self.name
+        spec.wg_threads = self.wg_threads
+        spec.wg_costs = self.wg_costs
+        spec.total_groups = self.total_groups
+        spec.mem_rate_per_wg = self.mem_rate_per_wg
+        spec.registers_per_thread = self.registers_per_thread
+        spec.local_mem_per_wg = self.local_mem_per_wg
+        spec.mode = self.mode
+        spec.physical_groups = self.physical_groups
+        spec.chunk = self.chunk
+        spec.sched_overhead = self.sched_overhead
+        spec.sat_occupancy = self.sat_occupancy
+        spec.arrival_time = float(arrival_time)
+        return spec
 
     def __repr__(self):
         return ("<KernelExecSpec {} ({} WGs x {} thr, mode={})>"

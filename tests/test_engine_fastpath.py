@@ -28,10 +28,12 @@ pins the firmware dispatch cursors to a scan at every hardware event
 ``compute_allocations`` must equal the literal oracle on random
 weighted and equal-weight mixes, and
 ``AllocationMemo`` must be order-insensitive and bounded, with exact hit/miss
-bookkeeping.
+bookkeeping, and must equal the literal oracle on corpus multisets of up
+to 40 kernels, whatever their order.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -41,7 +43,7 @@ import repro.accelos.sharing as sharing
 from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations, requirement_key)
 from repro.api import ExperimentSpec, run, schemes
-from repro.api.kernels import base_spec
+from repro.api.kernels import base_spec, sharing_allocator
 from repro.api.schemes import SCHEMES
 from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
 from repro.errors import SchedulingError
@@ -560,52 +562,6 @@ def test_memo_at_capacity_evicts_the_oldest_entry(monkeypatch):
                      for reqs in sets]
 
 
-# corpus-style draws for the memo: one name maps to exactly one
-# footprint (the memo's documented precondition — engine requirements
-# come from a fixed kernel corpus, so equal names mean equal keys;
-# only total-group duplicates of whole profiles occur)
-PROFILES = {
-    "bfs": (64, 512, 8, 80),
-    "sgemm": (256, 0, 32, 300),
-    "histo": (128, 2048, 16, 120),
-    "mri-q": (192, 0, 24, 220),
-    "sad": (32, 4096, 8, 50),
-}
-
-
-def _profile_requirement(name):
-    wg_threads, lmem, regs, total_groups = PROFILES[name]
-    return KernelRequirements(name, wg_threads, lmem, regs, total_groups)
-
-
-CORPUS_REQUIREMENT = st.sampled_from(sorted(PROFILES)).map(
-    _profile_requirement)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    requirements=st.lists(CORPUS_REQUIREMENT, min_size=1, max_size=6),
-    shuffle_seed=st.randoms(use_true_random=False),
-)
-def test_memo_is_order_insensitive(requirements, shuffle_seed):
-    """Any permutation of one corpus multiset hits the same entry and
-    gets the same per-requirement group counts (aligned to its own
-    order)."""
-    device = nvidia_k20m()
-    memo = AllocationMemo(device)
-    first = memo.groups_for(requirements)
-    assert list(first) \
-        == [a.groups for a in compute_allocations(requirements, device)]
-    shuffled = list(requirements)
-    shuffle_seed.shuffle(shuffled)
-    again = memo.groups_for(shuffled)
-    assert memo.misses == 1     # the permutation is a hit, not a re-plan
-    # the replayed entry must equal what a fresh reference computation
-    # on the *shuffled* order would produce — replay is undetectable
-    assert list(again) \
-        == [a.groups for a in compute_allocations(shuffled, device)]
-
-
 # the active set behind the first memo/direct disagreement of the parent
 # allocator: 20 kernels on the quarter K20m of the "migrating" fleet
 # (name, wg_threads, local_mem_bytes, registers_per_thread, total_groups)
@@ -715,3 +671,96 @@ def test_allocator_is_permutation_equivariant(requirements, shuffle_seed):
 
     assert groups_by_requirement(shuffled) \
         == groups_by_requirement(requirements)
+
+
+# corpus-style draws for the memo: one name maps to exactly one
+# footprint (the memo's documented precondition — engine requirements
+# come from a fixed kernel corpus, so equal names mean equal keys).
+# The keys are the migrating fleet's, plus keys with no registers, or
+# with local memory as the binding constraint.
+MEMO_CORPUS = sorted(set(QUARTER_MIX) | {
+    ("copy_no_regs", 256, 0, 0, 128), ("stencil_no_regs", 64, 4096, 0, 40),
+    ("tpacf", 256, 13312, 30, 201)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    multisets=st.lists(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda k: st.lists(st.sampled_from(MEMO_CORPUS),
+                               min_size=k, max_size=k)),
+        min_size=1, max_size=3),
+    device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2,
+                                    _quarter_k20m)),
+    saturate=st.booleans(),
+    shuffle_seed=st.randoms(use_true_random=False),
+)
+@example(multisets=[QUARTER_MIX, QUARTER_MIX[:7]],
+         device_factory=_quarter_k20m, saturate=True,
+         shuffle_seed=random.Random(0))
+def test_memo_is_order_insensitive(multisets, device_factory, saturate,
+                                   shuffle_seed):
+    """One memo answers up to three corpus multisets of up to 40
+    kernels, each in three orders.  The first order is a miss, computed
+    on the sorted keys with the memo's base-share table (shared across
+    the multisets, at each one's K); the other orders are hits.  Every
+    answer must equal the literal algorithm on that order (replay is
+    undetectable), and a mix the one-group clamp oversubscribes must
+    raise in both."""
+    device = device_factory()
+    memo = AllocationMemo(device, saturate=saturate)
+
+    def memo_groups(requirements):
+        try:
+            return memo.groups_for(requirements)
+        except SchedulingError:
+            return SchedulingError
+
+    for fields in multisets:
+        requirements = [KernelRequirements(*key) for key in fields]
+        for turn in range(3):
+            misses = memo.misses
+            expected = _groups_or_error(reference_allocations, requirements,
+                                        device, saturate, None)
+            assert memo_groups(requirements) == expected
+            if turn and expected is not SchedulingError:
+                assert memo.misses == misses    # a permutation is a hit
+            shuffle_seed.shuffle(requirements)
+
+
+def test_base_shares_are_kept_per_kernel_count():
+    """A key's base share depends on how many kernels share the device:
+    sgemm alone gets the whole device, beside bfs half of it.  Without
+    saturation the base share is the answer, so a table keyed by the
+    requirement alone would hand the first K's share to the second."""
+    device = nvidia_k20m()
+    sgemm = KernelRequirements("sgemm", 256, 0, 32, 300)
+    bfs = KernelRequirements("bfs", 64, 512, 8, 80)
+    for sets in ([[sgemm], [sgemm, bfs]], [[sgemm, bfs], [sgemm]]):
+        memo = AllocationMemo(device, saturate=False)
+        for requirements in sets:
+            expected = reference_allocations(requirements, device,
+                                             saturate=False)
+            assert memo.groups_for(requirements) \
+                == [a.groups for a in expected]
+        assert memo.misses == 2
+    alone = reference_allocations([sgemm], device, saturate=False)
+    paired = reference_allocations([sgemm, bfs], device, saturate=False)
+    assert alone[0].groups != paired[0].groups
+
+
+def test_memo_miss_rejects_what_kernel_requirements_rejects():
+    """The miss path builds no KernelRequirements, so it checks their
+    two invariants itself, with the same messages, and stores nothing
+    for a rejected set: asking again raises again."""
+    allocate = sharing_allocator(nvidia_k20m())
+    no_threads = KernelExecSpec("empty", 0, [1e-4] * 4, 0.0, 16, 0)
+    for _ in range(2):
+        with pytest.raises(SchedulingError,
+                           match="^work-group size must be positive$"):
+            allocate([base_spec("sgemm"), no_threads])
+    with pytest.raises(SchedulingError,
+                       match="^kernel must have at least one work group$"):
+        allocate.memo.groups_for_keyed([("none", 64, 0, 16, 0)], None)
+    memo = allocate.memo
+    assert memo.hits == 0 and not memo._groups_by_set and not memo._keys

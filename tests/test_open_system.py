@@ -91,6 +91,15 @@ def test_with_arrival_preserves_everything_else():
     assert late.name == base.name
     assert late.total_groups == base.total_groups
     assert base.arrival_time == 0.0  # original untouched
+    assert late.wg_costs is base.wg_costs
+    assert {k: v for k, v in vars(late).items() if k != "arrival_time"} \
+        == {k: v for k, v in vars(base).items() if k != "arrival_time"}
+
+
+def test_with_arrival_rejects_negative_arrival():
+    with pytest.raises(SimulationError,
+                       match="^arrival_time must be non-negative$"):
+        spec("k", 4, 1e-4).with_arrival(-1e-9)
 
 
 def test_closed_run_rejects_arrival_times():
