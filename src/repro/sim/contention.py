@@ -61,8 +61,8 @@ class BandwidthTracker:
         ``GPUSimulator.open_advance`` inlines this for accelOS and
         Elastic Kernels chunk draws and for a firmware group restarted
         in place, ``GPUSimulator._start_hw_wgs`` for every other
-        firmware work group about to start, and ``_try_place_slot`` for
-        an open run's slot about to start; keep the copies in step.
+        firmware work group about to start, and ``_start_slot`` for
+        a slot placed after its batch's start; keep the copies in step.
         """
         if total <= self.capacity or resident == 0:
             return 1.0

@@ -18,7 +18,7 @@ EVENT_TIER = 1
 
 # EventQueue.push's rejections, shared with the engine's inlined pushes
 # (GPUSimulator.open_advance's slot arms and in-place firmware restart,
-# _start_hw_wgs and _try_place_slot).
+# _start_hw_wgs and _start_slot).
 NAN_TIME_ERROR = "event scheduled at NaN time"
 PAST_TIME_ERROR = "event scheduled in the past ({} < {})"
 

@@ -69,15 +69,20 @@ and goes to the one firmware dispatcher,
 to :meth:`GPUSimulator.open_step`, and the event sequence is the one
 ``open_step`` alone produces.
 
-**Placement:** every software slot, of a closed batch or an open run,
-takes its CU through one scan-and-admit,
-:meth:`GPUSimulator._admit_slot`.
+**Placement:** a software slot takes the CU with the most free
+threads that fits it, the earliest on ties.  A closed batch's slots,
+a rebalance grant and an Elastic Kernels pending pass scan every CU
+(:meth:`GPUSimulator._admit_slot`); an open run's grow places its
+slots as one wave from a heap of the CUs that fit
+(:meth:`GPUSimulator._grow_run`); and an accelOS pending pass after a
+retire tries the freed CU alone, the only one that can take a queued
+slot (:meth:`GPUSimulator._place_pending_slots`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from math import isnan
 
 from repro.errors import SimulationError
@@ -508,7 +513,7 @@ class GPUSimulator:
                         # the bandwidth stretch (BandwidthTracker._stretch)
                         # and EventQueue.push; keep the copies (here, in
                         # the Elastic Kernels arm below and in
-                        # _try_place_slot) in step.  A slot that draws
+                        # _start_slot) in step.  A slot that draws
                         # finishes no request.
                         chunk = run.chunk_size
                         end = base + chunk
@@ -1169,20 +1174,63 @@ class GPUSimulator:
                 self._shrink_run(run, effective - target, pending)
 
     def _grow_run(self, run, count):
-        # first cancel lazy shrinks that have not retired yet
+        """Give ``run`` ``count`` more slots: cancel pending shrinks
+        first, then place the rest as one wave, queueing what does not
+        fit.
+
+        The wave scans the CUs once and keeps those that fit the run's
+        footprint in a heap keyed ``(-threads_free, index)``, so each
+        slot takes the CU :meth:`_admit_slot`'s scan would pick (the
+        most free threads, earliest index on ties); the CU is re-keyed
+        after the admit, or dropped once the footprint no longer fits.
+        A slot whose start went through :meth:`_draw_chunk` may have
+        retired at once (its run's queue is drained: with ``chunk > 1``
+        a re-plan can give a run more slots than it has chunks left),
+        freeing its CU and running a pending pass, so the heap is then
+        rebuilt.  A failed placement changes nothing, so once the heap
+        is empty every later slot would fail too: the rest queue
+        unscanned.
+        """
         revived = min(count, run.shrink_slots)
         run.shrink_slots -= revived
         count -= revived
-        # a failed placement changes nothing, so once one fails every
-        # later one in this call would too: queue the rest unscanned
-        placing = True
-        for _ in range(count):
-            slot_index = run.slot_counter
+        if count <= 0:
+            return
+        threads, regs, lmem = run.footprint
+        fitting = None
+        while count:
+            if fitting is None:
+                fitting = [(-cu.threads_free, cu.index, cu) for cu in self.cus
+                           if cu.threads_free >= threads
+                           and cu.slots_free >= 1
+                           and cu.registers_free >= regs
+                           and cu.local_mem_free >= lmem]
+                heapify(fitting)
+            if not fitting:
+                break
+            # _admit_slot's update, on the heap's top; keep in step
+            cu = fitting[0][2]
+            free = cu.threads_free = cu.threads_free - threads
+            cu.registers_free -= regs
+            cu.local_mem_free -= lmem
+            cu.slots_free -= 1
+            if (free >= threads and cu.slots_free >= 1
+                    and cu.registers_free >= regs
+                    and cu.local_mem_free >= lmem):
+                heapreplace(fitting, (-free, cu.index, cu))
+            else:
+                heappop(fitting)
+            run.cu_resident[cu.index] = run.cu_resident.get(cu.index, 0) + 1
+            run.resident += 1
+            run.live_slots += 1
+            slot = _Slot(run, cu, run.slot_counter)
             run.slot_counter += 1
-            if placing and self._try_place_slot(run, slot_index):
-                continue
-            placing = False
-            self._pending_slots.append((run, slot_index))
+            count -= 1
+            if self._start_slot(slot):
+                fitting = None
+        for _ in range(count):
+            self._pending_slots.append((run, run.slot_counter))
+            run.slot_counter += 1
             run.pending_slots += 1
             self._pending_inc(run)
 
@@ -1218,22 +1266,24 @@ class GPUSimulator:
 
     # -- slot lifecycle ------------------------------------------------------
 
-    def _admit_slot(self, run, slot_index):
-        """Admit slot ``slot_index`` of ``run`` on the freest CU that fits
-        it (the most free threads, earliest index on ties) and return the
-        new slot, not yet activated; None, changing nothing, if no CU
-        fits.
+    def _admit_slot(self, run, slot_index, cus=None):
+        """Admit slot ``slot_index`` of ``run`` on the freest CU of
+        ``cus`` (default: every CU) that fits it (the most free threads,
+        earliest index on ties) and return the new slot, not yet
+        activated; None, changing nothing, if no CU fits.
 
-        The one placement scan of closed batches and open runs alike:
-        the fit test of :meth:`CUState.fits` and the update of
+        The fit test of :meth:`CUState.fits` and the update of
         :meth:`CUState.admit`, with the footprint read once from the
         run and the admit-time recheck dropped (the scan just proved
-        the fit).
+        the fit).  Closed batches, rebalance grants and Elastic Kernels
+        pending passes scan every CU; an accelOS pending pass passes
+        the CU its retire freed.  A grow's wave copies the update onto
+        the CU its heap picked; keep the two in step.
         """
         threads, regs, lmem = run.footprint
         cu = None
         best_free = -1
-        for cand in self.cus:
+        for cand in self.cus if cus is None else cus:
             free = cand.threads_free
             if (free > best_free and free >= threads
                     and cand.slots_free >= 1
@@ -1252,12 +1302,26 @@ class GPUSimulator:
         run.live_slots += 1
         return _Slot(run, cu, slot_index)
 
-    def _try_place_slot(self, run, slot_index):
-        """Place slot ``slot_index`` of ``run`` through :meth:`_admit_slot`,
-        activate it and draw its first chunk; False if no CU fits."""
-        slot = self._admit_slot(run, slot_index)
+    def _try_place_slot(self, run, slot_index, cus=None):
+        """Place slot ``slot_index`` of ``run`` on ``cus`` through
+        :meth:`_admit_slot` and activate it; False if no CU fits."""
+        slot = self._admit_slot(run, slot_index, cus)
         if slot is None:
             return False
+        self._start_slot(slot)
+        return True
+
+    def _start_slot(self, slot):
+        """Start ``slot``, admitted after its batch's start (a grow, a
+        pending pass or a rebalance grant): rate it at its CU's
+        co-residency, add its bandwidth demand and draw its first chunk.
+
+        Returns True when the draw went through :meth:`_draw_chunk`
+        (an Elastic Kernels run, or a drained or shrinking accelOS run),
+        which may have retired the slot at once: its CU is then free
+        again, and queued slots may have been placed.
+        """
+        run = slot.run
         events = self.events
         now = events.now
         if run.start_time is None:   # inlined mark_start
@@ -1297,18 +1361,28 @@ class GPUSimulator:
             raise SimulationError(NAN_TIME_ERROR if isnan(at)
                                   else PAST_TIME_ERROR.format(at, now))
         heappush(events._heap, (at, EVENT_TIER, next(events._counter), slot))
-        return True
+        return False
 
-    def _place_pending_slots(self):
+    def _place_pending_slots(self, cus):
+        """Place queued slots, in queue order, on ``cus`` (None: every
+        CU).
+
+        Between passes no live queued footprint fits any CU: a pass
+        ends with every remaining live footprint failed, a slot is
+        queued only after its footprint failed on every CU (a batch's
+        placement, a grow), and in between resources only shrink,
+        except at the retire that calls the next pass.  So
+        :meth:`_retire_slot` passes the freed CU alone, which places
+        exactly what a scan of every CU would.
+        """
         if not self._pending_slots:
             return
         still_pending = deque()
         # Free capacity only shrinks within one pass (successful
         # placements consume resources, failures change nothing), so a
         # resource footprint that failed once keeps failing — skip its
-        # repeats instead of rescanning every CU.  Pure pruning of
-        # known-failing attempts: placement order and outcomes are
-        # unchanged.
+        # repeats instead of rescanning.  Pure pruning of known-failing
+        # attempts: placement order and outcomes are unchanged.
         unplaceable = set()
         while self._pending_slots:
             run, slot_index = self._pending_slots.popleft()
@@ -1324,7 +1398,7 @@ class GPUSimulator:
             if footprint in unplaceable:
                 still_pending.append((run, slot_index))
                 continue
-            if not self._try_place_slot(run, slot_index):
+            if not self._try_place_slot(run, slot_index, cus):
                 unplaceable.add(footprint)
                 still_pending.append((run, slot_index))
                 if len(unplaceable) == len(self._pending_footprints):
@@ -1344,7 +1418,7 @@ class GPUSimulator:
         """A slot is idle: pull its next chunk of virtual groups (or retire).
 
         The entry point of every draw that the inline draws of
-        :meth:`open_advance` and :meth:`_try_place_slot` do not make: a
+        :meth:`open_advance` and :meth:`_start_slot` do not make: a
         closed batch's first chunks, a slot placed onto a drained or
         shrinking accelOS run or onto an Elastic Kernels run, and a
         chunk event processed by :meth:`open_step` itself.
@@ -1360,7 +1434,7 @@ class GPUSimulator:
                 run.shrink_slots -= 1
                 self._retire_slot(slot)
                 return
-            # open_advance and _try_place_slot inline this arm; keep the
+            # open_advance and _start_slot inline this arm; keep the
             # copies in step
             chunk = run.chunk_size
             end = base + chunk
@@ -1399,7 +1473,13 @@ class GPUSimulator:
         run.resident -= 1
         run.live_slots -= 1
         if self._pending_slots:
-            self._place_pending_slots()
+            # only the freed CU can take a queued slot (see
+            # _place_pending_slots); an Elastic Kernels slot placed by
+            # the pass can retire at once (an empty static assignment),
+            # freeing a second CU mid-pass, so that mode scans them all
+            self._place_pending_slots(
+                (cu,) if self._software_mode == ExecutionMode.ACCELOS
+                else None)
         if self.rebalance and not self._open:
             self._grant_freed_capacity()
         if run.live_slots or run.finish_time is not None \

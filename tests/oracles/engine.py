@@ -5,15 +5,17 @@ procedure of :class:`repro.sim.gpu.GPUSimulator` with the original scan
 that the engine's incremental structures replaced: admission re-sums
 the footprint of every admitted run, a re-allocation filters the whole
 run list and counts queued slots by scanning the pending deque, a shrink
-rebuilds that deque, placement (of closed batches and open runs alike)
-scans the CUs in its own :meth:`_freest_cu` and goes through
-``CUState.fits``/``admit``/``release`` rather than the engine's
-:meth:`_admit_slot`, and a pending-slot pass never stops early.  The
-firmware dispatcher has no early exit: it walks the run list from
-index 0 on every hardware event, checks the head of every run it
-reaches by scanning all earlier runs with the original FIFO/exclusive
-predicates, and tries every CU.  The
-engine's running state (admission totals, the live-active set, per-run
+rebuilds that deque, every slot placement (of closed batches and open
+runs alike: a grow's slots one at a time, never as the engine's wave
+from a heap of the CUs that fit; every queued slot of a pending pass,
+never only on the CU a retire freed) scans every CU in its own
+:meth:`_freest_cu` and goes through ``CUState.fits``/``admit``/``release``
+rather than the engine's :meth:`_admit_slot`, and a pending-slot pass
+never stops early.  The firmware dispatcher has no early exit: it walks
+the run list from index 0 on every hardware event, checks the head of
+every run it reaches by scanning all earlier runs with the original
+FIFO/exclusive predicates, and tries every CU.  The engine's running
+state (admission totals, the live-active set, per-run
 pending counters, the footprint index, the dispatch cursors) is still
 maintained by the inherited code, but nothing here reads it.  It also
 keeps no scaled-cost cache, so every run scales its own cost array;
@@ -24,15 +26,14 @@ the engine's chunk-work table; events are processed one
 completions and the window owner's in-place restarts); a firmware group
 starts through ``CUState.admit``, ``BandwidthTracker.stretch``/``add_rate``
 and ``EventQueue.push``, one :meth:`_start_hw_wg` call per group, never
-a whole wave at once; a
-placed slot is activated and draws its first chunk through
-:meth:`_activate_slot` and :meth:`_draw_chunk` rather than the engine's
-inline first draw (a closed batch activates its slots through
-:meth:`_activate_slot` too); and a grow re-attempts every slot
-placement after one fails.  Like the engine, the lifecycle
-overrides take the engine's slot records (``_Slot``: run, CU, index,
-occupancy, bandwidth rate and the chunk in flight), which are also the
-payloads of chunk events.
+a whole wave at once; a placed slot is activated and draws its first
+chunk through :meth:`_activate_slot` and :meth:`_draw_chunk` rather
+than the engine's :meth:`_start_slot` and its inline first draw (a
+closed batch activates its slots through :meth:`_activate_slot` too);
+and a grow re-attempts every slot placement after one fails.  Like the
+engine, the lifecycle overrides take the engine's slot records
+(``_Slot``: run, CU, index, occupancy, bandwidth rate and the chunk in
+flight), which are also the payloads of chunk events.
 
 :func:`reference_engine` swaps this simulator and the memo-less literal
 §3 allocator (:mod:`tests.oracles.sharing`) into the scheme layer, so

@@ -11,7 +11,10 @@ import pytest
 
 from repro.cl import nvidia_k20m
 from repro.sim import ExecutionMode, GPUSimulator, KernelExecSpec
+from repro.sim.gpu import _Slot
 from repro.sim.resources import max_resident_groups
+
+from tests.oracles import ReferenceGPUSimulator
 
 
 def spec(name, n, cost, wg=256, sat=0.5):
@@ -69,3 +72,66 @@ def test_rebalance_no_effect_when_nothing_retires_early():
 def test_rebalance_off_by_default():
     device = nvidia_k20m()
     assert GPUSimulator(device).rebalance is False
+
+
+class GrantTrackingSimulator(GPUSimulator):
+    """Records ``(freed CU, granted CU)`` for every slot a ``rebalance``
+    grant starts: the CU of the retire that made the grant, and the CU
+    the granted slot took."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grants = []
+        self._freed = None
+        self._granting = None
+
+    def _retire_slot(self, slot):
+        self._freed = slot.cu.index
+        super()._retire_slot(slot)
+
+    def _grant_freed_capacity(self):
+        self._granting = self._freed
+        try:
+            super()._grant_freed_capacity()
+        finally:
+            self._granting = None
+
+    def _start_slot(self, slot):
+        if self._granting is not None:
+            self.grants.append((self._granting, slot.cu.index))
+        return super()._start_slot(slot)
+
+
+def _slot_trace(simulator, specs):
+    events = []
+
+    def observe(time, payload):
+        if isinstance(payload, _Slot):
+            events.append((time, payload.run.index, payload.index,
+                           payload.cu.index))
+    simulator.event_observer = observe
+    trace = simulator.run(specs)
+    return events, [(iv.start, iv.finish) for iv in trace.intervals]
+
+
+def test_rebalance_grants_scan_every_cu():
+    """A retire's pending pass tries only the freed CU, but a grant is
+    not a queued slot: the starved kernel's wider groups do not fit the
+    CU a narrow slot freed, so grants land on other CUs, as the
+    oracle's scan of every CU places them."""
+    device = nvidia_k20m()
+
+    def batch():
+        return [
+            KernelExecSpec("long", 512, np.full(400, 1e-4), 0.0, 16, 0,
+                           mode=ExecutionMode.ACCELOS, physical_groups=10,
+                           chunk=1),
+            KernelExecSpec("short", 256, np.full(40, 5e-5), 0.0, 16, 0,
+                           mode=ExecutionMode.ACCELOS, physical_groups=20,
+                           chunk=1),
+        ]
+    tracked = GrantTrackingSimulator(device, rebalance=True)
+    engine = _slot_trace(tracked, batch())
+    assert engine == _slot_trace(
+        ReferenceGPUSimulator(nvidia_k20m(), rebalance=True), batch())
+    assert any(freed != granted for freed, granted in tracked.grants)

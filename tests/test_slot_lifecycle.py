@@ -16,11 +16,18 @@ event.  Three checks guard that lifecycle:
 * **Slot placement.**  Every CU of a device is alike, so a placement
   scan that broke ties toward a later CU would mirror the schedule and
   leave every timing unchanged; the CU of every slot event is compared
-  with the oracle's scan instead.
+  with the oracle's scan instead, in closed batches and in accelOS open
+  bursts.  An open run's grow places its slots as one wave from a heap
+  of the CUs that fit, and a pending pass after a retire tries only the
+  freed CU; the open property also compares the CU of every slot
+  started, since a slot that retires as it starts has no event, and
+  :class:`PlacementCountingSimulator` shows each of those paths runs.
 * **Slot invariants.**  :class:`SlotCheckedSimulator` enumerates the
   live slots from the heap's slot payloads before every event and after
   every advance, and checks each CU's free capacity, the bandwidth
-  tracker and every run's slot counters against them.
+  tracker and every run's slot counters against them, that no live
+  queued slot fits any CU, the queued-slot counts and the admission
+  totals: over the golden streams and a work-stealing fleet.
 """
 
 import json
@@ -31,11 +38,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.api.schemes as schemes
-from repro.api.kernels import base_spec
+from repro.api import DeviceEntry, ExperimentSpec, run
+from repro.api.kernels import base_spec, sharing_allocator
 from repro.api.schemes import SCHEMES
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.cl import nvidia_k20m
-from repro.sim import ExecutionMode, GPUSimulator
+from repro.sim import ExecutionMode, GPUSimulator, KernelExecSpec
 from repro.sim.gpu import _Slot
 from repro.workloads import trace_arrivals
 
@@ -60,12 +68,24 @@ class SlotCheckedSimulator(GPUSimulator):
       its demand is their rates' sum (within the relative tolerance of
       ``BandwidthTracker.remove_rate``);
     * each run's ``live_slots``, ``resident`` and ``cu_resident`` count
-      its live slots.
+      its live slots;
+    * no footprint of a live queued slot fits any CU, the precondition
+      of a pending pass that tries only the CU a retire freed (a live
+      queued slot is an entry that is not tombstoned, of a run whose
+      virtual-group queue is not drained);
+    * each run's ``pending_slots`` counts its entries in the pending
+      deque that are not tombstoned (its first ``pending_drop``), and
+      ``_pending_footprints`` equals their recount per footprint (a
+      drained run's entries stay counted until a pass discards them);
+    * the admission totals ``_adm_threads``, ``_adm_lmem`` and
+      ``_adm_regs`` equal their sums over ``_live_active``.
 
     Failures name the device, the event time and the run.  ``checks``
-    counts the states checked."""
+    counts the states checked, ``withdrawals`` the requests withdrawn
+    (migrated away)."""
 
     checks = 0
+    withdrawals = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -79,6 +99,10 @@ class SlotCheckedSimulator(GPUSimulator):
         time = super().open_advance(limit, inclusive, stop_on_finish)
         self._check_slots(self.events.now, None)
         return time
+
+    def open_withdraw(self, run):
+        type(self).withdrawals += 1
+        super().open_withdraw(run)
 
     def _fail(self, time, what, run=None):
         where = "" if run is None else " (run {} {})".format(
@@ -150,7 +174,49 @@ class SlotCheckedSimulator(GPUSimulator):
                            "{}; its live slots: {} on CUs {}".format(
                                run.live_slots, run.resident, resident,
                                len(slots), per_cu), run)
+        self._check_queue(time)
+        self._check_admission(time)
         type(self).checks += 1
+
+    def _check_queue(self, time):
+        entries = Counter(run for run, _ in self._pending_slots)
+        footprints = Counter()
+        for run, count in entries.items():
+            # a shrink tombstones a run's earliest entries
+            queued = count - run.pending_drop
+            if queued < 0 or run.pending_slots != queued:
+                self._fail(time, "pending_slots {} with {} entries queued, "
+                           "{} of them tombstoned".format(
+                               run.pending_slots, count, run.pending_drop),
+                           run)
+            if queued:
+                footprints[run.footprint] += queued
+            if queued and not run.mode_done():
+                threads, regs, lmem = run.footprint
+                fitting = [cu.index for cu in self.cus
+                           if cu.threads_free >= threads
+                           and cu.slots_free >= 1
+                           and cu.registers_free >= regs
+                           and cu.local_mem_free >= lmem]
+                if fitting:
+                    self._fail(time, "{} queued slots of footprint {} fit "
+                               "CUs {}".format(queued, run.footprint,
+                                               fitting), run)
+        if dict(footprints) != self._pending_footprints:
+            self._fail(time, "_pending_footprints {}, the queued entries "
+                       "recount {}".format(self._pending_footprints,
+                                           dict(footprints)))
+
+    def _check_admission(self, time):
+        active = list(self._live_active)
+        want = (sum(run.spec.wg_threads for run in active),
+                sum(run.spec.local_mem_per_wg for run in active),
+                sum(run.spec.registers_per_group for run in active))
+        got = (self._adm_threads, self._adm_lmem, self._adm_regs)
+        if got != want:
+            self._fail(time, "admission totals (threads, local memory, "
+                       "registers) {}, the {} live active runs sum to "
+                       "{}".format(got, len(active), want))
 
 
 def _checked(thunk):
@@ -311,3 +377,195 @@ def test_slot_invariants_hold_on_the_golden_streams(scenario):
     golden = json.loads((GOLDEN_DIR / "engine_streams.json").read_text(
         encoding="utf-8"))["streams"][family]
     assert _checked(lambda: stream_records(family)) == golden
+
+
+def test_slot_invariants_hold_on_a_work_stealing_fleet():
+    """A K20m and a half-clock quarter K20m under overload, the shape of
+    the benchmark's ``fleet-steal`` workload: the slow device's
+    admission queue fills and the fast one steals from it, so requests
+    are withdrawn from one simulator and submitted to the other."""
+    spec = ExperimentSpec(
+        scenario="multi-tenant", schemes=("accelos",), loads=(12.0,),
+        seeds=(2,), count=100,
+        devices=(DeviceEntry(id="fast", base="nvidia-k20m"),
+                 DeviceEntry(id="slow", base="nvidia-k20m",
+                             clock_scale=0.5, cu_scale=0.25)),
+        placements=("burst-aware",), rebalance="work-stealing",
+        metrics_mode="streaming")
+    withdrawals = SlotCheckedSimulator.withdrawals
+    checked = _checked(lambda: run(spec, cache=False).to_json())
+    assert SlotCheckedSimulator.withdrawals > withdrawals
+    assert checked == run(spec, cache=False).to_json()
+
+
+# -- open-stream slot placement: waves and freed-CU passes --------------------
+
+# (threads, registers per thread, local memory per group) of a kernel:
+# on the K20m (2048 threads, 65,536 registers, 48 KiB and 16 groups per
+# CU) the slots, the registers, the local memory or the threads bind
+OPEN_FOOTPRINTS = {
+    "slots": (64, 0, 0),
+    "registers": (192, 40, 0),
+    "local-memory": (256, 0, 8192),
+    "threads": (512, 16, 1024),
+}
+
+
+def _open_kernel(binding, groups, chunk, tied, arrival):
+    """An accelOS request whose footprint ``binding`` binds its per-CU
+    residency; ``tied`` gives every group one cost, so slots of
+    identical kernels complete together."""
+    threads, regs, lmem = OPEN_FOOTPRINTS[binding]
+    costs = [2e-5 * (1 + (0 if tied else i % 5)) for i in range(groups)]
+    # an open run's slot count is the allocator's, not physical_groups
+    return KernelExecSpec("{}-{}-{}".format(binding, groups, chunk),
+                          threads, costs, 2e9, regs, lmem,
+                          mode=ExecutionMode.ACCELOS, physical_groups=1,
+                          chunk=chunk, arrival_time=arrival)
+
+
+def _open_specs(bursts, tied):
+    """``bursts`` of ``(binding, groups, chunk)`` kernels, each burst
+    arriving at one instant, ``gap`` after the previous one."""
+    specs, now = [], 0.0
+    for kernels, gap in bursts:
+        now += gap
+        specs += [_open_kernel(binding, groups, chunk, tied, now)
+                  for binding, groups, chunk in kernels]
+    return specs
+
+
+def _open_slot_events(simulator, specs):
+    """Of one open run on ``simulator``: ``(time, run index, slot index,
+    CU index)`` of every slot event and of every slot started (a slot
+    that retires as it starts has no event), and the intervals."""
+    events, started = [], []
+
+    def observe(time, payload):
+        if isinstance(payload, _Slot):
+            events.append((time, payload.run.index, payload.index,
+                           payload.cu.index))
+    observer = simulator.event_observer
+    if observer is not None:
+        def both(time, payload):
+            observer(time, payload)
+            observe(time, payload)
+        simulator.event_observer = both
+    else:
+        simulator.event_observer = observe
+    # the oracle starts a placed slot through _activate_slot and
+    # _draw_chunk, the engine through _start_slot
+    hook = ("_activate_slot" if isinstance(simulator, ReferenceGPUSimulator)
+            else "_start_slot")
+    start = getattr(simulator, hook)
+
+    def record(slot):
+        started.append((simulator.events.now, slot.run.index, slot.index,
+                        slot.cu.index))
+        return start(slot)
+    setattr(simulator, hook, record)
+    trace = simulator.run_open(
+        specs, allocator=sharing_allocator(simulator.device))
+    return events, started, [(iv.name, iv.arrival, iv.start, iv.finish)
+                             for iv in trace.intervals]
+
+
+class PlacementCountingSimulator(SlotCheckedSimulator):
+    """The slot-checked engine, counting the placement paths an open
+    run takes: ``waves`` lists the slots each grow started (its wave),
+    ``rebuilds`` the wave slots started after an earlier slot of the
+    same wave retired at once (the heap rebuilt), and ``freed_passes``
+    the pending passes after a retire that placed a slot (``"placed"``)
+    or none (``"failed"``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.waves = []
+        self.rebuilds = 0
+        self.freed_passes = Counter()
+        self.started = 0
+        # one [slots started, last start retired] per open placement
+        # call (a grow, or None for a pass): nested calls stack up
+        self._placing = []
+
+    def _grow_run(self, run, count):
+        self._placing.append([0, False])
+        try:
+            super()._grow_run(run, count)
+        finally:
+            self.waves.append(self._placing.pop()[0])
+
+    def _place_pending_slots(self, cus):
+        self._placing.append(None)
+        started = self.started
+        try:
+            super()._place_pending_slots(cus)
+        finally:
+            self._placing.pop()
+        if cus is not None:
+            self.freed_passes["placed" if self.started > started
+                              else "failed"] += 1
+
+    def _start_slot(self, slot):
+        self.started += 1
+        wave = self._placing[-1] if self._placing else None
+        if wave is not None and wave[1]:
+            self.rebuilds += 1
+        drew = super()._start_slot(slot)
+        if wave is not None:
+            wave[0] += 1
+            wave[1] = drew
+        return drew
+
+
+OPEN_KERNEL = st.tuples(st.sampled_from(sorted(OPEN_FOOTPRINTS)),
+                        st.sampled_from((1, 3, 13, 40, 150)),
+                        st.sampled_from((1, 2, 4, 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bursts=st.lists(st.tuples(
+        st.lists(OPEN_KERNEL, min_size=1, max_size=4),
+        st.sampled_from((0.0, 0.0, 3e-5, 2e-4))),
+        min_size=1, max_size=3),
+    copies=st.integers(min_value=1, max_value=3),
+    tied=st.booleans(),
+    device_factory=TIE_DEVICE,
+)
+def test_open_slots_land_on_the_cus_the_reference_scan_picks(
+        bursts, copies, tied, device_factory):
+    """Every slot of an accelOS open run, started by a grow's wave or a
+    pending pass, takes the CU the oracle's per-slot ``_freest_cu``
+    scan picks, at the same time, and every slot event matches.
+    ``copies`` repeats each burst's kernels, so identical footprints
+    tie on free threads; ``chunk > 1`` lets a re-plan give a run more
+    slots than it has chunks left, and those retire at once."""
+    bursts = [(kernels * copies, gap) for kernels, gap in bursts]
+    specs = _open_specs(bursts, tied)
+    engine = _open_slot_events(GPUSimulator(device_factory()), specs)
+    assert engine[0] and engine[1]
+    assert engine == _open_slot_events(
+        ReferenceGPUSimulator(device_factory()), specs)
+    assert _open_slot_events(SlotCheckedSimulator(device_factory()),
+                             specs) == engine
+
+
+@pytest.mark.parametrize("device_factory", (nvidia_k20m, _quarter_k20m))
+def test_open_placement_paths_run(device_factory):
+    """The shortcuts the property above compares do run on a pinned
+    stream: waves of several slots, a wave whose heap is rebuilt after
+    a slot retired at once, and freed-CU passes that place a slot and
+    ones that place none."""
+    bursts = [([("slots", 150, 8), ("registers", 40, 1),
+                ("threads", 150, 4), ("local-memory", 13, 2)] * 2, 0.0),
+              ([("registers", 150, 1), ("slots", 40, 8)] * 2, 2e-4)]
+    specs = _open_specs(bursts, tied=True)
+    counted = PlacementCountingSimulator(device_factory())
+    engine = _open_slot_events(counted, specs)
+    assert engine == _open_slot_events(
+        ReferenceGPUSimulator(device_factory()), specs)
+    assert max(counted.waves) >= 2
+    assert counted.rebuilds > 0
+    assert counted.freed_passes["placed"] > 0
+    assert counted.freed_passes["failed"] > 0
