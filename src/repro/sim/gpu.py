@@ -70,13 +70,13 @@ to :meth:`GPUSimulator.open_step`, and the event sequence is the one
 ``open_step`` alone produces.
 
 **Placement:** a software slot takes the CU with the most free
-threads that fits it, the earliest on ties.  A closed batch's slots,
-a rebalance grant and an Elastic Kernels pending pass scan every CU
+threads that fits it, the earliest on ties.  A closed batch's slots
+and a rebalance grant scan every CU
 (:meth:`GPUSimulator._admit_slot`); an open run's grow places its
 slots as one wave from a heap of the CUs that fit
-(:meth:`GPUSimulator._grow_run`); and an accelOS pending pass after a
-retire tries the freed CU alone, the only one that can take a queued
-slot (:meth:`GPUSimulator._place_pending_slots`).
+(:meth:`GPUSimulator._grow_run`); and a pending pass after a retire
+tries the freed CU alone, the only one that can take a queued slot
+(:meth:`GPUSimulator._place_pending_slots`).
 """
 
 from __future__ import annotations
@@ -1275,9 +1275,8 @@ class GPUSimulator:
         The fit test of :meth:`CUState.fits` and the update of
         :meth:`CUState.admit`, with the footprint read once from the
         run and the admit-time recheck dropped (the scan just proved
-        the fit).  Closed batches, rebalance grants and Elastic Kernels
-        pending passes scan every CU; an accelOS pending pass passes
-        the CU its retire freed.  A grow's wave copies the update onto
+        the fit).  Closed batches and rebalance grants scan every CU; a
+        pending pass passes the CU its retire freed.  A grow's wave copies the update onto
         the CU its heap picked; keep the two in step.
         """
         threads, regs, lmem = run.footprint
@@ -1474,12 +1473,8 @@ class GPUSimulator:
         run.live_slots -= 1
         if self._pending_slots:
             # only the freed CU can take a queued slot (see
-            # _place_pending_slots); an Elastic Kernels slot placed by
-            # the pass can retire at once (an empty static assignment),
-            # freeing a second CU mid-pass, so that mode scans them all
-            self._place_pending_slots(
-                (cu,) if self._software_mode == ExecutionMode.ACCELOS
-                else None)
+            # _place_pending_slots)
+            self._place_pending_slots((cu,))
         if self.rebalance and not self._open:
             self._grant_freed_capacity()
         if run.live_slots or run.finish_time is not None \

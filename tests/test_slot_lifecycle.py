@@ -22,6 +22,8 @@ event.  Three checks guard that lifecycle:
   freed CU; the open property also compares the CU of every slot
   started, since a slot that retires as it starts has no event, and
   :class:`PlacementCountingSimulator` shows each of those paths runs.
+  An Elastic Kernels batch whose extra slots retire as a pass starts
+  them compares the CU of every slot retired.
 * **Slot invariants.**  :class:`SlotCheckedSimulator` enumerates the
   live slots from the heap's slot payloads before every event and after
   every advance, and checks each CU's free capacity, the bandwidth
@@ -435,10 +437,14 @@ def _open_specs(bursts, tied):
     return specs
 
 
-def _open_slot_events(simulator, specs):
+def _open_slot_events(simulator, specs, closed=False):
     """Of one open run on ``simulator``: ``(time, run index, slot index,
     CU index)`` of every slot event and of every slot started (a slot
-    that retires as it starts has no event), and the intervals."""
+    that retires as it starts has no event), and the intervals.
+
+    ``closed`` runs one closed batch instead and lists every slot
+    retired in place of those started: the engine draws a batch's
+    first chunks without starting its slots one by one."""
     events, started = [], []
 
     def observe(time, payload):
@@ -455,8 +461,12 @@ def _open_slot_events(simulator, specs):
         simulator.event_observer = observe
     # the oracle starts a placed slot through _activate_slot and
     # _draw_chunk, the engine through _start_slot
-    hook = ("_activate_slot" if isinstance(simulator, ReferenceGPUSimulator)
-            else "_start_slot")
+    if closed:
+        hook = "_retire_slot"
+    elif isinstance(simulator, ReferenceGPUSimulator):
+        hook = "_activate_slot"
+    else:
+        hook = "_start_slot"
     start = getattr(simulator, hook)
 
     def record(slot):
@@ -464,7 +474,7 @@ def _open_slot_events(simulator, specs):
                         slot.cu.index))
         return start(slot)
     setattr(simulator, hook, record)
-    trace = simulator.run_open(
+    trace = simulator.run(specs) if closed else simulator.run_open(
         specs, allocator=sharing_allocator(simulator.device))
     return events, started, [(iv.name, iv.arrival, iv.start, iv.finish)
                              for iv in trace.intervals]
@@ -569,3 +579,43 @@ def test_open_placement_paths_run(device_factory):
     assert counted.rebuilds > 0
     assert counted.freed_passes["placed"] > 0
     assert counted.freed_passes["failed"] > 0
+
+
+class RetireCountingSimulator(PlacementCountingSimulator):
+    """Also counts, in ``retired_in_pass``, the slots a pending pass
+    started that retired at once (no chunk event left on the heap)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.retired_in_pass = 0
+
+    def _start_slot(self, slot):
+        in_pass = bool(self._placing) and self._placing[-1] is None
+        drew = super()._start_slot(slot)
+        if in_pass and not any(entry[3] is slot
+                               for entry in self.events._heap):
+            self.retired_in_pass += 1
+        return drew
+
+
+@pytest.mark.parametrize("device_factory", (nvidia_k20m, _quarter_k20m))
+def test_ek_freed_cu_passes_match_the_oracle(device_factory):
+    """An Elastic Kernels run with more slots than groups gives its last
+    slots empty static assignments.  Queued behind the first wave, each
+    of them retires as soon as a pass after a retire starts it, which
+    hands back only the CU it took: a pass that tries the freed CU
+    alone still places every slot where the oracle's scan of every CU
+    places it."""
+    def kernel(name, threads, groups, lmem, slots):
+        return KernelExecSpec(name, threads,
+                              [2e-5 * (1 + i % 3) for i in range(groups)],
+                              2e9, 16, lmem, mode=ExecutionMode.ELASTIC,
+                              physical_groups=slots)
+    specs = [kernel("wide", 1024, 30, 0, 40),
+             kernel("narrow", 512, 8, 1024, 12)]
+    counted = RetireCountingSimulator(device_factory())
+    engine = _open_slot_events(counted, specs, closed=True)
+    assert engine == _open_slot_events(
+        ReferenceGPUSimulator(device_factory()), specs, closed=True)
+    assert counted.freed_passes["placed"] > 0
+    assert counted.retired_in_pass > 0
