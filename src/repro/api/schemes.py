@@ -122,6 +122,9 @@ class GpuOpenSession:
     def peek(self):
         return self._sim.open_peek()
 
+    def finish_bound(self):
+        return self._sim.open_finish_bound()
+
     def step(self):
         return self._sim.open_step(), self._newly_finished()
 
@@ -193,9 +196,21 @@ class SteppedSession:
     policies and re-balancers, which read live state.
     ``events_processed`` counts the session's engine events; a session
     that runs no simulator keeps the default, 0.
+
+    ``finish_bound()`` is the earliest time at which the session can
+    next finish a request or go idle, given no further submissions or
+    withdrawals (``None`` when it is idle).  A fleet runs its other
+    devices up to that time without looking at this one, and raises a
+    :class:`~repro.errors.SimulationError` if the session finishes or
+    goes idle earlier.  The default is ``peek()``, the next event's
+    time, which is always sound; a subclass may return a later time it
+    can prove.
     """
 
     events_processed = 0
+
+    def finish_bound(self):
+        return self.peek()
 
     def advance(self, limit=None, inclusive=False, stop_on_finish=False):
         time = None

@@ -19,6 +19,16 @@ here:
   attributed runs differ only in the record callback (the caller's
   sink) and the ledger observer attached.
 
+Devices interact only at arrivals and through the re-balance hook, so
+the loop runs them apart in between (conservative lookahead, after
+Chandy–Misra–Bryant): without re-balancing each device advances straight
+to the next arrival, and with it a device advances up to the earliest
+time another device could next finish or go idle, its session's
+``finish_bound()``.  Before the hook fires, every device is brought up
+to the hook's instant, so the hook sees exactly what a one-event-at-a-
+time loop shows it; a device that finishes earlier than its bound said
+raises :class:`~repro.errors.SimulationError`.
+
 The loop is deliberately scheme-agnostic: it drives duck-typed *device
 sessions* (the incremental advance-to-next-event interface of
 :meth:`repro.sim.gpu.GPUSimulator.open_begin` and friends, wrapped per
@@ -155,6 +165,9 @@ class DeviceFleet:
 #
 #   submit(key, arrival, effective_time)  one request enters this device
 #   peek() -> float | None                next event time (None = drained)
+#   finish_bound() -> float | None        earliest time the session can
+#                                         next finish a request or go idle
+#                                         (>= peek(); None = drained)
 #   step() -> (time, finished_delta)      process exactly one event
 #   advance(limit, inclusive,             step() until the next event lies
 #           stop_on_finish)               past limit (None = drain), or
@@ -318,10 +331,13 @@ class FleetSimulator:
     (:meth:`run`, :meth:`run_stream`) harvest, so live state is bounded
     by the outstanding request set, never the stream length.
 
-    Determinism: no RNG anywhere; the next event is the minimum over
-    sessions of ``peek()``, ties broken by fleet index; arrivals at time
-    ``t`` are placed before any device processes an event at exactly
-    ``t`` (matching the arrival-first tie rule inside each device).
+    Determinism: no RNG anywhere; events are processed as if one at a
+    time from the device with the earliest ``peek()``, ties broken by
+    fleet index (each device's own events, every hook call and what it
+    sees follow that order; see :meth:`_advance_before`); arrivals at
+    time ``t`` are placed before any device processes an event at
+    exactly ``t`` (matching the arrival-first tie rule inside each
+    device).
     """
 
     def __init__(self, fleet, sessions, policy, isolated, ledger=None):
@@ -466,20 +482,41 @@ class FleetSimulator:
 
     def _advance_before(self, time):
         """Process all device events strictly before ``time`` (None =
-        drain everything), in global time order, firing the re-balance
-        hook after completions and idle transitions.
+        drain everything), firing the re-balance hook after completions
+        and idle transitions exactly as the one-event loop would.
 
-        The event order is one event at a time from the earliest device,
-        ties to the lower fleet index.  Devices only interact through the
-        re-balance hook, so the earliest device runs in one batched
-        ``advance`` up to its horizon: the arrival (exclusive) and every
-        other device's next event — inclusive when that device has the
-        higher fleet index, since the tie is then ours — stopping at the
-        first finished request, where the hook may fire.
+        The reference order is one event at a time from the earliest
+        device, ties to the lower fleet index, with the hook after every
+        event that finishes a request or leaves its device idle.  Devices
+        interact only through that hook (and at arrivals, which bound
+        every device), so a device's events between two hook calls may
+        be processed apart from the others':
+
+        * without re-balancing there is no hook: each device with an
+          event before the arrival advances to it in one call;
+        * with it, the earliest device advances, stopping at its first
+          finish or idle transition, up to the earliest of the arrival
+          (exclusive, arrivals are placed before same-time events) and
+          every other device's ``finish_bound()``, the earliest time it
+          could next finish or go idle (inclusive only when that device
+          has the higher fleet index: the tie is then ours).  When it
+          stops at a finish or an idle transition at ``t``, every other
+          device is first brought up to ``t``, lower fleet indices
+          inclusive and higher ones exclusive, so the hook reads the
+          state the one-event loop shows it.  A device that finishes or
+          goes idle during that catch-up gave an unsound bound, and a
+          :class:`SimulationError` names it.
         """
         sessions = self.sessions
-        rebalance = self._rebalance_enabled
+        if not self._rebalance_enabled:
+            for session in sessions:
+                next_time = session.peek()
+                if next_time is not None and (time is None
+                                              or next_time < time):
+                    session.advance(time, False, False)
+            return
         nexts = [session.peek() for session in sessions]
+        bounds = [None] * len(sessions)
         while True:
             best = None
             best_time = None
@@ -489,20 +526,44 @@ class FleetSimulator:
                     best, best_time = j, next_time
             if best is None or (time is not None and best_time >= time):
                 return
-            # scanning in index order, an equal time seen later never
-            # loosens the bound: the arrival and lower indices come first
+            # scanning in index order, an equal bound seen later never
+            # loosens the limit: the arrival and lower indices come first
             limit, inclusive = time, False
-            for j, next_time in enumerate(nexts):
-                if j != best and next_time is not None \
-                        and (limit is None or next_time < limit):
-                    limit, inclusive = next_time, j > best
+            for j, session in enumerate(sessions):
+                if j != best and nexts[j] is not None:
+                    bound = bounds[j] = session.finish_bound()
+                    if limit is None or bound < limit:
+                        limit, inclusive = bound, j > best
             session = sessions[best]
-            event_time, finished = session.advance(limit, inclusive,
-                                                   rebalance)
+            result = session.advance(limit, inclusive, True)
+            if result is None:
+                raise SimulationError(
+                    "no device {} event before the fleet limit {!r}: some "
+                    "device gave a finish bound before its own next "
+                    "event".format(self.fleet[best].id, limit))
+            event_time, finished = result
             nexts[best] = session.peek()
-            if rebalance and (finished or nexts[best] is None):
+            if finished or nexts[best] is None:
+                self._catch_up(best, event_time, nexts, bounds)
                 self._maybe_rebalance(event_time)
                 nexts = [session.peek() for session in sessions]
+
+    def _catch_up(self, stopped, now, nexts, bounds):
+        """Bring every device but ``stopped`` up to ``now`` (lower fleet
+        indices inclusive), raising if one finishes or goes idle."""
+        for j, session in enumerate(self.sessions):
+            next_time = nexts[j]
+            if j == stopped or next_time is None or next_time > now \
+                    or (next_time == now and j > stopped):
+                continue
+            result = session.advance(now, j < stopped, True)
+            if result is not None and (result[1] or session.peek() is None):
+                raise SimulationError(
+                    "device {} {} at t={!r}, before device {} did at "
+                    "t={!r}, though its finish bound was {!r}".format(
+                        self.fleet[j].id,
+                        "finished a request" if result[1] else "went idle",
+                        result[0], self.fleet[stopped].id, now, bounds[j]))
 
     # -- live state & re-balancing -----------------------------------------
 

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import accumulate
 from math import isnan
 
 from repro.errors import SimulationError
@@ -101,6 +102,12 @@ _REFERENCE_CU_RATE = 384 * 706.0
 # windows (grid setup, channel switch).  This is why even two small kernels
 # that would fit together mostly serialise on the standard stack.
 KERNEL_HANDOFF_LATENCY = 90e-6
+
+# Relative float margin of GPUSimulator.open_finish_bound's estimate:
+# event times are sums of rounded additions, so a chain of n events can
+# fall below the exact sum by about n * 1.1e-16 of its magnitude; 1e-9
+# covers chains of millions of events and costs no measurable lookahead.
+FINISH_BOUND_MARGIN = 1e-9
 
 
 def device_cost_scale(device):
@@ -179,6 +186,11 @@ class _KernelRun:
         # occupancy_factor(k) per co-residency k, filled on slot
         # activation (the factor depends only on k for a fixed spec)
         self.occ_cache = {}
+        # read by GPUSimulator.open_finish_bound only, filled lazily:
+        # (remaining-work suffix table, least occupancy factor), and the
+        # time of the last in-flight chunk once the queue is drained
+        self.work_floor = None
+        self.drain_finish = None
 
     @property
     def finished(self):
@@ -379,7 +391,8 @@ class GPUSimulator:
         # hold exactly what per-run state would.
         entry = self._costs_cache.get(id(spec.wg_costs))
         if entry is None or entry[0] is not spec.wg_costs:
-            entry = (spec.wg_costs, spec.wg_costs * self._cost_scale, {})
+            entry = (spec.wg_costs, spec.wg_costs * self._cost_scale, {},
+                     {})
             self._costs_cache[id(spec.wg_costs)] = entry
         chunk_work = None
         if spec.mode == ExecutionMode.ACCELOS:
@@ -417,11 +430,118 @@ class GPUSimulator:
         else:
             self.events.push(spec.arrival_time, ("arrival", run),
                              tier=ARRIVAL_TIER)
+            heappush(self._arrival_times, spec.arrival_time)
+        self._bound = None
         return run
 
     def open_peek(self):
         """The next event's time, or None when the device is drained."""
         return self.events.peek_time()
+
+    def open_finish_bound(self):
+        """A lower bound on the time of the next event that finishes a
+        request or leaves the device idle (None when it is idle now).
+
+        A fleet runs its other devices up to this bound without looking
+        at this one (:meth:`repro.sim.fleet.FleetSimulator._advance_before`).
+        Firmware runs return the next event's time.  For accelOS runs
+        the bound rests on four facts about this engine:
+
+        (a) a request finishes only in :meth:`_retire_slot`, when its
+            last live slot retires with its virtual-group queue drained;
+        (b) a run not yet admitted can only be admitted by
+            :meth:`_admit_arrivals`, which runs at an arrival event,
+            after a finish or on a withdraw: each is a point this bound
+            already stops at (the first two) or one that recomputes it
+            (a withdraw), so runs not yet admitted are skipped;
+        (c) an admitted run's slot target changes only in
+            :meth:`_reallocate` (at an arrival, a finish or a withdraw),
+            so until then the run works on at most ``live_slots +
+            pending_slots`` slots at once;
+        (d) every chunk takes at least ``chunk_work × occ_min +
+            overhead``, where ``occ_min = max(1, sat_occupancy·k_max) /
+            k_max`` is the least occupancy factor, and the bandwidth
+            stretch is at least 1.
+
+        So an admitted run whose queue is drained finishes exactly at
+        the latest of its in-flight chunk events.  That time is fixed
+        from then on; one heap pass over the runs drained since the
+        last bound finds it, and it is kept on the run.  An undrained
+        run finishes no earlier than the next event plus its remaining
+        chunk work (from a suffix-sum table per profile and chunk size,
+        kept beside the chunk-work table) spread over ``max(1, live +
+        pending)`` slots.  A pending arrival event caps the bound at its
+        time, and the next event's time is a floor.  The estimate is
+        shrunk by :data:`FINISH_BOUND_MARGIN` of its magnitude: each
+        event time is one rounded addition, so a chain of ``n`` events
+        drifts from the exact sum by at most about ``n`` ulps.
+
+        The bound is cached until the device processes an event, takes
+        a submission or gives one up.  It only reads the engine's
+        state; the event loop does no work for it.
+        """
+        heap = self.events._heap
+        if not heap:
+            return None
+        now = heap[0][0]
+        if self._open_mode != ExecutionMode.ACCELOS:
+            return now
+        cached = self._bound
+        if cached is not None and cached[0] == self.events_processed:
+            return cached[1]
+        bound = self._arrival_times[0] if self._arrival_times else None
+        drained = {}                    # runs drained since the last bound
+        for run in self._live_active:
+            if run.next_vgroup >= run.total:
+                finish = run.drain_finish
+                if finish is None:
+                    drained[run] = now
+                    continue
+            else:
+                floor = run.work_floor
+                if floor is None:
+                    floor = run.work_floor = (self._work_suffix(run),
+                                              run.occupancy_factor(1))
+                suffix, occ_min = floor
+                index = run.next_vgroup // run.chunk_size
+                slots = run.live_slots + run.pending_slots
+                gap = ((suffix[index] * occ_min
+                        + (len(suffix) - 1 - index) * run.overhead)
+                       / (slots if slots > 1 else 1))
+                finish = now + gap - (abs(now) + abs(gap)) \
+                    * FINISH_BOUND_MARGIN
+            if bound is None or finish < bound:
+                bound = finish
+        if drained:
+            for entry in heap:
+                slot = entry[3]
+                if slot.__class__ is _Slot and slot.run in drained \
+                        and entry[0] > drained[slot.run]:
+                    drained[slot.run] = entry[0]
+            for run, finish in drained.items():
+                run.drain_finish = finish
+                if bound is None or finish < bound:
+                    bound = finish
+        if bound is None or bound < now:
+            bound = now
+        self._bound = (self.events_processed, bound)
+        return bound
+
+    def _work_suffix(self, run):
+        """``run``'s chunk-work suffix sums: entry ``i`` is the work of
+        windows ``i`` onward, with a trailing 0.  Shared per profile and
+        chunk size through ``_costs_cache``, built on first use (per run
+        when the cache keeps no entry, as in the test-side reference
+        engine)."""
+        entry = self._costs_cache.get(id(run.spec.wg_costs))
+        tables = entry[3] if entry is not None else {}
+        suffix = tables.get(run.chunk_size)
+        if suffix is None:
+            suffix = list(accumulate(reversed(run.chunk_work)))
+            suffix.reverse()
+            suffix.append(0.0)
+            tables[run.chunk_size] = suffix
+        return suffix
 
     def open_step(self):
         """Process exactly one event; returns its simulation time."""
@@ -701,6 +821,7 @@ class GPUSimulator:
         run.withdrawn = True
         self._remove_run(run)
         self._live_submissions -= 1
+        self._bound = None
         if self._open_mode == ExecutionMode.HARDWARE:
             # a blocked successor may now own the dispatch window: kick
             # the dispatcher at the current time
@@ -754,9 +875,15 @@ class GPUSimulator:
         self._live_active = {}         # admitted unfinished runs, in
         #                                admission order == self.runs order
         # id(spec.wg_costs) -> (wg_costs, scaled costs,
-        # {chunk size: chunk-work table}); holding the key array pins its
-        # id, so entries cannot collide
+        # {chunk size: chunk-work table}, {chunk size: its suffix sums,
+        # built by the first finish bound that reads them}); holding the
+        # key array pins its id, so entries cannot collide
         self._costs_cache = {}
+        # open-system finish bound: the times of the pending arrival
+        # events (a heap), and the last bound with the event count it
+        # was computed at (None after a submit or a withdraw)
+        self._arrival_times = []
+        self._bound = None
         # resource footprint -> live queued-slot entries with it: the index
         # over _pending_slots that lets a placement pass stop as soon as
         # every queued footprint is known-unplaceable
@@ -1043,6 +1170,8 @@ class GPUSimulator:
             self._draw_chunk(payload)
             return
         run = payload[1]     # ("arrival", run)
+        # arrival events pop in time order, so this one is the earliest
+        heappop(self._arrival_times)
         if run.withdrawn:
             return  # migrated to another device before arriving
         self._admission_queue.append(run)

@@ -20,16 +20,27 @@
   :func:`reference_pack` (the whole-queue packer) and
   :class:`ReplayEveryLaunchSession` (the open session with no launch
   memo), the oracles for the head-only packer and the launch memo
-  (tests/test_elastic_kernels.py).
+  (tests/test_elastic_kernels.py);
+* :mod:`tests.oracles.fleet` — run-time checkers of the fleet drive
+  loop: :class:`BoundCheckedFleetSimulator` (every finish and idle
+  transition against the device's last finish bound, every re-balance
+  hook against the devices' clocks),
+  :class:`ConservationCheckedFleetSimulator` (every key on exactly one
+  session, harvested once) and :class:`CheckedFleetSimulator` (both)
+  (tests/test_event_batching.py, tests/test_fleet_lookahead.py).
 """
 
 from tests.oracles.elastic import ReplayEveryLaunchSession, reference_pack
 from tests.oracles.engine import (FIRMWARE_ELIGIBLE, ReferenceGPUSimulator,
                                   reference_engine, swapped_engine)
+from tests.oracles.fleet import (BoundCheckedFleetSimulator,
+                                 CheckedFleetSimulator,
+                                 ConservationCheckedFleetSimulator)
 from tests.oracles.placement import place, place_arrivals, run_offline
 from tests.oracles.sharing import reference_allocations
 
 __all__ = ["FIRMWARE_ELIGIBLE", "ReferenceGPUSimulator", "reference_engine",
            "swapped_engine", "place", "place_arrivals", "run_offline",
            "reference_allocations", "reference_pack",
-           "ReplayEveryLaunchSession"]
+           "ReplayEveryLaunchSession", "BoundCheckedFleetSimulator",
+           "ConservationCheckedFleetSimulator", "CheckedFleetSimulator"]

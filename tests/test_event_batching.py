@@ -10,6 +10,8 @@ keep on both of its paths (``open_step``, and the inline arms of
 ``open_advance``) are regression-locked at the end.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,8 @@ from repro.metrics.sketches import StreamingRecordSink
 from repro.sim import (DeviceFleet, ExecutionMode, FleetSimulator,
                        GPUSimulator, KernelExecSpec)
 from repro.workloads import from_name, trace_arrivals
+
+from tests.oracles import CheckedFleetSimulator
 
 KERNELS = ("sgemm", "bfs", "spmv", "stencil")
 # arrival slots are multiples of this, so many requests arrive together
@@ -104,38 +108,54 @@ def _orders(orders):
     return [(m.key, m.source, m.target, m.penalty) for m in orders]
 
 
-def _log_calls(owner, name, log, tag, convert=lambda result: result):
-    """Append ``(tag, convert(result))`` to ``log`` on every call of
-    ``owner.name``."""
+def _log_calls(owner, name, log):
+    """Append the result of every call of ``owner.name`` to ``log``."""
     original = getattr(owner, name)
 
     def logged(*args):
         result = original(*args)
-        log.append((tag, convert(result)))
+        log.append(result)
         return result
     setattr(owner, name, logged)
 
 
 def _fleet_run(simulator_cls, case):
-    """One attributed fleet run, exact or streaming; the outcome
-    includes the harvest order, the global event sequence (device,
-    event time) and the re-balance hook's calls in order, so a
-    cross-device tie taken in the wrong order shows even when it does
-    not change a placement.  Simulator-backed devices report every
-    event through the engine's per-event observer, which both
-    ``open_step`` and ``open_advance``'s inline chunk draw call."""
+    """One attributed fleet run, exact or streaming.
+
+    The outcome holds the harvest order, each device's event sequence
+    and the re-balance hook's calls in order, each with the number of
+    events every device had processed when it fired: the hook must see
+    the state the one-event loop shows it, even when a cross-device tie
+    taken in the wrong order changes no placement.  Simulator-backed
+    devices report every event through the engine's per-event observer,
+    which both ``open_step`` and ``open_advance``'s inline arms call.
+    ``advance_calls`` counts the sessions' ``advance`` calls; it is not
+    part of the outcome, since the one-event loop makes none.
+    """
     fleet = case["fleet"]
     scheme = scheme_from_name(case["scheme"])
-    sessions = [scheme.open_session(member.device) for member in fleet]
-    log = []
+    sessions = [case.get("session", scheme.open_session)(member.device)
+                for member in fleet]
+    events = [[] for _ in fleet]
+    calls = []
     for j, session in enumerate(sessions):
         if isinstance(session, GpuOpenSession):
             session._sim.event_observer = \
-                lambda time, payload, j=j: log.append((j, time))
+                lambda time, payload, log=events[j]: log.append(time)
         else:
-            _log_calls(session, "step", log, j)
-    policy = _policy(case["placement"], case["rebalance"])
-    _log_calls(policy, "rebalance", log, "rebalance", _orders)
+            _log_calls(session, "step", events[j])
+        _log_calls(session, "advance", calls)
+    policy = (case["policy"]() if "policy" in case
+              else _policy(case["placement"], case["rebalance"]))
+    hooks = []
+    rebalance = policy.rebalance
+
+    def logged_rebalance(status):
+        orders = rebalance(status)
+        hooks.append((status.now, [len(log) for log in events],
+                      _orders(orders)))
+        return orders
+    policy.rebalance = logged_rebalance
     ledger = AttributionLedger(fleet.ids)
     simulator = simulator_cls(fleet, sessions, policy,
                               [isolated_table(m.device) for m in fleet],
@@ -153,15 +173,34 @@ def _fleet_run(simulator_cls, case):
     outcome = dict(harvested=harvested, report=repr(ledger.report()))
     outcome["migrations"] = _orders(simulator.migrations)
     outcome["events"] = simulator.events_processed()
-    outcome["log"] = log
-    return outcome
+    outcome["device_events"] = events
+    outcome["hooks"] = hooks
+    return outcome, len(calls)
+
+
+def checked_fleet(case):
+    """The checked drive loop (``tests/oracles/fleet.py``) for ``case``,
+    labelled with what it draws."""
+    label = "{} on {} ({}{})".format(
+        case["scheme"], "+".join(case["fleet"].ids),
+        case.get("placement", "policy"),
+        " + work stealing" if case.get("rebalance", True) else "")
+    return functools.partial(CheckedFleetSimulator, label=label)
+
+
+def assert_matches_the_per_event_loop(case):
+    """Run ``case`` on the checked drive loop and on the one-event
+    loop; both outcomes must be equal.  Returns the drive loop's outcome
+    and its number of session ``advance`` calls."""
+    batched, calls = _fleet_run(checked_fleet(case), case)
+    assert batched == _fleet_run(StepwiseFleetSimulator, case)[0]
+    return batched, calls
 
 
 @settings(max_examples=60, deadline=None)
 @given(fleet_cases())
 def test_fleet_horizon_matches_the_per_event_loop(case):
-    assert _fleet_run(FleetSimulator, case) \
-        == _fleet_run(StepwiseFleetSimulator, case)
+    assert_matches_the_per_event_loop(case)
 
 
 def test_identical_devices_tie_and_steal_like_the_per_event_loop():
@@ -174,8 +213,7 @@ def test_identical_devices_tie_and_steal_like_the_per_event_loop():
     case = dict(fleet=_fleet(2, identical=True),
                 arrivals=trace_arrivals(entries), scheme="baseline",
                 placement="least-loaded", rebalance=True, streaming=False)
-    batched = _fleet_run(FleetSimulator, case)
-    assert batched == _fleet_run(StepwiseFleetSimulator, case)
+    batched, _ = assert_matches_the_per_event_loop(case)
     assert batched["migrations"]
     assert batched["events"] > 0
 
