@@ -101,6 +101,20 @@ class GpuOpenSession:
     (baseline's firmware queue, accelOS's re-allocating sharing).
     ``build_spec(arrival, effective_time)`` turns one arrival into the
     scheme's :class:`~repro.sim.spec.KernelExecSpec`.
+
+    ``_entries`` maps every outstanding key to its ``(arrival, run)``,
+    in submission order; ``_waiting`` holds the subset that may still
+    be withdrawable, in the same order, so :meth:`queued` never walks
+    started requests.  A key enters ``_waiting`` at :meth:`submit`,
+    leaves it at :meth:`withdraw` and :meth:`harvest`, and is pruned
+    when :meth:`queued` finds it no longer withdrawable.  Pruning on
+    read is sound because withdrawability never comes back once lost
+    (:meth:`~repro.sim.GPUSimulator.open_withdrawable`): ``withdrawn``
+    is never cleared; in the software modes ``run.active`` never goes
+    back to ``False``; in firmware mode ``start_time`` and
+    ``dispatch_ready_time`` are never reset once set, ``events.now``
+    never decreases and ``spec.arrival_time`` is fixed, so the test can
+    only go from true to false.
     """
 
     def __init__(self, device, mode, build_spec, allocator=None):
@@ -109,15 +123,18 @@ class GpuOpenSession:
         self._sim = GPUSimulator(device)
         self._sim.open_begin(mode, allocator=allocator)
         self._build = build_spec
-        self._entries = {}            # key -> (arrival, run), insertion-
-        self._finished_seen = 0       # ordered (= submission order)
+        # key -> (arrival, run), insertion-ordered (= submission order);
+        # _waiting is the part that may still be withdrawable
+        self._entries = {}
+        self._waiting = {}
+        self._finished_seen = 0
 
     def submit(self, key, arrival, effective_time):
         spec = self._build(arrival, effective_time)
         # the run carries its key as the index, so a streaming harvest
         # can map finished runs back without a side table
         run = self._sim.open_submit(spec, index=key)
-        self._entries[key] = (arrival, run)
+        self._entries[key] = self._waiting[key] = (arrival, run)
 
     def peek(self):
         return self._sim.open_peek()
@@ -144,16 +161,22 @@ class GpuOpenSession:
 
     def queued(self):
         out = []
-        for key, (arrival, run) in self._entries.items():
+        started = []
+        for key, (arrival, run) in self._waiting.items():
             if self._sim.open_withdrawable(run):
                 out.append(QueuedRequest(key, arrival.name, arrival.tenant,
                                          run.spec.arrival_time))
+            else:
+                started.append(key)
+        for key in started:
+            del self._waiting[key]
         return out
 
     def withdraw(self, key):
         arrival, run = self._entries[key]
         self._sim.open_withdraw(run)
         del self._entries[key]
+        del self._waiting[key]
         return run.spec.arrival_time
 
     def harvest(self):
@@ -164,6 +187,7 @@ class GpuOpenSession:
         for run in self._sim.open_harvest():
             key = run.index
             del self._entries[key]
+            self._waiting.pop(key, None)
             out.append((key, run.start_time, run.finish_time))
         return out
 

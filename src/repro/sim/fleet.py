@@ -182,6 +182,11 @@ class DeviceFleet:
 #   backlog_seconds(now) -> float         live outstanding estimated work
 #   active_count() -> int                 admitted & unfinished requests
 #
+# queued(), backlog_seconds(now) and active_count() are called only when
+# a policy reads the matching DeviceStatus field, at most once per
+# snapshot.  No built-in policy reads active_count, but a session still
+# provides it.
+#
 # Placement-policy protocol: the online protocol of
 # repro.accelos.placement (reset / observe_arrival / choose /
 # migration_penalty / placed / rebalance).  Offline policies are
@@ -205,28 +210,77 @@ class QueuedRequest:
 
 
 class DeviceStatus:
-    """Live snapshot of one device inside the closed loop."""
+    """Live snapshot of one device inside the closed loop.
 
-    __slots__ = ("index", "id", "relative_speed", "backlog_seconds",
-                 "queued", "active_count")
+    ``backlog_seconds``, ``queued`` (a tuple of :class:`QueuedRequest`,
+    pinned requests left out) and ``active_count`` are read from the
+    device's session the first time each is asked for, and kept, so a
+    policy pays only for the fields it reads.  The snapshot is valid
+    only during the policy call it was built for (``choose`` or
+    ``rebalance``): once the call returns the loop seals it, and a field
+    first read after that raises :class:`~repro.errors.SimulationError`
+    naming the device and the snapshot's time.  Fields read during the
+    call stay readable.
+    """
 
-    def __init__(self, index, device_id, relative_speed, backlog_seconds,
-                 queued, active_count):
+    __slots__ = ("index", "id", "relative_speed", "_now", "_session",
+                 "_placed", "_sealed", "_backlog", "_queued", "_active")
+
+    def __init__(self, index, device_id, relative_speed, now, session,
+                 placed):
         self.index = index
         self.id = device_id
         self.relative_speed = relative_speed
-        self.backlog_seconds = backlog_seconds
-        self.queued = queued            # tuple of QueuedRequest
-        self.active_count = active_count
+        self._now = now
+        self._session = session
+        self._placed = placed           # key -> PlacedRequest
+        self._sealed = False
+        self._backlog = self._queued = self._active = None
+
+    def _check_live(self, field):
+        if self._sealed:
+            raise SimulationError(
+                "status of device {} at t={!r} read after its policy call "
+                "returned: {} was never read during the call".format(
+                    self.id, self._now, field))
+
+    @property
+    def backlog_seconds(self):
+        if self._backlog is None:
+            self._check_live("backlog_seconds")
+            self._backlog = self._session.backlog_seconds(self._now)
+        return self._backlog
+
+    @property
+    def queued(self):
+        if self._queued is None:
+            self._check_live("queued")
+            # pinned requests are invisible to re-balancers: a device tag
+            # is a hard constraint, the request must not be stolen away
+            # (a list-built tuple: see AllocationMemo.groups_for_keyed)
+            placed = self._placed
+            self._queued = tuple([entry for entry in self._session.queued()
+                                  if not placed[entry.key].pinned])
+        return self._queued
+
+    @property
+    def active_count(self):
+        if self._active is None:
+            self._check_live("active_count")
+            self._active = self._session.active_count()
+        return self._active
 
     @property
     def queue_depth(self):
         return len(self.queued)
 
     def __repr__(self):
-        return ("<DeviceStatus {} backlog={:.4f}s queue={} active={}>"
-                .format(self.id, self.backlog_seconds, self.queue_depth,
-                        self.active_count))
+        # shows only the fields already read ("?" for the others)
+        return ("<DeviceStatus {} backlog={} queue={} active={}>".format(
+            self.id,
+            "?" if self._backlog is None else "{:.4f}s".format(self._backlog),
+            "?" if self._queued is None else len(self._queued),
+            "?" if self._active is None else self._active))
 
 
 class FleetStatus:
@@ -234,7 +288,11 @@ class FleetStatus:
     placement policies observe (instead of the offline pre-pass's
     single-server backlog estimate).  ``estimate(name, index)`` is the
     kernel's isolated time on device ``index``, so re-balancers can price
-    a candidate migration on its target device."""
+    a candidate migration on its target device.
+
+    Valid only during the policy call it is passed to: the loop then
+    seals it (:meth:`seal`), and a :class:`DeviceStatus` field first
+    read after that raises (see :class:`DeviceStatus`)."""
 
     __slots__ = ("now", "devices", "estimate")
 
@@ -242,6 +300,11 @@ class FleetStatus:
         self.now = now
         self.devices = devices          # tuple of DeviceStatus
         self.estimate = estimate
+
+    def seal(self):
+        """End the snapshot's validity: fields not read so far raise."""
+        for device in self.devices:
+            device._sealed = True
 
     def __len__(self):
         return len(self.devices)
@@ -451,10 +514,11 @@ class FleetSimulator:
                 costs = ([self._cost(arrival.name, j)
                           for j in range(count)]
                          if policy.uses_costs else [0.0] * count)
-                index = policy.choose(
-                    arrival,
-                    self._status(arrival.time) if uses_status else None,
-                    costs)
+                status = self._status(arrival.time) if uses_status \
+                    else None
+                index = policy.choose(arrival, status, costs)
+                if status is not None:
+                    status.seal()
                 if not 0 <= index < count:
                     raise SchedulingError(
                         "policy {} chose device {} of {}".format(
@@ -568,22 +632,20 @@ class FleetSimulator:
     # -- live state & re-balancing -----------------------------------------
 
     def _status(self, now):
-        views = []
-        for j, (member, session) in enumerate(zip(self.fleet,
-                                                  self.sessions)):
-            # pinned requests are invisible to re-balancers: a device tag
-            # is a hard constraint, the request must not be stolen away
-            # (a list-built tuple: see AllocationMemo.groups_for_keyed)
-            queued = tuple([entry for entry in session.queued()
-                            if not self._placed[entry.key].pinned])
-            views.append(DeviceStatus(
-                j, member.id, member.relative_speed,
-                session.backlog_seconds(now), queued,
-                session.active_count()))
-        return FleetStatus(now, tuple(views), self._cost)
+        """The fleet's snapshot at ``now``: no session is read until the
+        policy reads a field (see :class:`DeviceStatus`)."""
+        placed = self._placed
+        return FleetStatus(now, tuple([
+            DeviceStatus(j, member.id, member.relative_speed, now, session,
+                         placed)
+            for j, (member, session) in enumerate(zip(self.fleet,
+                                                      self.sessions))]),
+            self._cost)
 
     def _maybe_rebalance(self, now):
-        orders = self.policy.rebalance(self._status(now))
+        status = self._status(now)
+        orders = self.policy.rebalance(status)
+        status.seal()
         if not orders:
             return
         for migration in orders:

@@ -26,8 +26,12 @@
   transition against the device's last finish bound, every re-balance
   hook against the devices' clocks),
   :class:`ConservationCheckedFleetSimulator` (every key on exactly one
-  session, harvested once) and :class:`CheckedFleetSimulator` (both)
-  (tests/test_event_batching.py, tests/test_fleet_lookahead.py).
+  session, harvested once), :class:`StatusCheckedFleetSimulator` (every
+  field a policy reads from a device snapshot against the eager scan it
+  replaced, and each session's withdrawable index) and
+  :class:`CheckedFleetSimulator` (all three)
+  (tests/test_event_batching.py, tests/test_fleet_lookahead.py,
+  tests/test_fleet_status.py).
 """
 
 from tests.oracles.elastic import ReplayEveryLaunchSession, reference_pack
@@ -35,7 +39,8 @@ from tests.oracles.engine import (FIRMWARE_ELIGIBLE, ReferenceGPUSimulator,
                                   reference_engine, swapped_engine)
 from tests.oracles.fleet import (BoundCheckedFleetSimulator,
                                  CheckedFleetSimulator,
-                                 ConservationCheckedFleetSimulator)
+                                 ConservationCheckedFleetSimulator,
+                                 StatusCheckedFleetSimulator)
 from tests.oracles.placement import place, place_arrivals, run_offline
 from tests.oracles.sharing import reference_allocations
 
@@ -43,4 +48,5 @@ __all__ = ["FIRMWARE_ELIGIBLE", "ReferenceGPUSimulator", "reference_engine",
            "swapped_engine", "place", "place_arrivals", "run_offline",
            "reference_allocations", "reference_pack",
            "ReplayEveryLaunchSession", "BoundCheckedFleetSimulator",
-           "ConservationCheckedFleetSimulator", "CheckedFleetSimulator"]
+           "ConservationCheckedFleetSimulator", "StatusCheckedFleetSimulator",
+           "CheckedFleetSimulator"]
