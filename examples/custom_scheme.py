@@ -137,7 +137,7 @@ def main():
     results = run(fleet)
     print()
     print(format_table(
-        ["placement", "ANTT", "p99 slowdown (P²)", "cross-tenant delay"],
+        ["placement", "ANTT", "p99 slowdown (sketch)", "cross-tenant delay"],
         [[placement, results.antt(placement=placement),
           results.p99_slowdown(placement=placement),
           results.metric("attribution_summary", placement=placement)]

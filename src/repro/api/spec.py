@@ -157,7 +157,8 @@ class ExperimentSpec:
     arrivals lazily through online sketches
     (:mod:`repro.metrics.sketches`) in bounded memory: counts, means,
     maxima and ANTT/STP/unfairness are exact up to summation order, and
-    percentile metrics are P² estimates.
+    percentile metrics are exact up to 256 requests and within 1%
+    relative of the exact ones beyond.
 
     ``attribution`` attaches a per-tenant accounting ledger
     (:class:`repro.attribution.AttributionLedger`) to every cell: each

@@ -72,7 +72,8 @@ class OpenSystemResult:
     :class:`~repro.metrics.sketches.ExactRecordSink` every metric is
     computed over the full population; from a
     :class:`~repro.metrics.sketches.StreamingRecordSink` the percentile
-    fields are P² estimates and ``records``/``slowdowns`` are ``None``.
+    fields are within ``RELATIVE_ACCURACY`` of the exact ones past
+    ``EXACT_COUNT`` values, and ``records``/``slowdowns`` are ``None``.
     The METRICS registry and every report read either alike.
     """
 

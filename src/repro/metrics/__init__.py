@@ -6,7 +6,8 @@ Turnaround: ANTT and worst-case ANTT [31].
 Sharing: kernel execution overlap.
 Tails: exact percentile summaries of slowdown/queueing populations.
 Sinks: the exact and the bounded-memory record sinks every open-system
-result is reduced from (P2 quantiles, online stats).
+result is reduced from (online stats, and log-bucketed quantiles within
+``RELATIVE_ACCURACY`` of the exact ones past ``EXACT_COUNT`` values).
 """
 
 from repro.metrics.fairness import (
@@ -18,9 +19,8 @@ from repro.metrics.overlap import execution_overlap
 from repro.metrics.tails import (
     TailSummary, per_tenant_tails, percentile, request_tails, tail_summary)
 from repro.metrics.sketches import (
-    P2_RANK_TOLERANCE, P2_RELATIVE_SLACK, ExactRecordSink, OnlineStats,
-    P2Quantile, RecordSink, SinkMetrics, StreamingRecordSink,
-    TailSketch)
+    EXACT_COUNT, RELATIVE_ACCURACY, ExactRecordSink, OnlineStats,
+    RecordSink, SinkMetrics, StreamingRecordSink, TailSketch)
 
 __all__ = [
     "individual_slowdowns", "system_unfairness", "fairness_improvement",
@@ -28,7 +28,7 @@ __all__ = [
     "throughput_speedup", "stp", "antt", "worst_antt", "execution_overlap",
     "TailSummary", "percentile", "tail_summary", "per_tenant_tails",
     "request_tails",
-    "P2_RANK_TOLERANCE", "P2_RELATIVE_SLACK",
-    "ExactRecordSink", "OnlineStats", "P2Quantile", "RecordSink",
+    "EXACT_COUNT", "RELATIVE_ACCURACY",
+    "ExactRecordSink", "OnlineStats", "RecordSink",
     "SinkMetrics", "StreamingRecordSink", "TailSketch",
 ]

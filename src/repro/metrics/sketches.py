@@ -8,11 +8,12 @@ more *record sinks*, and every result is built from a sink's
 * :class:`ExactRecordSink` keeps every record and reduces with the
   exact metric functions (:mod:`repro.metrics.tails` percentiles over
   the full sorted population) — O(n) memory;
-* :class:`StreamingRecordSink` keeps bounded state: online accumulators
-  (:class:`OnlineStats`) for the moments that are exactly computable
-  one value at a time, and the P² algorithm (Jain & Chlamtac, CACM
-  1985) for quantiles, five markers per quantile in O(1) memory
-  (``metrics_mode="streaming"`` in the declarative API).
+* :class:`StreamingRecordSink` keeps bounded state: online
+  accumulators (:class:`OnlineStats`) for the moments that are exactly
+  computable one value at a time, and one :class:`TailSketch` per
+  tail, whose log-bucketed quantile store follows DDSketch (Masson, Rim
+  & Lee, VLDB 2019) (``metrics_mode="streaming"`` in the declarative
+  API).
 
 Sink contract
 -------------
@@ -34,38 +35,45 @@ Accuracy contract
   *exact* up to float summation order — the streaming sink accumulates
   in completion order, the exact sink in submission order, so the two
   agree to ~1e-12 relative, not bit-for-bit.
-* Quantiles of populations up to ``P2_WARMUP`` (256) observations are
-  **exact**: the sketch buffers the warm-up values (a fixed constant,
-  so memory stays O(1)) and interpolates them with the same
-  linear-interpolation convention as :func:`repro.metrics.tails`.
-* Quantiles with n > ``P2_WARMUP`` are P² estimates, warm-started from
-  the exact quantiles of the buffer.  The documented tolerance —
-  enforced by ``tests/test_sketches.py`` — is a *rank window*: the
-  estimate of quantile ``q`` lies within the exact value band of ranks
-  ``q ± P2_RANK_TOLERANCE`` percentile points, extended outward to the
-  nearest *distinct observed values* (P² interpolates between marker
-  heights, so on heavily tied populations the estimate can land
-  strictly between two tied groups — it never escapes the adjacent
-  distinct values), widened by ``P2_RELATIVE_SLACK`` relative.
-  Constant populations are exact (all five markers collapse to the
-  constant).
+* Quantiles of populations up to ``EXACT_COUNT`` (256) values are
+  **exact**: the sketch keeps them (a fixed constant, so memory stays
+  O(1)) and interpolates them with the same linear-interpolation
+  convention as :func:`repro.metrics.tails`, bit for bit.
+* Past ``EXACT_COUNT``, every value is counted in a log bucket.  With
+  α = ``RELATIVE_ACCURACY`` (0.01) and γ = (1+α)/(1−α), bucket ``i`` of
+  a positive value covers (γ^(i−1), γ^i] and answers 2γ^i/(γ+1), which
+  is within α of every value in it.  Zeros are counted apart and
+  answer 0; negative values are mirrored into buckets of their own.
+  A quantile interpolates the bucket answers of the two order
+  statistics the exact convention interpolates, clamped to the exact
+  min and max.  So on any non-negative population, ties and heavy
+  tails included, ``|estimate − exact| ≤ α·exact`` (up to float
+  rounding), and a constant population is answered exactly.  The
+  bucket count is at most ⌈ln(max/min)/ln γ⌉ + 1 per sign, whatever
+  the count of values; ``tests/test_sketches.py`` checks the bound.
 
 Determinism
 -----------
 
 Sketch state is a pure function of the observation *sequence*: pure
-Python floats, no randomness, no dict-order dependence.  Feeding the
+Python floats and integer counts, no randomness, no dict-order
+dependence (quantiles read the buckets in sorted order).  Feeding the
 same values in the same order reproduces the state bit-for-bit (see
 ``docs/DETERMINISM.md``); the harness feeds a streaming sink in
 completion-harvest order, which the simulator makes deterministic.
 
 NaN handling matches ``tails._checked_sorted`` exactly: observing a NaN
-raises ``ValueError("values must not contain NaN")``.
+raises ``ValueError("values must not contain NaN")``.  The log buckets
+take every finite value; an infinite one has no bucket, and a sketch
+past ``EXACT_COUNT`` values raises ``OverflowError`` on it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import sys
 from typing import Any, Dict, List, NamedTuple, Optional, Protocol
 
 import numpy as np
@@ -76,21 +84,16 @@ from repro.metrics.tails import (TailSummary, _percentile_of_sorted,
                                  request_tails)
 from repro.metrics.throughput import stp
 
-# documented quantile tolerance (see module docstring and
-# tests/test_sketches.py): rank window in percentile points, plus a
-# relative widening of the band
-P2_RANK_TOLERANCE = 5.0
-P2_RELATIVE_SLACK = 0.05
-
-# observations buffered (and answered exactly) before the sketch
-# switches to P² markers — a fixed constant, so memory stays O(1).
-# Pure P² is poor below a few hundred observations: the interior
-# markers start at the first five values and migrate toward the target
-# rank one step per observation, so an extreme quantile (p99) of a
-# small population is answered from wherever the median marker happens
-# to sit.  Warm-starting from the exact quantiles of a 256-value buffer
-# removes that regime entirely.
-P2_WARMUP = 256
+# values kept and answered exactly before a sketch moves them into log
+# buckets; a fixed constant, so memory stays O(1)
+EXACT_COUNT = 256
+# α: past EXACT_COUNT values, every quantile of a non-negative
+# population is within this fraction of the exact one
+RELATIVE_ACCURACY = 0.01
+# γ = (1+α)/(1−α): bucket i of a magnitude covers (γ^(i−1), γ^i]
+_LOG_GAMMA = math.log((1.0 + RELATIVE_ACCURACY)
+                      / (1.0 - RELATIVE_ACCURACY))
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 def _check_value(value: float) -> float:
@@ -135,179 +138,119 @@ class OnlineStats:
         return self.total / self.count
 
 
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac 1985).
+class _BucketRanks:
+    """The bucket estimate of every order statistic of a
+    :class:`TailSketch` past ``EXACT_COUNT`` values, indexed by rank
+    like the sorted population it stands for: the ascending sequence
+    :func:`~repro.metrics.tails._percentile_of_sorted` interpolates."""
 
-    Five markers track the running estimate of one quantile ``q``
-    (0 < q < 100) in O(1) memory.  The first ``P2_WARMUP`` observations
-    are buffered and answered as the *exact* linear-interpolation
-    percentile (``tails`` convention); beyond that the buffer collapses
-    into markers warm-started from its exact quantiles, so small
-    populations are never approximated and the P² regime starts from an
-    exact state.
-    """
+    __slots__ = ("_ends", "_values")
 
-    __slots__ = ("q", "_p", "_heights", "_positions", "_desired",
-                 "_increments", "count")
+    _ends: List[int]
+    _values: List[float]
 
-    q: float
-    _p: float
-    _heights: List[float]
-    _positions: List[float]
-    _desired: List[float]
-    _increments: List[float]
-    count: int
+    def __init__(self, negative: Dict[int, int], zeros: int,
+                 positive: Dict[int, int]) -> None:
+        buckets = [(-_estimate(index), negative[index])
+                   for index in sorted(negative, reverse=True)]
+        # an empty zero bucket repeats the previous end, so no rank
+        # lands in it
+        buckets.append((0.0, zeros))
+        buckets.extend((_estimate(index), positive[index])
+                       for index in sorted(positive))
+        self._values = [value for value, _ in buckets]
+        self._ends = list(itertools.accumulate(
+            count for _, count in buckets))
 
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 100.0:
-            raise ValueError("P2 quantile must be in (0, 100)")
-        self.q = float(q)
-        self._p = self.q / 100.0
-        self._heights = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * self._p, 1.0 + 4.0 * self._p,
-                         3.0 + 2.0 * self._p, 5.0]
-        self._increments = [0.0, self._p / 2.0, self._p,
-                            (1.0 + self._p) / 2.0, 1.0]
-        self.count = 0
+    def __len__(self) -> int:
+        return self._ends[-1]
 
-    def observe(self, value: float) -> None:
-        value = _check_value(value)
-        self.count += 1
-        if self.count <= P2_WARMUP:
-            self._heights.append(value)
-            return
-        if self.count == P2_WARMUP + 1:
-            self._init_markers()
-        h = self._heights
-        # locate the cell and clamp the extreme markers
-        if value < h[0]:
-            h[0] = value
-            cell = 0
-        elif value >= h[4]:
-            h[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= h[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # adjust the three interior markers towards their desired ranks
-        for i in range(1, 4):
-            delta = self._desired[i] - self._positions[i]
-            below = self._positions[i] - self._positions[i - 1]
-            above = self._positions[i + 1] - self._positions[i]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0
-                                                  and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                self._positions[i] += step
-        return
+    def __getitem__(self, rank: int) -> float:
+        return self._values[bisect.bisect_right(self._ends, rank)]
 
-    def _init_markers(self) -> None:
-        """Collapse the warm-up buffer into five P² markers placed at
-        the positions the classic algorithm would have reached after
-        ``P2_WARMUP`` observations, with heights read off the *exact*
-        quantiles of the buffer — so the estimate is exact at the
-        switchover and P² only accumulates drift beyond it."""
-        ordered = sorted(self._heights)
-        n, p = float(P2_WARMUP), self._p
-        self._desired = [1.0,
-                         1.0 + 2.0 * p + (n - 5.0) * p / 2.0,
-                         1.0 + 4.0 * p + (n - 5.0) * p,
-                         3.0 + 2.0 * p + (n - 5.0) * (1.0 + p) / 2.0,
-                         n]
-        positions = [1.0]
-        for i in (1, 2, 3):
-            rank = min(max(round(self._desired[i]), positions[-1] + 1),
-                       n - (4 - i))
-            positions.append(float(rank))
-        positions.append(n)
-        self._positions = positions
-        self._heights = [
-            _percentile_of_sorted(ordered,
-                                  (pos - 1.0) / (n - 1.0) * 100.0)
-            for pos in positions
-        ]
 
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate (exact for
-        count <= ``P2_WARMUP``)."""
-        if self.count == 0:
-            raise ValueError("need at least one value")
-        if self.count <= P2_WARMUP:
-            # the stored values ARE the population: answer exactly
-            return _percentile_of_sorted(sorted(self._heights), self.q)
-        return self._heights[2]
-
-    def state(self) -> Dict[str, Any]:
-        """Plain-data sketch state — equal states are bit-equal
-        (determinism tests compare these)."""
-        return {
-            "q": self.q,
-            "count": self.count,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
+def _estimate(index: int) -> float:
+    """The value bucket ``index`` answers, 2γ^i/(γ+1) = (1−α)·γ^i:
+    within α of everything in (γ^(i−1), γ^i].  Capping the exponent at
+    the largest float's keeps that true in the topmost bucket."""
+    return (1.0 - RELATIVE_ACCURACY) * math.exp(
+        min(index * _LOG_GAMMA, _MAX_EXPONENT))
 
 
 class TailSketch:
     """Streaming :func:`repro.metrics.tails.tail_summary`: online
-    count/mean/max plus P² p50/p95/p99 over one value population."""
+    count/mean/min/max plus p50/p95/p99 over one value population.
 
-    __slots__ = ("stats", "_quantiles")
+    The first ``EXACT_COUNT`` values are kept and answered exactly;
+    from the next one on, every value is counted in the log bucket
+    that holds it (see the module docstring), and one bucket store
+    serves all three quantiles.
+    """
+
+    __slots__ = ("stats", "_exact", "_positive", "_negative", "_zeros")
 
     stats: OnlineStats
-    _quantiles: Dict[float, P2Quantile]
+    _exact: Optional[List[float]]
+    _positive: Dict[int, int]
+    _negative: Dict[int, int]
+    _zeros: int
 
     def __init__(self) -> None:
         self.stats = OnlineStats()
-        self._quantiles = {q: P2Quantile(q) for q in (50.0, 95.0, 99.0)}
+        self._exact = []
+        self._positive = {}
+        self._negative = {}
+        self._zeros = 0
 
     def observe(self, value: float) -> None:
         value = _check_value(value)
         self.stats.observe(value)
-        for sketch in self._quantiles.values():
-            sketch.observe(value)
+        exact = self._exact
+        if exact is None:
+            self._bucket(value)
+        elif len(exact) < EXACT_COUNT:
+            exact.append(value)
+        else:
+            self._exact = None
+            for kept in exact:
+                self._bucket(kept)
+            self._bucket(value)
+
+    def _bucket(self, value: float) -> None:
+        if value > 0.0:
+            store = self._positive
+        elif value < 0.0:
+            store, value = self._negative, -value
+        else:
+            self._zeros += 1
+            return
+        index = math.ceil(math.log(value) / _LOG_GAMMA)
+        store[index] = store.get(index, 0) + 1
 
     @property
     def count(self) -> int:
         return self.stats.count
 
     def summary(self) -> TailSummary:
-        """The :class:`TailSummary` of everything observed; the
-        percentile fields are P² estimates past ``P2_WARMUP`` values."""
-        if self.stats.count == 0:
+        """The :class:`TailSummary` of everything observed; past
+        ``EXACT_COUNT`` values the percentile fields are within α of
+        the exact ones (see the module docstring)."""
+        stats = self.stats
+        if stats.count == 0:
             raise ValueError("need at least one value")
-        return TailSummary(
-            count=self.stats.count,
-            mean=self.stats.mean,
-            p50=self._quantiles[50.0].value(),
-            p95=self._quantiles[95.0].value(),
-            p99=self._quantiles[99.0].value(),
-            max_value=self.stats.max,
-        )
+        if self._exact is not None:
+            ordered = sorted(self._exact)
+            p50, p95, p99 = (_percentile_of_sorted(ordered, q)
+                             for q in (50.0, 95.0, 99.0))
+        else:
+            ranks = _BucketRanks(self._negative, self._zeros,
+                                 self._positive)
+            p50, p95, p99 = (
+                min(max(_percentile_of_sorted(ranks, q), stats.min),
+                    stats.max)
+                for q in (50.0, 95.0, 99.0))
+        return TailSummary(stats.count, stats.mean, p50, p95, p99,
+                           stats.max)
 
 
 class SinkMetrics(NamedTuple):
@@ -444,7 +387,6 @@ class StreamingRecordSink:
 
 
 __all__ = [
-    "P2_RANK_TOLERANCE", "P2_RELATIVE_SLACK", "ExactRecordSink",
-    "OnlineStats", "P2Quantile", "RecordSink", "SinkMetrics",
-    "StreamingRecordSink", "TailSketch",
+    "EXACT_COUNT", "RELATIVE_ACCURACY", "ExactRecordSink", "OnlineStats",
+    "RecordSink", "SinkMetrics", "StreamingRecordSink", "TailSketch",
 ]

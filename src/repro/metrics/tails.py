@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Protocol, Sequence, Tuple)
 
 
 def _checked_sorted(values: Iterable[float]) -> List[float]:
@@ -36,7 +36,17 @@ def _checked_sorted(values: Iterable[float]) -> List[float]:
     return ordered
 
 
-def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+class _Ranked(Protocol):
+    """What a percentile reads: a population's length and its values
+    in ascending order by 0-based rank (a sorted list, or a sketch's
+    bucket estimates)."""
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, rank: int, /) -> float: ...
+
+
+def _percentile_of_sorted(ordered: _Ranked, q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
     rank = (len(ordered) - 1) * q / 100.0

@@ -20,7 +20,7 @@ engine's event count and the loop's ``advance`` calls.
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelos.placement import WorkStealingRebalance
 from repro.api.kernels import isolated_table, sharing_allocator
@@ -221,12 +221,15 @@ def bound_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(bound_cases())
+# the lone request is withdrawn at step 0, so the stream finishes nothing
+@example((nvidia_k20m(), trace_arrivals([("bfs", 0.0, "t0")]), {0}))
 def test_finish_bound_never_passes_the_next_finish(case):
     """After every event, the accelOS bound is at most the time of the
     next event that finishes a request or leaves the device idle, and
     at least the next event's time; withdrawals recompute it.  The
-    bound must also see past the next event somewhere in every stream,
-    or it would be the one-event horizon again."""
+    bound must also see past the next event somewhere in every stream
+    that finishes a request, or it would be the one-event horizon
+    again."""
     device, arrivals, withdraws = case
     session = scheme_from_name("accelos").open_session(device)
     for key, arrival in enumerate(arrivals):
@@ -234,6 +237,7 @@ def test_finish_bound_never_passes_the_next_finish(case):
     bounds = []
     ahead = 0
     steps = 0
+    ran = False
     while session.peek() is not None:
         if steps in withdraws and session.queued():
             session.withdraw(session.queued()[0].key)
@@ -244,10 +248,11 @@ def test_finish_bound_never_passes_the_next_finish(case):
         bounds.append(bound)
         time, finished = session.step()
         steps += 1
+        ran = ran or bool(finished)
         if finished or session.peek() is None:
             assert all(bound <= time for bound in bounds), (time, bounds)
             bounds = []
-    assert ahead
+    assert ahead or not ran
 
 
 # -- an unsound bound fails loudly -------------------------------------------

@@ -10,7 +10,7 @@ checks that the two results agree:
   extremes: ``count``, ``makespan``, ``unfairness``, each tail's
   p50/p95/p99/max (overall, per tenant, per device), ``device_share``,
   ``migrations`` and ``rebalances``.  The streams hold at most
-  ``P2_WARMUP`` requests, so the streaming quantiles are exact;
+  ``EXACT_COUNT`` requests, so the streaming quantiles are exact;
 * within ``SUMMATION_RTOL`` where only the summation order differs
   (the streaming sink sums in completion order, the exact sink in
   submission order): ANTT, STP and the means.
@@ -23,7 +23,7 @@ from repro.api import placement_names
 from repro.api.schemes import BUILTIN_SCHEMES
 from repro.cl import derated_device, nvidia_k20m
 from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
-from repro.metrics.sketches import P2_WARMUP
+from repro.metrics.sketches import EXACT_COUNT
 from repro.sim import DeviceFleet
 from repro.workloads import trace_arrivals
 
@@ -45,7 +45,7 @@ def fleet():
 
 @st.composite
 def streams(draw):
-    count = draw(st.integers(1, P2_WARMUP))
+    count = draw(st.integers(1, EXACT_COUNT))
     entries = []
     time = 0.0
     for _ in range(count):

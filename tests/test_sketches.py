@@ -2,142 +2,188 @@
 
 The accuracy contract documented in ``repro/metrics/sketches.py``:
 
-* P² estimates of p50/p95/p99 lie within the exact value band of ranks
-  ``q ± P2_RANK_TOLERANCE`` percentile points — extended outward to the
-  nearest distinct observed values (the sketch interpolates between
-  marker heights, so on heavily tied populations the estimate can land
-  strictly between two tied groups) — widened by ``P2_RELATIVE_SLACK``
-  relative; checked on heavy-tailed, constant, tied and tiny
-  populations;
-* populations up to ``P2_WARMUP`` values are *exact* (bit-equal to the
-  ``tails`` linear-interpolation convention), as are constant
-  populations of any size;
+* populations up to ``EXACT_COUNT`` values are *exact*: p50/p95/p99 are
+  bit-equal to the ``tails`` linear-interpolation convention;
+* past ``EXACT_COUNT``, every quantile of a non-negative population is
+  within ``RELATIVE_ACCURACY`` (α) of the exact one, with no slack but
+  float rounding (``ROUNDING``, relative); checked on heavy-tailed,
+  tied, constant, zero-containing, sorted and log-uniform populations.
+  Negative values are mirrored, so each order statistic's estimate is
+  within α of its magnitude, and a quantile within α of the
+  interpolated magnitudes;
+* constant populations past ``EXACT_COUNT`` answer the constant, and
+  the bucket count depends on the value range, not on the count;
 * the sketch rejects NaN with the identical ``ValueError`` the exact
   path raises, and positive-slowdown violations with the identical
   message of the fairness/throughput metrics;
 * sketch state is a pure function of the observation sequence (same
-  values, same order => bit-equal state).
+  values, same order => bit-equal state), and the quantiles of the
+  multiset (any order => bit-equal quantiles).
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.metrics import (P2_RANK_TOLERANCE, P2_RELATIVE_SLACK,
-                           OnlineStats, P2Quantile, StreamingRecordSink,
-                           TailSketch, percentile, tail_summary)
-from repro.metrics.sketches import P2_WARMUP
+from repro.metrics import (EXACT_COUNT, RELATIVE_ACCURACY, OnlineStats,
+                           StreamingRecordSink, TailSketch, percentile,
+                           tail_summary)
 from repro.util import make_rng
 
 QUANTILES = (50.0, 95.0, 99.0)
+# the only slack the α bound allows: float rounding, relative
+ROUNDING = 1e-12
 
 # value strategies: finite, positive-ish magnitudes the simulator
 # actually produces (slowdowns, delays in seconds)
 VALUES = st.floats(min_value=1e-6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
 
-# a heavy-tailed population: lognormal-ish via exponent sampling —
-# hypothesis draws the exponent, so the tail is genuinely stretched.
-# Magnitudes are kept *distinct* (heavy-tailed means orders of
-# magnitude, not duplicates): on adversarially tie-dominated sequences
-# P² has no bounded rank error, and the tied/constant regimes have
-# their own tests below
+# a heavy-tailed value: hypothesis draws the exponent, so magnitudes
+# span six orders and ties are as likely as the draw makes them
 HEAVY = st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0 ** e)
 
-
-def rank_window(values, q):
-    """The documented tolerance band for a P² estimate of quantile q:
-    exact values at ranks ``q ± P2_RANK_TOLERANCE``, extended outward to
-    the nearest distinct observed values, widened by
-    ``P2_RELATIVE_SLACK`` relative."""
-    ordered = sorted(values)
-    lo = percentile(ordered, max(0.0, q - P2_RANK_TOLERANCE))
-    hi = percentile(ordered, min(100.0, q + P2_RANK_TOLERANCE))
-    # an interpolated rank value need not be an observed one: snap the
-    # band edges outward to observed values (ties make this matter)
-    lo = max((v for v in ordered if v <= lo), default=ordered[0])
-    hi = min((v for v in ordered if v >= hi), default=ordered[-1])
-    # a marker height interpolates between neighbouring observations,
-    # so on tied populations the estimate can land strictly between the
-    # band-edge group and the adjacent distinct value — extend one
-    # distinct observed value outward on each side
-    lo = max((v for v in ordered if v < lo), default=lo)
-    hi = min((v for v in ordered if v > hi), default=hi)
-    slack = P2_RELATIVE_SLACK
-    eps = 1e-9 * max(1.0, abs(lo), abs(hi))
-    return (lo - abs(lo) * slack - eps, hi + abs(hi) * slack + eps)
+# population sizes past the exact buffer
+PAST_EXACT = st.integers(min_value=EXACT_COUNT + 1,
+                         max_value=3 * EXACT_COUNT)
 
 
-def sketch_of(values, q):
-    sketch = P2Quantile(q)
+def sketch_of(values):
+    sketch = TailSketch()
     for value in values:
         sketch.observe(value)
     return sketch
 
 
-# -- accuracy: the documented rank window -------------------------------------
+def quantiles_of(summary):
+    return (summary.p50, summary.p95, summary.p99)
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(values=st.lists(HEAVY, min_size=50, max_size=400, unique=True))
+
+def alpha_bound(ordered, q):
+    """α times the interpolated magnitudes of the two order statistics
+    the exact ``q``-th percentile interpolates (α·exact on non-negative
+    populations), plus float rounding."""
+    rank = (len(ordered) - 1) * q / 100.0
+    lower, upper = math.floor(rank), math.ceil(rank)
+    fraction = rank - lower
+    magnitude = (abs(ordered[lower]) * (1.0 - fraction)
+                 + abs(ordered[upper]) * fraction)
+    return (RELATIVE_ACCURACY + ROUNDING) * magnitude
+
+
+def assert_within_alpha(values):
+    assert len(values) > EXACT_COUNT
+    ordered = sorted(values)
+    estimates = quantiles_of(sketch_of(values).summary())
+    for q, estimate in zip(QUANTILES, estimates):
+        exact = percentile(ordered, q)
+        if ordered[0] >= 0.0:
+            assert abs(estimate - exact) \
+                <= (RELATIVE_ACCURACY + ROUNDING) * exact, (q, estimate,
+                                                            exact)
+        assert abs(estimate - exact) <= alpha_bound(ordered, q), \
+            (q, estimate, exact)
+
+
+def population(draw_values, n, seed, label):
+    """``n`` values of a seeded shape (hypothesis draws the shape's
+    parameters and the seed, numpy the values)."""
+    return [float(v) for v in draw_values(make_rng("sketch", label, seed),
+                                          n)]
+
+
+SEEDS = st.integers(min_value=0, max_value=10**6)
+
+
+# -- the exact buffer ---------------------------------------------------------
+
+@given(values=st.lists(st.one_of(VALUES, st.sampled_from([1.0, 2.0, 5.0])),
+                       min_size=1, max_size=EXACT_COUNT))
 @settings(max_examples=40, deadline=None)
-def test_p2_within_rank_window_heavy_tailed(q, values):
-    estimate = sketch_of(values, q).value()
-    lo, hi = rank_window(values, q)
-    assert lo <= estimate <= hi
+def test_tail_sketch_exact_up_to_exact_count(values):
+    """Every population of at most ``EXACT_COUNT`` values is answered
+    bit-equal to the exact convention, tiny (n < 5) and tied ones
+    included."""
+    summary = sketch_of(values).summary()
+    assert quantiles_of(summary) \
+        == tuple(percentile(values, q) for q in QUANTILES)
 
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(values=st.lists(VALUES, min_size=5, max_size=120))
-@settings(max_examples=40, deadline=None)
-def test_p2_within_rank_window_general(q, values):
-    estimate = sketch_of(values, q).value()
-    lo, hi = rank_window(values, q)
-    assert lo <= estimate <= hi
-
-
-@pytest.mark.parametrize("q", QUANTILES)
-@given(value=VALUES, n=st.integers(min_value=1, max_value=200))
+@given(n=st.integers(min_value=1, max_value=EXACT_COUNT), seed=SEEDS,
+       zeros=st.floats(min_value=0.0, max_value=0.6),
+       sign=st.sampled_from([1.0, -1.0]))
+# the last value the buffer keeps
+@example(n=EXACT_COUNT, seed=0, zeros=0.0, sign=1.0)
 @settings(max_examples=25, deadline=None)
-def test_p2_exact_on_constant_population(q, value, n):
-    """All markers collapse onto the constant: bit-equal to the exact
-    convention (which itself interpolates, so it can sit one ulp off
-    the constant — match it, don't beat it)."""
-    estimate = sketch_of([value] * n, q).value()
-    assert estimate == percentile([value] * n, q)
-    assert estimate == pytest.approx(value, rel=1e-12)
+def test_tail_sketch_exact_up_to_exact_count_heavy_tailed(n, seed, zeros,
+                                                          sign):
+    """Heavy-tailed, zero-containing and negative populations of the
+    exact buffer: bit-equal too."""
+    values = population(
+        lambda rng, size: sign * (rng.pareto(1.1, size) + 1.0)
+        * (rng.random(size) >= zeros), n, seed, "exact")
+    summary = sketch_of(values).summary()
+    assert quantiles_of(summary) \
+        == tuple(percentile(values, q) for q in QUANTILES)
 
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(values=st.lists(st.sampled_from([1.0, 2.0, 5.0]),
-                       min_size=20, max_size=200))
+# -- the α bound past the buffer ----------------------------------------------
+
+@given(values=st.lists(HEAVY, min_size=EXACT_COUNT + 1,
+                       max_size=EXACT_COUNT + 64))
 @settings(max_examples=25, deadline=None)
-def test_p2_within_rank_window_tied_values(q, values):
-    """Massively tied populations (few distinct values) stay in band."""
-    estimate = sketch_of(values, q).value()
-    lo, hi = rank_window(values, q)
-    assert lo <= estimate <= hi
+def test_tail_sketch_within_alpha_heavy_tailed(values):
+    assert_within_alpha(values)
 
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(values=st.lists(VALUES, min_size=1, max_size=5))
+@given(n=PAST_EXACT, seed=SEEDS,
+       shape=st.floats(min_value=0.5, max_value=3.0))
 @settings(max_examples=25, deadline=None)
-def test_p2_exact_on_tiny_populations(q, values):
-    """n < 5 never hits the marker machinery: bit-equal to exact."""
-    assert sketch_of(values, q).value() == percentile(values, q)
+def test_tail_sketch_within_alpha_pareto(n, seed, shape):
+    assert_within_alpha(population(
+        lambda rng, size: rng.pareto(shape, size) + 1.0, n, seed,
+        "pareto"))
 
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(n=st.integers(min_value=1, max_value=P2_WARMUP),
-       seed=st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=15, deadline=None)
-def test_p2_exact_up_to_warmup(q, n, seed):
-    """The whole warm-up regime is exact, not approximated."""
-    values = list(make_rng("sketch-warmup", seed).pareto(1.5, size=n) + 1.0)
-    assert sketch_of(values, q).value() == percentile(values, q)
+@given(atoms=st.lists(VALUES, min_size=1, max_size=4), n=PAST_EXACT,
+       seed=SEEDS)
+@settings(max_examples=25, deadline=None)
+def test_tail_sketch_within_alpha_tied(atoms, n, seed):
+    """A few distinct values, each repeated many times."""
+    assert_within_alpha(population(
+        lambda rng, size: rng.choice(atoms, size), n, seed, "tied"))
 
 
-# -- accuracy beyond the warm-up buffer (deterministic large-n shapes) --------
+@given(n=PAST_EXACT, seed=SEEDS,
+       zeros=st.floats(min_value=0.05, max_value=0.95))
+@settings(max_examples=25, deadline=None)
+def test_tail_sketch_within_alpha_with_zeros(n, seed, zeros):
+    """Zero queueing delays are counted apart and answer 0 exactly."""
+    assert_within_alpha(population(
+        lambda rng, size: rng.exponential(2.0, size)
+        * (rng.random(size) >= zeros), n, seed, "zeros"))
+
+
+@given(n=PAST_EXACT, seed=SEEDS, mixed=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_tail_sketch_within_alpha_negative(n, seed, mixed):
+    """Negative values are mirrored: all-negative populations keep the
+    α bound on magnitudes, mixed-sign ones the interpolated one."""
+    def draw(rng, size):
+        values = -(rng.pareto(1.5, size) + 1.0)
+        if mixed:
+            values[rng.random(size) < 0.5] *= -1.0
+        return values
+    assert_within_alpha(population(draw, n, seed, "negative"))
+
+
+@given(value=VALUES, n=PAST_EXACT)
+@settings(max_examples=25, deadline=None)
+def test_tail_sketch_exact_on_constant_population(value, n):
+    """One bucket, clamped to the exact min and max: the constant."""
+    assert quantiles_of(sketch_of([value] * n).summary()) == (value,) * 3
+
 
 def _large_population(shape, n=5000, seed=7):
     rng = make_rng("sketch-large", shape, seed)
@@ -145,41 +191,56 @@ def _large_population(shape, n=5000, seed=7):
         return list(rng.pareto(1.5, size=n) + 1.0)
     if shape == "uniform":
         return list(rng.uniform(0.5, 50.0, size=n))
+    if shape == "log-uniform":
+        return list(10.0 ** rng.uniform(-6.0, 6.0, size=n))
     if shape == "tied":
         return [float(v) for v in rng.choice([1.0, 2.0, 5.0], size=n,
                                              p=[0.6, 0.3, 0.1])]
     if shape == "sorted":
         return sorted(rng.pareto(1.5, size=n) + 1.0)
+    if shape == "reversed":
+        return sorted(rng.pareto(1.5, size=n) + 1.0, reverse=True)
     raise AssertionError(shape)
 
 
-@pytest.mark.parametrize("q", QUANTILES)
-@pytest.mark.parametrize("shape", ["pareto", "uniform", "tied", "sorted"])
-def test_p2_within_rank_window_beyond_warmup(shape, q):
+SHAPES = ["pareto", "uniform", "log-uniform", "tied", "sorted",
+          "reversed"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tail_sketch_within_alpha_beyond_exact_count(shape):
+    assert_within_alpha(_large_population(shape))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bucket_count_is_set_by_the_value_range(shape):
+    """At most ⌈ln(max/min)/ln γ⌉ + 1 buckets, at any count."""
     values = _large_population(shape)
-    assert len(values) > P2_WARMUP
-    estimate = sketch_of(values, q).value()
-    lo, hi = rank_window(values, q)
-    assert lo <= estimate <= hi, (shape, q, estimate, (lo, hi))
+    sketch = sketch_of(values)
+    log_gamma = math.log((1.0 + RELATIVE_ACCURACY)
+                         / (1.0 - RELATIVE_ACCURACY))
+    assert len(sketch._positive) \
+        <= math.ceil(math.log(max(values) / min(values)) / log_gamma) + 1
+    assert not sketch._negative and not sketch._zeros
 
 
-@given(values=st.lists(VALUES, min_size=1, max_size=300))
+@given(values=st.lists(VALUES, min_size=1, max_size=3 * EXACT_COUNT))
 @settings(max_examples=25, deadline=None)
 def test_tail_sketch_summary_mirrors_exact_moments(values):
-    """count/mean/max are exact (same summation order); percentiles
-    land in the documented band."""
-    sketch = TailSketch()
-    for value in values:
-        sketch.observe(value)
-    summary = sketch.summary()
+    """count/max are exact, the mean to summation order; percentiles
+    are bit-equal in the exact buffer and within α past it."""
+    summary = sketch_of(values).summary()
     exact = tail_summary(values)
     assert summary.count == exact.count
     assert summary.max == exact.max
     assert summary.mean == pytest.approx(exact.mean, rel=1e-12)
-    for q, estimate in ((50.0, summary.p50), (95.0, summary.p95),
-                        (99.0, summary.p99)):
-        lo, hi = rank_window(values, q)
-        assert lo <= estimate <= hi
+    if len(values) <= EXACT_COUNT:
+        assert quantiles_of(summary) == quantiles_of(exact)
+    else:
+        for estimate, want in zip(quantiles_of(summary),
+                                  quantiles_of(exact)):
+            assert abs(estimate - want) \
+                <= (RELATIVE_ACCURACY + ROUNDING) * want
 
 
 # -- contract parity with the exact path --------------------------------------
@@ -192,8 +253,8 @@ def exact_nan_message():
 
 @pytest.mark.parametrize("make", [
     lambda: OnlineStats(),
-    lambda: P2Quantile(99.0),
     lambda: TailSketch(),
+    lambda: sketch_of([1.0] * (EXACT_COUNT + 1)),
 ])
 def test_sketches_reject_nan_like_checked_sorted(make):
     sketch = make()
@@ -228,27 +289,26 @@ def test_empty_sketches_raise_like_exact_path():
     with pytest.raises(ValueError, match="need at least one value"):
         OnlineStats().mean
     with pytest.raises(ValueError, match="need at least one value"):
-        P2Quantile(50.0).value()
-    with pytest.raises(ValueError, match="need at least one value"):
         TailSketch().summary()
-
-
-def test_p2_rejects_degenerate_quantiles():
-    for q in (0.0, 100.0, -1.0, 150.0):
-        with pytest.raises(ValueError, match="quantile must be in"):
-            P2Quantile(q)
 
 
 # -- determinism --------------------------------------------------------------
 
-@pytest.mark.parametrize("q", QUANTILES)
-@given(values=st.lists(VALUES, min_size=1, max_size=200))
+def _state(sketch):
+    return (sketch._exact, sketch._positive, sketch._negative,
+            sketch._zeros, sketch.summary().as_dict())
+
+
+@given(values=st.lists(VALUES, min_size=1, max_size=3 * EXACT_COUNT),
+       seed=SEEDS)
 @settings(max_examples=25, deadline=None)
-def test_p2_state_is_pure_function_of_sequence(q, values):
-    a = sketch_of(values, q)
-    b = sketch_of(list(values), q)
-    assert a.state() == b.state()
-    assert a.value() == b.value()
+def test_sketch_state_is_pure_function_of_sequence(values, seed):
+    assert _state(sketch_of(values)) == _state(sketch_of(list(values)))
+    # the quantiles read counts of a multiset: any order, same answer
+    shuffled = list(values)
+    make_rng("sketch-order", seed).shuffle(shuffled)
+    assert quantiles_of(sketch_of(shuffled).summary()) \
+        == quantiles_of(sketch_of(values).summary())
 
 
 def test_streaming_sink_replays_bit_identically():

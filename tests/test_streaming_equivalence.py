@@ -12,7 +12,7 @@ Three locks:
   reproduces the exact-mode golden (``tests/goldens/spec_smoke_result
   .json``) — ANTT/STP/unfairness to summation-order precision, and the
   percentile metrics too, because the smoke population is far below the
-  sketch warm-up buffer where estimates are exact.
+  ``EXACT_COUNT`` values the sketch answers exactly.
 """
 
 import dataclasses
@@ -117,8 +117,8 @@ def test_streaming_run_reproduces_exact_smoke_golden():
             assert streaming.metric(metric, scheme=scheme) \
                 == pytest.approx(expected[metric], rel=SUMMATION_RTOL), \
                 (scheme, metric)
-        # 6 requests sit inside the sketch warm-up buffer: the
-        # percentile is exact there too, not a P2 estimate
+        # 6 requests sit inside the sketch's exact buffer: the
+        # percentile is exact there too, not a bucket estimate
         assert streaming.metric("p99_slowdown", scheme=scheme) \
             == pytest.approx(expected["p99_slowdown"], rel=SUMMATION_RTOL)
 
