@@ -19,6 +19,11 @@ The accuracy contract documented in ``repro/metrics/sketches.py``:
 * sketch state is a pure function of the observation sequence (same
   values, same order => bit-equal state), and the quantiles of the
   multiset (any order => bit-equal quantiles).
+
+The ``test_p2_*`` tests keep the ids of the tests written for the
+sketch's earlier P² estimator, one per quantile, so each id's history
+runs on; every one of them now checks the contract above, which is at
+least as strict as the P² rank band it replaced.
 """
 
 import math
@@ -72,18 +77,25 @@ def alpha_bound(ordered, q):
     return (RELATIVE_ACCURACY + ROUNDING) * magnitude
 
 
-def assert_within_alpha(values):
+def assert_within_alpha(values, quantiles=QUANTILES):
     assert len(values) > EXACT_COUNT
     ordered = sorted(values)
-    estimates = quantiles_of(sketch_of(values).summary())
-    for q, estimate in zip(QUANTILES, estimates):
-        exact = percentile(ordered, q)
+    summary = dict(zip(QUANTILES, quantiles_of(sketch_of(values).summary())))
+    for q in quantiles:
+        estimate, exact = summary[q], percentile(ordered, q)
         if ordered[0] >= 0.0:
             assert abs(estimate - exact) \
                 <= (RELATIVE_ACCURACY + ROUNDING) * exact, (q, estimate,
                                                             exact)
         assert abs(estimate - exact) <= alpha_bound(ordered, q), \
             (q, estimate, exact)
+
+
+def assert_exact(values, q):
+    """The ``q``-th percentile of a buffered population: bit-equal."""
+    assert len(values) <= EXACT_COUNT
+    summary = dict(zip(QUANTILES, quantiles_of(sketch_of(values).summary())))
+    assert summary[q] == percentile(values, q)
 
 
 def population(draw_values, n, seed, label):
@@ -98,43 +110,48 @@ SEEDS = st.integers(min_value=0, max_value=10**6)
 
 # -- the exact buffer ---------------------------------------------------------
 
+@pytest.mark.parametrize("q", QUANTILES)
 @given(values=st.lists(st.one_of(VALUES, st.sampled_from([1.0, 2.0, 5.0])),
                        min_size=1, max_size=EXACT_COUNT))
 @settings(max_examples=40, deadline=None)
-def test_tail_sketch_exact_up_to_exact_count(values):
+def test_p2_within_rank_window_general(q, values):
     """Every population of at most ``EXACT_COUNT`` values is answered
-    bit-equal to the exact convention, tiny (n < 5) and tied ones
-    included."""
-    summary = sketch_of(values).summary()
-    assert quantiles_of(summary) \
-        == tuple(percentile(values, q) for q in QUANTILES)
+    bit-equal to the exact convention, tied ones included."""
+    assert_exact(values, q)
 
 
+@pytest.mark.parametrize("q", QUANTILES)
+@given(values=st.lists(VALUES, min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_p2_exact_on_tiny_populations(q, values):
+    """n < 5: the percentile interpolates between the few values there
+    are, bit-equal to exact."""
+    assert_exact(values, q)
+
+
+@pytest.mark.parametrize("q", QUANTILES)
 @given(n=st.integers(min_value=1, max_value=EXACT_COUNT), seed=SEEDS,
        zeros=st.floats(min_value=0.0, max_value=0.6),
        sign=st.sampled_from([1.0, -1.0]))
 # the last value the buffer keeps
 @example(n=EXACT_COUNT, seed=0, zeros=0.0, sign=1.0)
 @settings(max_examples=25, deadline=None)
-def test_tail_sketch_exact_up_to_exact_count_heavy_tailed(n, seed, zeros,
-                                                          sign):
+def test_p2_exact_up_to_warmup(q, n, seed, zeros, sign):
     """Heavy-tailed, zero-containing and negative populations of the
-    exact buffer: bit-equal too."""
-    values = population(
+    exact buffer, up to its last value: bit-equal too."""
+    assert_exact(population(
         lambda rng, size: sign * (rng.pareto(1.1, size) + 1.0)
-        * (rng.random(size) >= zeros), n, seed, "exact")
-    summary = sketch_of(values).summary()
-    assert quantiles_of(summary) \
-        == tuple(percentile(values, q) for q in QUANTILES)
+        * (rng.random(size) >= zeros), n, seed, "exact"), q)
 
 
 # -- the α bound past the buffer ----------------------------------------------
 
+@pytest.mark.parametrize("q", QUANTILES)
 @given(values=st.lists(HEAVY, min_size=EXACT_COUNT + 1,
                        max_size=EXACT_COUNT + 64))
 @settings(max_examples=25, deadline=None)
-def test_tail_sketch_within_alpha_heavy_tailed(values):
-    assert_within_alpha(values)
+def test_p2_within_rank_window_heavy_tailed(q, values):
+    assert_within_alpha(values, (q,))
 
 
 @given(n=PAST_EXACT, seed=SEEDS,
@@ -146,13 +163,14 @@ def test_tail_sketch_within_alpha_pareto(n, seed, shape):
         "pareto"))
 
 
+@pytest.mark.parametrize("q", QUANTILES)
 @given(atoms=st.lists(VALUES, min_size=1, max_size=4), n=PAST_EXACT,
        seed=SEEDS)
 @settings(max_examples=25, deadline=None)
-def test_tail_sketch_within_alpha_tied(atoms, n, seed):
+def test_p2_within_rank_window_tied_values(q, atoms, n, seed):
     """A few distinct values, each repeated many times."""
     assert_within_alpha(population(
-        lambda rng, size: rng.choice(atoms, size), n, seed, "tied"))
+        lambda rng, size: rng.choice(atoms, size), n, seed, "tied"), (q,))
 
 
 @given(n=PAST_EXACT, seed=SEEDS,
@@ -178,11 +196,14 @@ def test_tail_sketch_within_alpha_negative(n, seed, mixed):
     assert_within_alpha(population(draw, n, seed, "negative"))
 
 
+@pytest.mark.parametrize("q", QUANTILES)
 @given(value=VALUES, n=PAST_EXACT)
 @settings(max_examples=25, deadline=None)
-def test_tail_sketch_exact_on_constant_population(value, n):
+def test_p2_exact_on_constant_population(q, value, n):
     """One bucket, clamped to the exact min and max: the constant."""
-    assert quantiles_of(sketch_of([value] * n).summary()) == (value,) * 3
+    summary = dict(zip(QUANTILES,
+                       quantiles_of(sketch_of([value] * n).summary())))
+    assert summary[q] == value
 
 
 def _large_population(shape, n=5000, seed=7):
@@ -203,13 +224,14 @@ def _large_population(shape, n=5000, seed=7):
     raise AssertionError(shape)
 
 
-SHAPES = ["pareto", "uniform", "log-uniform", "tied", "sorted",
+SHAPES = ["pareto", "uniform", "tied", "sorted", "log-uniform",
           "reversed"]
 
 
+@pytest.mark.parametrize("q", QUANTILES)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_tail_sketch_within_alpha_beyond_exact_count(shape):
-    assert_within_alpha(_large_population(shape))
+def test_p2_within_rank_window_beyond_warmup(shape, q):
+    assert_within_alpha(_large_population(shape), (q,))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -299,16 +321,18 @@ def _state(sketch):
             sketch._zeros, sketch.summary().as_dict())
 
 
+@pytest.mark.parametrize("q", QUANTILES)
 @given(values=st.lists(VALUES, min_size=1, max_size=3 * EXACT_COUNT),
        seed=SEEDS)
 @settings(max_examples=25, deadline=None)
-def test_sketch_state_is_pure_function_of_sequence(values, seed):
+def test_p2_state_is_pure_function_of_sequence(q, values, seed):
     assert _state(sketch_of(values)) == _state(sketch_of(list(values)))
     # the quantiles read counts of a multiset: any order, same answer
     shuffled = list(values)
     make_rng("sketch-order", seed).shuffle(shuffled)
-    assert quantiles_of(sketch_of(shuffled).summary()) \
-        == quantiles_of(sketch_of(values).summary())
+    index = QUANTILES.index(q)
+    assert quantiles_of(sketch_of(shuffled).summary())[index] \
+        == quantiles_of(sketch_of(values).summary())[index]
 
 
 def test_streaming_sink_replays_bit_identically():
